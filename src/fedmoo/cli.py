@@ -52,11 +52,9 @@ def _prepare_dir(out_dir: str, force: bool) -> str | None:
     return None
 
 
-def _execute_run(config, raw, out_dir: str, jobs: int) -> int:
+def _execute_run(config, raw, out_dir: str) -> int:
     problem = build_problem(config)
-    traj = run_experiment(config, problem, n_jobs=jobs)
-    if not traj.records:
-        return _fail(f"run produced no rounds ({traj.termination})", EXIT_DIVERGED)
+    traj = run_experiment(config, problem)
     write_rounds_csv(os.path.join(out_dir, "rounds.csv"), traj)
     write_summary_json(os.path.join(out_dir, "summary.json"),
                        build_summary(traj, raw, problem))
@@ -80,7 +78,7 @@ def cmd_run(args) -> int:
     if problem is not None:
         return _fail(problem, EXIT_USAGE)
     try:
-        return _execute_run(config, raw, out_dir, args.jobs)
+        return _execute_run(config, raw, out_dir)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_USAGE)
 
@@ -103,7 +101,7 @@ def cmd_sweep(args) -> int:
         if prep is not None:
             return value, run_dir, EXIT_USAGE, prep
         try:
-            code = _execute_run(config, raw, run_dir, 1)
+            code = _execute_run(config, raw, run_dir)
         except ConfigError as exc:
             return value, run_dir, EXIT_USAGE, str(exc)
         return value, run_dir, code, None
@@ -207,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to the experiment config")
     p_run.add_argument("--out", help="output directory (default $FEDMOO_OUT/<name>)")
     p_run.add_argument("--force", action="store_true", help="overwrite existing outputs")
-    p_run.add_argument("--jobs", type=int, default=1, help="client update threads")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a one-axis sweep")

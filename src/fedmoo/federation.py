@@ -3,14 +3,14 @@
 One round runs K local gradient steps per (objective, client) pair from the
 synchronized global point, ships the accumulated per-objective updates back,
 averages them over each objective's owner set, solves the min-norm weighting,
-and moves the global model along the combined direction.  Client updates are
-pure functions of the round inputs and counter-based streams, so serial and
-parallel execution produce bit-identical trajectories.
+and moves the global model along the combined direction.  FMGDA and FSMGDA
+share one client-update path that differs only in the gradient oracle.
+Clients run serially; each update is a pure function of the round inputs and
+counter-based streams, so the result does not depend on client order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,14 +40,14 @@ DIVERGENCE_NORM = 1e8
 
 
 class DivergenceError(RuntimeError):
-    """A local iterate went non-finite; carries (round, client, objective, step)."""
+    """A local update or iterate went non-finite; carries (round, client, objective, step)."""
 
     def __init__(self, round_index, client, objective, step):
         self.round_index = round_index
         self.client = client
         self.objective = objective
         self.step = step
-        super().__init__(f"non-finite iterate at round {round_index}, client {client}, "
+        super().__init__(f"non-finite local update at round {round_index}, client {client}, "
                          f"objective {objective}, local step {step}")
 
 
@@ -98,39 +98,31 @@ def strongly_convex_step_limit(smoothness: float, mu: float) -> float:
 def client_update_full(x_t, client, owned, K, eta_local, problem, round_index=0):
     """K full-gradient local steps per owned objective from the synced point.
 
-    Each owned objective keeps its own local iterate, initialized at ``x_t``.
-    The returned accumulated update is the plain sum of the K gradients used
-    along the trajectory (not scaled by the local step size), so K=1 returns
-    exactly the gradient at ``x_t`` and eta_local=0 returns K times that.
+    FMGDA's local update is FSMGDA's with exact gradients, so this is
+    :func:`client_update_stochastic` with ``batch=None``.
     """
-    deltas = {}
-    drift = {}
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        for s in owned:
-            x_loc = x_t.copy()
-            acc = np.zeros_like(x_t)
-            for k in range(K):
-                g = problem.grad(s, client, x_loc)
-                acc += g
-                x_loc = x_loc - eta_local * g
-                if not np.isfinite(x_loc).all():
-                    raise DivergenceError(round_index, client, s, k)
-            deltas[s] = acc
-            drift[s] = float(np.linalg.norm(x_loc - x_t))
-    return ClientRoundOutput(client, deltas, drift)
+    return client_update_stochastic(x_t, client, owned, K, eta_local, None, problem,
+                                    seed=None, round_index=round_index)
 
 
 def client_update_stochastic(x_t, client, owned, K, eta_local, batch, problem, seed,
                              round_index=0, sample_sharing="per_client"):
     """K minibatch-gradient local steps per owned objective.
 
-    Batch indices are drawn (uniformly with replacement) from counter-based
-    streams keyed by (client, round, step), so re-running with the same seed
-    reproduces the exact sample sequence.  Under ``per_client`` sharing the
-    step-k batch is drawn once and reused by every objective this client
-    owns; ``per_objective`` extends the stream key by the objective index and
-    draws independently.  ``batch=None`` or a batch covering the shard uses
-    the exact shard gradient.
+    Each owned objective keeps its own local iterate, initialized at ``x_t``.
+    Its accumulated update is the plain sum of the K gradients used (not
+    scaled by the local step size), so K=1 returns exactly the gradient at
+    ``x_t`` and eta_local=0 returns K times that.  Batch indices are
+    drawn (uniformly with replacement) from counter-based streams keyed by
+    (client, round, step), so re-running with the same seed reproduces the
+    exact sample sequence.  Under ``per_client`` sharing the step-k batch is
+    drawn once and reused by every objective this client owns;
+    ``per_objective`` extends the stream key by the objective index and draws
+    independently.  ``batch=None`` or a batch covering the shard uses the
+    exact shard gradient.
+
+    Non-finite values are absorbing, so each objective's K steps are checked
+    once; a failed check replays them to locate the first non-finite step.
     """
     n_shard = problem.shard_size(client)
     if batch is not None and batch < 1:
@@ -141,30 +133,36 @@ def client_update_stochastic(x_t, client, owned, K, eta_local, batch, problem, s
     # batch None or covering the shard: exact gradient, no draws
     batch_size = batch if (batch is not None and batch < n_shard) else None
 
-    shared_batches = None
-    if batch_size is not None and sample_sharing == "per_client":
-        shared_batches = [client_stream(seed, client, round_index, k).integers(0, n_shard, batch_size)
-                          for k in range(K)]
+    def draw(objective=None):
+        return [client_stream(seed, client, round_index, k, objective=objective)
+                .integers(0, n_shard, batch_size) for k in range(K)]
+
+    if batch_size is None:
+        shared_batches = [None] * K
+    elif sample_sharing == "per_client":
+        shared_batches = draw()
+    else:
+        shared_batches = None
+
+    def local_steps(s, batches, locate=False):
+        x_loc = x_t
+        acc = np.zeros_like(x_t)
+        for k, idx in enumerate(batches):
+            g = problem.stoch_grad(s, client, x_loc, idx)
+            acc += g
+            x_loc = x_loc - eta_local * g
+            if locate and not (np.isfinite(acc).all() and np.isfinite(x_loc).all()):
+                raise DivergenceError(round_index, client, s, k)
+        return acc, x_loc
 
     deltas = {}
     drift = {}
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         for s in owned:
-            x_loc = x_t.copy()
-            acc = np.zeros_like(x_t)
-            for k in range(K):
-                if batch_size is None:
-                    idx = None
-                elif shared_batches is not None:
-                    idx = shared_batches[k]
-                else:
-                    idx = client_stream(seed, client, round_index, k,
-                                        objective=s).integers(0, n_shard, batch_size)
-                g = problem.stoch_grad(s, client, x_loc, idx)
-                acc += g
-                x_loc = x_loc - eta_local * g
-                if not np.isfinite(x_loc).all():
-                    raise DivergenceError(round_index, client, s, k)
+            batches = draw(s) if shared_batches is None else shared_batches
+            acc, x_loc = local_steps(s, batches)
+            if not (np.isfinite(acc).all() and np.isfinite(x_loc).all()):
+                local_steps(s, batches, locate=True)
             deltas[s] = acc
             drift[s] = float(np.linalg.norm(x_loc - x_t))
     return ClientRoundOutput(client, deltas, drift)
@@ -209,30 +207,21 @@ def server_aggregate(outputs, indicator: IndicatorMatrix, K: int,
     return agg
 
 
-def _dispatch_clients(x_t, config, problem, round_index, executor):
-    def one(i):
-        owned = config.indicator.client_objectives[i]
-        if config.mode == "full_gradient":
-            return client_update_full(x_t, i, owned, config.K, config.eta_local,
-                                      problem, round_index)
-        return client_update_stochastic(x_t, i, owned, config.K, config.eta_local,
-                                        config.batch_size, problem, config.seed,
-                                        round_index, config.sample_sharing)
-
-    if executor is None:
-        return [one(i) for i in range(config.M)]
-    return list(executor.map(one, range(config.M)))
-
-
 def run_round(round_index, x_t, config, problem, *, minnorm_tol=1e-10,
-              executor=None, log_lambda_drift=True):
+              log_lambda_drift=True):
     """One communication round; returns (next point, round record).
 
+    Clients update serially in ascending order; each update is a pure
+    function of the round inputs, so the order does not affect the result.
     Metrics in the record refer to the round's start point: the losses, the
     true-gradient stationarity measure under the round's weights, and the
     optimality gap when the problem has a scalarization reference.
     """
-    outputs = _dispatch_clients(x_t, config, problem, round_index, executor)
+    batch = config.batch_size if config.mode == "stochastic" else None
+    outputs = [client_update_stochastic(x_t, i, config.indicator.client_objectives[i],
+                                        config.K, config.eta_local, batch, problem,
+                                        config.seed, round_index, config.sample_sharing)
+               for i in range(config.M)]
     delta = server_aggregate(outputs, config.indicator, config.K,
                              config.normalize_delta_by_K, config.client_weights)
     try:
@@ -305,16 +294,17 @@ def pick_weighted_output(traj: TrajectoryLog, mu, eta, stream) -> np.ndarray:
     return reservoir.pick[1].copy()
 
 
-def run_experiment(config: ExperimentConfig, problem, *, n_jobs=1, minnorm_tol=1e-10,
+def run_experiment(config: ExperimentConfig, problem, *, minnorm_tol=1e-10,
                    log_lambda_drift=True) -> TrajectoryLog:
     """Run T rounds from the configured initial point.
 
-    Deterministic given the config seed, under serial or parallel client
-    execution (``n_jobs`` threads).  Divergence (a non-finite local iterate
-    or a global point beyond the norm guard) stops the run early; the partial
-    log is returned with ``termination`` flagging the reason.  For strongly
-    convex problems the weighted output iterate is selected in a streaming
-    pass alongside the run.
+    Deterministic given the config seed.  Client updates run serially, and
+    the result does not depend on the order in which clients are computed.
+    Divergence (a non-finite local update or iterate, or a global point
+    beyond the norm guard) stops the run early; the partial log is returned
+    with ``termination`` flagging the reason.  For strongly convex problems
+    the weighted output iterate is selected in a streaming pass alongside the
+    run.
     """
     x = config.initial_point()
     traj = TrajectoryLog(config=config)
@@ -322,28 +312,22 @@ def run_experiment(config: ExperimentConfig, problem, *, n_jobs=1, minnorm_tol=1
     if problem.mu > 0 and 0.0 < problem.mu * config.eta_global / 2.0 < 1.0:
         reservoir = _WeightedReservoir(problem.mu, config.eta_global,
                                        output_stream(config.seed))
-    executor = ThreadPoolExecutor(max_workers=n_jobs) if n_jobs > 1 else None
-    try:
-        for t in range(1, config.T + 1):
-            try:
-                x_next, record = run_round(t, x, config, problem, minnorm_tol=minnorm_tol,
-                                           executor=executor,
-                                           log_lambda_drift=log_lambda_drift)
-            except DivergenceError as exc:
-                traj.termination = f"diverged: {exc}"
-                break
-            traj.records.append(record)
-            if reservoir is not None:
-                reservoir.offer(t, x.copy())
-            if not np.isfinite(x_next).all() or np.linalg.norm(x_next) > DIVERGENCE_NORM:
-                traj.termination = (f"diverged: global point norm exceeded "
-                                    f"{DIVERGENCE_NORM:g} at round {t}")
-                x = x_next
-                break
+    for t in range(1, config.T + 1):
+        try:
+            x_next, record = run_round(t, x, config, problem, minnorm_tol=minnorm_tol,
+                                       log_lambda_drift=log_lambda_drift)
+        except DivergenceError as exc:
+            traj.termination = f"diverged: {exc}"
+            break
+        traj.records.append(record)
+        if reservoir is not None:
+            reservoir.offer(t, x.copy())
+        if not np.isfinite(x_next).all() or np.linalg.norm(x_next) > DIVERGENCE_NORM:
+            traj.termination = (f"diverged: global point norm exceeded "
+                                f"{DIVERGENCE_NORM:g} at round {t}")
             x = x_next
-    finally:
-        if executor is not None:
-            executor.shutdown()
+            break
+        x = x_next
     traj.final_point = x
     if reservoir is not None and reservoir.pick is not None:
         traj.weighted_output = reservoir.pick[1]

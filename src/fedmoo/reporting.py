@@ -48,9 +48,13 @@ def rounds_header(n_objectives: int) -> str:
 
 
 def write_rounds_csv(path, traj: TrajectoryLog) -> None:
-    if not traj.records:
-        raise ValueError("trajectory has no rounds to write")
-    S = traj.records[0].weights.shape[0]
+    """Write one row per round; a run that diverged in round 1 writes the header only."""
+    if traj.records:
+        S = traj.records[0].weights.shape[0]
+    elif traj.config is not None:
+        S = traj.config.S
+    else:
+        raise ValueError("trajectory has no rounds and no config to size the header")
     run_min = running_min([r.dbar_norm_sq for r in traj.records])
     lines = [rounds_header(S)]
     for rec, rm in zip(traj.records, run_min):
@@ -77,7 +81,8 @@ def read_rounds_csv(path) -> dict:
     rows = [ln.split(",") for ln in lines[1:]]
     if any(len(r) != len(header) for r in rows):
         raise ValueError(f"{path}: ragged rows")
-    grid = np.array([[float(c) if c else np.nan for c in row] for row in rows])
+    grid = np.array([[float(c) if c else np.nan for c in row]
+                     for row in rows]).reshape(len(rows), len(header))
     cols = {
         "t": grid[:, 0].astype(np.int64),
         "lambda": grid[:, 1:1 + n_lam],
@@ -153,7 +158,7 @@ def _jsonable(value):
 
 def build_summary(traj: TrajectoryLog, raw_config: dict, problem,
                   eps_list=DEFAULT_EPS) -> dict:
-    last = traj.records[-1]
+    """Run summary; ``final`` is None when the run diverged before completing a round."""
     run_min = running_min([r.dbar_norm_sq for r in traj.records])
     cols = {
         "t": np.array([r.t for r in traj.records]),
@@ -161,7 +166,7 @@ def build_summary(traj: TrajectoryLog, raw_config: dict, problem,
         "running_min_dbar": run_min,
         "delta_Q": np.array([np.nan if r.delta_q is None else r.delta_q
                              for r in traj.records]),
-        "losses": np.vstack([r.losses for r in traj.records]),
+        "losses": np.array([r.losses for r in traj.records]).reshape(-1, problem.S),
     }
     f_min = None if problem.f_min is None else np.asarray(problem.f_min)
     summary = {
@@ -169,7 +174,13 @@ def build_summary(traj: TrajectoryLog, raw_config: dict, problem,
         "format_version": FORMAT_VERSION,
         "config": _jsonable(raw_config),
         "termination": traj.termination,
-        "final": {
+        "final": None,
+        "f_min": _jsonable(f_min),
+        "weighted_output": _jsonable(traj.weighted_output),
+    }
+    if traj.records:
+        last = traj.records[-1]
+        summary["final"] = {
             "t": last.t,
             "d_norm_sq": last.d_norm_sq,
             "dbar_norm_sq": last.dbar_norm_sq,
@@ -177,10 +188,7 @@ def build_summary(traj: TrajectoryLog, raw_config: dict, problem,
             "delta_Q": last.delta_q,
             "losses": _jsonable(last.losses),
             "point": _jsonable(traj.final_point),
-        },
-        "f_min": _jsonable(f_min),
-        "weighted_output": _jsonable(traj.weighted_output),
-    }
+        }
     summary.update(_jsonable(summarize_columns(cols, f_min=f_min, eps_list=eps_list)))
     return summary
 

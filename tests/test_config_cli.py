@@ -139,6 +139,23 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["termination"].startswith("diverged")
 
+    def test_overflowing_local_sum_exits_3_with_partial_log(self, tmp_path, capsys):
+        # the first round's accumulated update overflows while the local iterate stays finite
+        cfg = quad_config(M=1, S=1, d=2, K=2, init=[1e308, 0.0], eta_local=1e-10, seed=0)
+        out = tmp_path / "ov"
+        assert main(["run", "--config", self._write(tmp_path, cfg), "--out", str(out)]) == 3
+        assert (out / "rounds.csv").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["termination"].endswith("round 1, client 0, objective 0, local step 1")
+        assert summary["final"] is None
+        assert "partial log" in capsys.readouterr().err
+
+    def test_jobs_option_rejected_as_usage_error(self, tmp_path):
+        cfg_path = self._write(tmp_path, quad_config())
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"), "--jobs", "2"])
+        assert exc.value.code == 2
+
     def test_out_root_env_is_honored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FEDMOO_OUT", str(tmp_path / "root"))
         cfg_path = self._write(tmp_path, quad_config())

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmoo.core import ExperimentConfig, IndicatorMatrix
-from fedmoo.federation import (DivergenceError, client_update_full,
+from fedmoo.federation import (ClientRoundOutput, DivergenceError, client_update_full,
                                client_update_stochastic, descent_step_limit,
                                pick_weighted_output, run_experiment, run_round,
                                sample_weighted_index, server_aggregate)
@@ -147,6 +149,27 @@ class TestServerAggregate:
         expected = 0.75 * outs[0].deltas[0] + 0.25 * outs[1].deltas[0]
         assert np.allclose(agg[0], expected, atol=1e-15)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), M=st.integers(1, 5), S=st.integers(1, 3),
+           d=st.integers(1, 4), weighted=st.booleans())
+    def test_order_of_client_outputs_does_not_matter(self, data, M, S, d, weighted):
+        mask = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=M, max_size=M),
+                                           min_size=S, max_size=S)), dtype=int)
+        mask[np.arange(S), np.arange(S) % M] = 1  # every objective has an owner
+        mask[np.arange(M) % S, np.arange(M)] = 1  # every client owns an objective
+        A = IndicatorMatrix(mask)
+        finite = st.floats(-1e6, 1e6, allow_nan=False)
+        outputs = [ClientRoundOutput(i, {s: np.array(data.draw(st.lists(
+                       finite, min_size=d, max_size=d))) for s in A.client_objectives[i]}, {})
+                   for i in range(M)]
+        weights = None
+        if weighted:
+            weights = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=M,
+                                                  max_size=M)))
+        shuffled = data.draw(st.permutations(outputs))
+        ref = server_aggregate(outputs, A, K=3, client_weights=weights)
+        assert np.array_equal(server_aggregate(shuffled, A, K=3, client_weights=weights), ref)
+
 
 def base_config(prob, A, **kw):
     args = dict(M=A.n_clients, S=A.n_objectives, indicator=A, d=prob.d, K=1, T=1,
@@ -207,10 +230,10 @@ class TestRunExperiment:
         A, prob = symmetric_quadratic(M=2, heterogeneity=0.3, seed=2)
         cfg = base_config(prob, A, T=20, K=3, eta_global=0.4,
                           mode="stochastic", batch_size=4, seed=11)
-        for jobs, name in ((1, "serial.csv"), (3, "threads.csv")):
-            write_rounds_csv(tmp_path / name, run_experiment(cfg, prob, n_jobs=jobs))
-        a = (tmp_path / "serial.csv").read_bytes()
-        b = (tmp_path / "threads.csv").read_bytes()
+        for name in ("first.csv", "second.csv"):
+            write_rounds_csv(tmp_path / name, run_experiment(cfg, prob))
+        a = (tmp_path / "first.csv").read_bytes()
+        b = (tmp_path / "second.csv").read_bytes()
         assert a == b
 
     def test_matches_centralized_mgd_bit_for_bit(self):
