@@ -6,7 +6,10 @@ single update vector along which neither objective increases: the smallest
 vector in the convex hull of the gradients.  This script walks through the
 min-norm weighting on hand-built instances, checks the solver's optimality
 certificate, and cross-checks it against the brute-force lattice oracle and
-the two-objective closed form.
+the two-objective closed form.  The solver is Wolfe's min-norm-point method:
+it adds one gradient at a time to an active set and solves for the shortest
+point in that set's affine hull, so it ends at the exact optimum after a few
+cycles.
 """
 
 import numpy as np
@@ -21,7 +24,7 @@ print(f"weights        = {sol.weights}")
 print(f"direction      = {sol.direction}")
 print(f"norm_sq        = {sol.norm_sq:.6f}")
 print(f"duality gap    = {sol.fw_gap:.2e}  (zero certifies optimality)")
-print(f"iterations     = {sol.iterations}, converged = {sol.converged}")
+print(f"iterations     = {sol.iterations} (affine solves), converged = {sol.converged}")
 
 # negative inner products with every gradient would mean no common descent
 for s in range(2):
@@ -42,7 +45,7 @@ for case in range(5):
     _, oracle = grid_oracle(G, 1e-2, refine_to=1e-3)
     print(f"{case:>4} {sol.norm_sq:>12.8f} {oracle:>12.8f} {sol.norm_sq - oracle:>12.2e}")
 
-print("\n=== two-objective closed form agrees with the iterative solver ===")
+print("\n=== two-objective closed form agrees with Wolfe's method ===")
 g1, g2 = rng.standard_normal((2, 5))
 direct = closed_form_two(g1, g2)
 iterative = solve_min_norm(np.vstack([g1, g2]))

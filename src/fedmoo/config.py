@@ -92,6 +92,26 @@ def _need(mapping, key, path, kind, required=True, default=None):
     return val
 
 
+def _init_entry(value) -> float:
+    # PyYAML reads an exponent without a sign (1.0e3) as a string
+    if not isinstance(value, bool) and isinstance(value, (int, float, str)):
+        try:
+            number = float(value)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(number):
+                return number
+    raise ConfigError("init", f"expected a finite number, got {value!r}")
+
+
+def _echo(raw: dict, config: ExperimentConfig) -> dict:
+    """The mapping echoed into summaries: as written, with ``init`` as parsed."""
+    if config.init is None:
+        return raw
+    return {**raw, "init": [float(v) for v in config.init]}
+
+
 def _join(path, key):
     return f"{path}.{key}" if path else key
 
@@ -141,7 +161,9 @@ def parse_config(mapping: dict) -> ExperimentConfig:
     init = mapping.get("init", "zeros")
     if init == "zeros":
         init = None
-    elif not isinstance(init, list):
+    elif isinstance(init, list):
+        init = [_init_entry(v) for v in init]
+    else:
         raise ConfigError("init", f"expected 'zeros' or a {d}-vector, got {init!r}")
 
     prob_raw = mapping["problem"]
@@ -184,12 +206,13 @@ def parse_config(mapping: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> tuple[ExperimentConfig, dict]:
-    """Load and validate a config file; returns (config, raw mapping for echo)."""
+    """Load and validate a config file; returns (config, mapping for echo)."""
     with open(path) as fh:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
         raise ConfigError("<root>", f"{path}: expected a key-value mapping")
-    return parse_config(raw), raw
+    config = parse_config(raw)
+    return config, _echo(raw, config)
 
 
 @dataclass(frozen=True)
@@ -205,7 +228,8 @@ class SweepSpec:
         out = []
         for value in self.values:
             raw = apply_axis(self.base, self.axis, value)
-            out.append((value, parse_config(raw), raw))
+            config = parse_config(raw)
+            out.append((value, config, _echo(raw, config)))
         return out
 
 

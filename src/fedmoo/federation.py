@@ -5,8 +5,10 @@ synchronized global point, ships the accumulated per-objective updates back,
 averages them over each objective's owner set, solves the min-norm weighting,
 and moves the global model along the combined direction.  FMGDA and FSMGDA
 share one client-update path that differs only in the gradient oracle.
-Clients run serially; each update is a pure function of the round inputs and
-counter-based streams, so the result does not depend on client order.
+Each client steps all of its owned objectives together as one block of
+local iterates, one local step at a time.  Clients run serially; each update
+is a pure function of the round inputs and counter-based streams, so the
+result does not depend on client order.
 """
 
 from __future__ import annotations
@@ -121,8 +123,14 @@ def client_update_stochastic(x_t, client, owned, K, eta_local, batch, problem, s
     independently.  ``batch=None`` or a batch covering the shard uses the
     exact shard gradient.
 
-    Non-finite values are absorbing, so each objective's K steps are checked
-    once; a failed check replays them to locate the first non-finite step.
+    The owned iterates form one (|owned|, d) block that steps all objectives
+    together: per step, one gradient per row, then one block update of the
+    accumulators and the iterates.  Each row sees the same element-wise
+    operations in the same order as a loop over single objectives, so the
+    updates are bit-identical to it.  Non-finite values are absorbing, so
+    the block is checked once after its K steps; a failed check replays the
+    first non-finite objective (in owned order) to locate its first
+    non-finite step.
     """
     n_shard = problem.shard_size(client)
     if batch is not None and batch < 1:
@@ -138,34 +146,42 @@ def client_update_stochastic(x_t, client, owned, K, eta_local, batch, problem, s
                 .integers(0, n_shard, batch_size) for k in range(K)]
 
     if batch_size is None:
-        shared_batches = [None] * K
+        batches = [[None] * K] * len(owned)
     elif sample_sharing == "per_client":
-        shared_batches = draw()
+        batches = [draw()] * len(owned)
     else:
-        shared_batches = None
+        batches = [draw(s) for s in owned]
 
-    def local_steps(s, batches, locate=False):
-        x_loc = x_t
-        acc = np.zeros_like(x_t)
-        for k, idx in enumerate(batches):
-            g = problem.stoch_grad(s, client, x_loc, idx)
-            acc += g
-            x_loc = x_loc - eta_local * g
-            if locate and not (np.isfinite(acc).all() and np.isfinite(x_loc).all()):
-                raise DivergenceError(round_index, client, s, k)
-        return acc, x_loc
-
-    deltas = {}
-    drift = {}
+    X = np.empty((len(owned), x_t.shape[0]))
+    X[:] = x_t
+    acc = np.zeros_like(X)
+    G = np.empty_like(X)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        for s in owned:
-            batches = draw(s) if shared_batches is None else shared_batches
-            acc, x_loc = local_steps(s, batches)
-            if not (np.isfinite(acc).all() and np.isfinite(x_loc).all()):
-                local_steps(s, batches, locate=True)
-            deltas[s] = acc
-            drift[s] = float(np.linalg.norm(x_loc - x_t))
-    return ClientRoundOutput(client, deltas, drift)
+        for k in range(K):
+            for r, s in enumerate(owned):
+                G[r] = problem.stoch_grad(s, client, X[r], batches[r][k])
+            acc += G
+            X -= eta_local * G
+        if not (np.isfinite(acc).all() and np.isfinite(X).all()):
+            r = int(np.argmin(np.isfinite(acc).all(axis=1) & np.isfinite(X).all(axis=1)))
+            _locate_divergence(x_t, client, owned[r], batches[r], eta_local, problem,
+                               round_index)
+        drift = np.linalg.norm(X - x_t, axis=1).tolist()
+    return ClientRoundOutput(client, dict(zip(owned, acc)), dict(zip(owned, drift)))
+
+
+def _locate_divergence(x_t, client, s, batches, eta_local, problem, round_index):
+    """Replay one objective's local steps and raise at its first non-finite step."""
+    x_loc = x_t
+    acc = np.zeros_like(x_t)
+    for k, idx in enumerate(batches):
+        g = problem.stoch_grad(s, client, x_loc, idx)
+        acc += g
+        x_loc = x_loc - eta_local * g
+        if not (np.isfinite(acc).all() and np.isfinite(x_loc).all()):
+            raise DivergenceError(round_index, client, s, k)
+    raise RuntimeError(f"objective {s} of client {client} did not diverge on replay; "
+                       "its gradients are not a function of their inputs")
 
 
 def server_aggregate(outputs, indicator: IndicatorMatrix, K: int,

@@ -2,11 +2,12 @@
 
 Solves min over the probability simplex of ||lambda^T G||^2, the quadratic
 subproblem that turns per-objective update vectors into a single common
-descent direction.  The solver is Frank-Wolfe with exact line search: the
-objective is quadratic in the step size, so the optimal step has a closed
-form, and the Frank-Wolfe duality gap gives a computable optimality
-certificate on termination.  A brute-force simplex-lattice oracle is provided
-for independent verification in tests.
+descent direction.  The solver is Wolfe's min-norm-point method on the
+S x S Gram matrix: an active-set loop whose steps solve small KKT systems,
+exact after finitely many cycles.  The Frank-Wolfe duality gap, computed
+from the direction vectors themselves, gives the optimality certificate on
+termination.  A brute-force simplex-lattice oracle is provided for
+independent verification in tests.
 """
 
 from __future__ import annotations
@@ -69,27 +70,58 @@ def fw_gap(G, weights) -> float:
     return max(raw, 0.0)
 
 
+def _affine_min(Q, support) -> np.ndarray:
+    """Weights of the min-norm point in the affine hull of the supported vertices.
+
+    Solves the KKT system of min a^T Q_P a subject to sum(a) = 1; two
+    vertices use the segment closed form.  A singular system (duplicate or
+    affinely dependent vertices) falls back to least squares, which still
+    returns a minimizer because the system is consistent.
+    """
+    if len(support) == 2:
+        i, j = support
+        denom = Q[i, i] - 2.0 * Q[i, j] + Q[j, j]
+        if denom > 0.0:
+            second = (Q[i, i] - Q[i, j]) / denom
+            return np.array([1.0 - second, second])
+    p = len(support)
+    kkt = np.ones((p + 1, p + 1))
+    kkt[:p, :p] = Q[np.ix_(support, support)]
+    kkt[p, p] = 0.0
+    rhs = np.zeros(p + 1)
+    rhs[p] = 1.0
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    return sol[:p]
+
+
 def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None,
                    callback=None) -> MinNormSolution:
     """Minimize ||lambda^T G||^2 over the probability simplex.
 
-    Frank-Wolfe with exact line search and away steps, from the uniform
-    start.  The linear minimization oracle picks the vertex s minimizing
-    <G_s, u> with u = lambda^T G, ties broken by lowest index; each step
-    moves toward that vertex or away from the worst supported vertex,
-    whichever promises more descent, and the quadratic line search is solved
-    in closed form with the step clipped to its feasible range, so the
-    objective never increases.  Away steps matter: plain Frank-Wolfe zigzags
-    at a Theta(1/k) rate whenever the optimum sits on a face boundary, which
-    random instances hit routinely, while the away variant converges linearly
-    and actually reaches tight gap tolerances.
+    Wolfe's min-norm-point method (Wolfe 1976) on the S x S Gram matrix
+    ``Q = G G^T``, starting from the shortest vertex.  Each major cycle
+    checks the duality gap, then adds the vertex s minimizing
+    ``<G_s, u>`` with u = lambda^T G (ties broken by lowest index) to the
+    support.  Minor cycles then move to the min-norm point of the support's
+    affine hull, found from its small KKT system; when that point leaves the
+    simplex, the step stops where the first weight reaches zero and that
+    vertex is dropped.  In exact arithmetic the objective strictly decreases
+    per major cycle and the method ends at the exact optimum after finitely
+    many cycles, where Frank-Wolfe only converges asymptotically.
 
-    Terminates when the duality gap drops to ``tol`` or after ``max_iter``
-    updates (default ``10*S*d + 1000``); an exhausted budget is reported as
-    ``converged=False`` rather than silently returned.
+    Terminates when the duality gap drops to ``tol``, when roundoff hides
+    the remaining descent (``stalled``: the entering vertex is already
+    supported or gets no weight), or after ``max_iter`` updates, each an
+    affine solve (default ``10*S*d + 1000``); an exhausted budget is
+    reported as ``converged=False`` rather than silently returned.  The
+    returned direction, norm and gap are computed from ``G`` itself.
 
-    ``callback(iteration, weights, objective)`` is invoked once per iteration
-    before the update, mainly so tests can observe the objective sequence.
+    ``callback(iteration, weights, objective)`` is invoked once per major
+    cycle before its update, mainly so tests can observe the objective
+    sequence, which does not increase beyond roundoff.
     """
     g = as_direction_set(G)
     n, _ = g.shape
@@ -105,56 +137,52 @@ def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         u = g[0].copy()
         return MinNormSolution(lam, u, float(u @ u), 0.0, 0, True, "single_objective")
 
-    lam = np.full(n, 1.0 / n)
-    u = lam @ g
+    Q = g @ g.T
+    first = int(np.argmin(np.diag(Q)))
+    lam = np.zeros(n)
+    lam[first] = 1.0
+    support = [first]
     iterations = 0
-    termination = "max_iter"
-    for _ in range(max_iter):
-        scores = g @ u
-        norm_sq = float(u @ u)
-        gap = 2.0 * (norm_sq - float(scores.min()))
+    while True:
+        scores = Q @ lam
+        norm_sq = float(lam @ scores)
         if callback is not None:
             callback(iterations, lam.copy(), norm_sq)
-        if gap <= tol:
+        j = int(np.argmin(scores))
+        if 2.0 * (norm_sq - float(scores[j])) <= tol:
             termination = "gap_tol"
             break
-
-        s_fw = int(np.argmin(scores))
-        fw_descent = norm_sq - float(scores[s_fw])  # = <u, u - G_fw>
-        support = np.flatnonzero(lam > 0.0)
-        s_aw = int(support[np.argmax(scores[support])])
-        away_descent = float(scores[s_aw]) - norm_sq  # = <u, G_aw - u>
-
-        if fw_descent >= away_descent:
-            w = u - g[s_fw]
-            denom = float(w @ w)
-            if denom == 0.0:
-                termination = "stalled"
-                break
-            gamma = min(1.0, max(0.0, float(u @ w) / denom))
-            lam *= 1.0 - gamma
-            lam[s_fw] += gamma
-        else:
-            w = u - g[s_aw]
-            denom = float(w @ w)
-            if denom == 0.0:
-                termination = "stalled"
-                break
-            gamma_max = lam[s_aw] / (1.0 - lam[s_aw])
-            gamma = min(gamma_max, max(0.0, -float(u @ w) / denom))
-            if gamma == gamma_max:
-                lam *= 1.0 + gamma
-                lam[s_aw] = 0.0  # drop step: the away vertex leaves the support
-            else:
-                lam *= 1.0 + gamma
-                lam[s_aw] -= gamma
-        u = lam @ g
+        if iterations >= max_iter:
+            termination = "max_iter"
+            break
+        if j in support:  # in exact arithmetic a supported vertex has the gap at zero
+            termination = "stalled"
+            break
+        support.append(j)
         iterations += 1
+        alpha = _affine_min(Q, support)
+        if alpha[-1] <= 0.0:  # in exact arithmetic the entering vertex gets positive weight
+            termination = "stalled"
+            break
+        while not (alpha > 0.0).all() and iterations < max_iter:
+            # minor cycle: step toward alpha until the first weight hits zero, drop it
+            cur = lam[support]
+            leaving = np.flatnonzero(alpha <= 0.0)
+            ratios = cur[leaving] / (cur[leaving] - alpha[leaving])
+            step = cur + ratios.min() * (alpha - cur)
+            step[leaving[np.argmin(ratios)]] = 0.0
+            keep = step > 0.0
+            lam[support] = np.where(keep, step, 0.0)
+            support = [s for s, k in zip(support, keep) if k]
+            iterations += 1
+            alpha = _affine_min(Q, support)
+        if (alpha > 0.0).all():
+            lam[support] = alpha
 
     lam = np.maximum(lam, 0.0)
     lam /= lam.sum()
     u = lam @ g
-    final_gap = fw_gap(g, lam)
+    final_gap = max(2.0 * float(u @ u - (g @ u).min()), 0.0)  # lam is feasible
     converged = final_gap <= tol
     if not converged and termination == "gap_tol":
         # renormalization nudged the gap back above tol; report honestly

@@ -148,6 +148,7 @@ class QuadraticProblem(Problem):
         self._anchor_const = np.einsum("smjd,smjd->sm", dev, dev) / n
 
         owners = indicator.owner_sets
+        self._owners = [np.asarray(owners[s], dtype=np.int64) for s in range(self.S)]
         self.mean_curv = np.array([client_curv[s, list(owners[s])].mean()
                                    for s in range(self.S)])
         # curvature-weighted effective center of each global objective
@@ -172,8 +173,15 @@ class QuadraticProblem(Problem):
 
     def stoch_grad(self, s, i, x, indices):
         if indices is None or len(indices) >= self.n_per_client:
-            return self.grad(s, i, x)
+            return self.client_curv[s, i] * (x - self.client_centers[s, i])
         return self.client_curv[s, i] * (x - self.anchors[s, i, indices].mean(axis=0))
+
+    def global_loss(self, s, x):
+        """The closed-form shard losses of all owners at once, then their mean."""
+        owners = self._owners[s]
+        diff = x - self.client_centers[s, owners]
+        sq = np.einsum("id,id->i", diff, diff) + self._anchor_const[s, owners]
+        return float((0.5 * self.client_curv[s, owners] * sq).mean())
 
     def shard_size(self, i):
         return self.n_per_client

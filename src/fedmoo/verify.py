@@ -1,7 +1,8 @@
 """Built-in verification battery behind the ``verify`` subcommand.
 
 Every check is independent of the code path it validates: the min-norm solver
-is measured against the brute-force lattice oracle, gradients against central
+is measured against the brute-force lattice oracle and against its optimality
+(KKT) conditions on larger instances, gradients against central
 finite differences, stochastic gradients against Monte Carlo means, and the
 round engine against directly coded centralized references.  Failures report
 the instance seed so a failing case can be replayed in isolation.
@@ -72,6 +73,44 @@ def check_minnorm_oracle(n_instances=200, seed=20240, solver=solve_min_norm,
                            f"{len(failures)}/{n_instances} instances failed; first: {why}",
                            seed=case)
     return CheckResult("minnorm-vs-oracle", True, f"{n_instances} instances within bounds")
+
+
+def _kkt_instance(rng) -> np.ndarray:
+    """Random S x d direction set, often rank-deficient or with duplicate rows."""
+    S = int(rng.integers(2, 13))
+    d = int(rng.integers(1, 31))
+    rank = int(rng.integers(1, min(S, d) + 1))
+    G = rng.standard_normal((S, rank)) @ rng.standard_normal((rank, d)) / np.sqrt(rank)
+    for _ in range(int(rng.integers(0, 3))):
+        G[rng.integers(S)] = G[rng.integers(S)]
+    return G
+
+
+def check_minnorm_kkt(n_instances=200, seed=20246, solver=solve_min_norm,
+                      atol=1e-9) -> CheckResult:
+    """Optimality conditions of the min-norm solve up to S=12, beyond the oracle's reach.
+
+    With u = weights^T G, an optimum has <G_s, u> = ||u||^2 on every supported
+    vertex and <G_s, u> >= ||u||^2 on every vertex, at exactly feasible weights.
+    Instances include S > d, rank-deficient Gram matrices and duplicate rows.
+    """
+    for case in range(n_instances):
+        G = _kkt_instance(np.random.default_rng([seed, case]))
+        w = solver(G).weights
+        if (w < 0).any() or abs(w.sum() - 1.0) > 1e-12:
+            why = f"infeasible weights (min {w.min()}, sum {w.sum()!r})"
+        else:
+            u = w @ G
+            excess = G @ u - float(u @ u)
+            off, below = np.abs(excess[w > 0]).max(), -excess.min()
+            if max(off, below) <= atol:
+                continue
+            why = (f"supported vertex off ||u||^2 by {off:.2e}" if off > atol
+                   else f"vertex below ||u||^2 by {below:.2e}")
+        return CheckResult("minnorm-kkt", False, f"S={G.shape[0]}, d={G.shape[1]}: {why}",
+                           seed=case)
+    return CheckResult("minnorm-kkt", True,
+                       f"{n_instances} instances (S <= 12) satisfy KKT within {atol}")
 
 
 def check_closed_form(n_pairs=100, seed=20241, solver=solve_min_norm,
@@ -202,6 +241,7 @@ def run_battery(level="quick", solver=solve_min_norm) -> list[CheckResult]:
     mc = 10_000 if level == "full" else 2_000
     return [
         check_minnorm_oracle(solver=solver),
+        check_minnorm_kkt(solver=solver),
         check_closed_form(solver=solver),
         check_gradients(),
         check_unbiasedness(n_samples=mc),

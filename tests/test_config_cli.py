@@ -11,7 +11,7 @@ from fedmoo.config import apply_axis, load_sweep, parse_config
 from fedmoo.core import ConfigError
 from fedmoo.minnorm import solve_min_norm
 from fedmoo.reporting import read_rounds_csv, summarize_columns
-from fedmoo.verify import check_minnorm_oracle, run_battery
+from fedmoo.verify import check_minnorm_kkt, check_minnorm_oracle, run_battery
 
 
 def quad_config(**overrides):
@@ -150,6 +150,22 @@ class TestRunCommand:
         assert summary["final"] is None
         assert "partial log" in capsys.readouterr().err
 
+    def test_unsigned_exponent_init_is_echoed_as_parsed_numbers(self, tmp_path):
+        # PyYAML reads 1.0e3 (no exponent sign) as a string
+        text = yaml.safe_dump(quad_config(d=2)) + "init: [1.0e3, 0.0]\n"
+        assert yaml.safe_load(text)["init"] == ["1.0e3", 0.0]
+        path = tmp_path / "config.yaml"
+        path.write_text(text)
+        out = tmp_path / "init"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["init"] == [1000.0, 0.0]
+
+    def test_non_numeric_init_entry_names_init(self, tmp_path, capsys):
+        cfg_path = self._write(tmp_path, quad_config(d=2, init=["abc", 0.0]))
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert "init" in capsys.readouterr().err
+
     def test_jobs_option_rejected_as_usage_error(self, tmp_path):
         cfg_path = self._write(tmp_path, quad_config())
         with pytest.raises(SystemExit) as exc:
@@ -205,6 +221,15 @@ class TestVerifyCommand:
         result = check_minnorm_oracle(n_instances=40, solver=sloppy)
         assert not result.passed
         assert result.seed is not None  # failing instance is replayable
+
+    def test_truncated_solver_fails_kkt_check(self):
+        def truncated(G, tol=1e-10, max_iter=None, callback=None):
+            return solve_min_norm(G, max_iter=1)
+
+        result = check_minnorm_kkt(n_instances=40, solver=truncated)
+        assert not result.passed and result.name == "minnorm-kkt"
+        assert result.seed is not None
+        assert check_minnorm_kkt(n_instances=40).passed
 
     def test_battery_rejects_unknown_level(self):
         with pytest.raises(ValueError):

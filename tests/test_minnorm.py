@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedmoo.minnorm import closed_form_two, fw_gap, grid_oracle, solve_min_norm
 
@@ -99,6 +102,39 @@ class TestSolverProperties:
         permuted = solve_min_norm(G[perm])
         assert np.allclose(permuted.weights, direct.weights[perm], atol=1e-12)
         assert permuted.norm_sq == pytest.approx(direct.norm_sq, abs=1e-12)
+
+
+@st.composite
+def direction_sets(draw):
+    """S x d matrices with S in [2, 12], d in [1, 30], of any rank, with duplicate rows."""
+    S = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 30))
+    rank = draw(st.integers(1, min(S, d)))
+    entries = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
+    coef = draw(hnp.arrays(np.float64, (S, rank), elements=entries))
+    basis = draw(hnp.arrays(np.float64, (rank, d), elements=entries))
+    G = coef @ basis / 4.0
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, S - 1), st.integers(0, S - 1)),
+                                  max_size=3)):
+        G[dst] = G[src]
+    return G
+
+
+class TestKKTProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(direction_sets())
+    def test_solution_satisfies_kkt_conditions(self, G):
+        # optimality of min ||w^T G||^2 on the simplex, independent of the duality gap:
+        # <G_s, u> = ||u||^2 on the support and >= ||u||^2 on every vertex
+        sol = solve_min_norm(G)
+        w = sol.weights
+        u = w @ G
+        scores = G @ u
+        nsq = float(u @ u)
+        assert sol.converged
+        assert (w >= 0).all() and abs(w.sum() - 1.0) <= 1e-12
+        assert np.abs(scores[w > 0] - nsq).max() <= 1e-9
+        assert scores.min() >= nsq - 1e-9
 
 
 class TestClosedFormTwo:
