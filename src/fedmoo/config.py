@@ -1,9 +1,10 @@
 """Config file parsing: a strict YAML key-value schema for experiments and sweeps.
 
 Unknown keys anywhere in the tree are a hard error, reported with the dotted
-field path, so a typo cannot silently fall back to a default.  An experiment
-is fully replayable from its config file plus nothing else: all randomness
-derives from the ``seed`` field.
+field path, so a typo cannot silently fall back to a default; so is a value of
+the wrong type.  Numeric fields also take the strings PyYAML makes of numbers
+such as ``1e-3``.  An experiment is fully replayable from its config file
+plus nothing else: all randomness derives from the ``seed`` field.
 
 Top-level keys::
 
@@ -58,16 +59,22 @@ _TOP_KEYS = {
 }
 _REQUIRED = {"M", "S", "d", "indicator", "K", "T", "eta_global", "eta_local", "seed", "problem"}
 
+# Problem keys per kind and their types; ``list`` is "auto" or rows of numbers.
 _PROBLEM_KEYS = {
-    "quadratic": {"centers", "curvature", "heterogeneity", "curvature_spread",
-                  "n_per_client", "data_spread", "seed"},
-    "nonconvex": {"n_terms", "ridge", "heterogeneity", "amp_noise", "n_per_client", "seed"},
-    "classification": {"n_per_client", "partition", "labels_per_client", "task_overlap",
-                       "independent_labels", "n_components", "feature_scale", "ridge",
-                       "noise", "seed"},
+    "quadratic": {"centers": list, "curvature": float, "heterogeneity": float,
+                  "curvature_spread": float, "n_per_client": int, "data_spread": float,
+                  "seed": int},
+    "nonconvex": {"n_terms": int, "ridge": float, "heterogeneity": float, "amp_noise": float,
+                  "n_per_client": int, "seed": int},
+    "classification": {"n_per_client": int, "partition": str, "labels_per_client": int,
+                       "task_overlap": float, "independent_labels": bool,
+                       "n_components": int, "feature_scale": float, "ridge": float,
+                       "noise": float, "seed": int},
 }
 
 SWEEP_AXES = ("K", "batch_size", "eta_local", "M", "heterogeneity")
+
+_KIND_NAMES = {int: "an integer", bool: "a boolean", str: "a string"}
 
 
 def _need(mapping, key, path, kind, required=True, default=None):
@@ -76,24 +83,20 @@ def _need(mapping, key, path, kind, required=True, default=None):
             raise ConfigError(_join(path, key), "required key is missing")
         return default
     val = mapping[key]
-    if kind is int:
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ConfigError(_join(path, key), f"expected an integer, got {val!r}")
-    elif kind is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(_join(path, key), f"expected a number, got {val!r}")
-        val = float(val)
-    elif kind is bool:
-        if not isinstance(val, bool):
-            raise ConfigError(_join(path, key), f"expected a boolean, got {val!r}")
-    elif kind is str:
-        if not isinstance(val, str):
-            raise ConfigError(_join(path, key), f"expected a string, got {val!r}")
+    where = _join(path, key)
+    if kind is float:
+        return _number(val, where)
+    if kind is list:
+        return val if val == "auto" else _numbers(val, where)
+    # bool is a subclass of int, but not a valid integer field
+    if not (isinstance(val, kind) and isinstance(val, bool) == (kind is bool)):
+        raise ConfigError(where, f"expected {_KIND_NAMES[kind]}, got {val!r}")
     return val
 
 
-def _init_entry(value) -> float:
-    # PyYAML reads an exponent without a sign (1.0e3) as a string
+def _number(value, path) -> float:
+    """The one coercion of numeric fields: a YAML number or a string holding one."""
+    # PyYAML reads 1e-3 (no dot) and 1.0e3 (no exponent sign) as strings
     if not isinstance(value, bool) and isinstance(value, (int, float, str)):
         try:
             number = float(value)
@@ -102,14 +105,34 @@ def _init_entry(value) -> float:
         else:
             if np.isfinite(number):
                 return number
-    raise ConfigError("init", f"expected a finite number, got {value!r}")
+    raise ConfigError(path, f"expected a finite number, got {value!r}")
+
+
+def _numbers(value, path) -> list:
+    """A list of numbers, or of such lists, each entry through :func:`_number`."""
+    if not isinstance(value, list):
+        raise ConfigError(path, f"expected a list of numbers, got {value!r}")
+    return [_numbers(v, path) if isinstance(v, list) else _number(v, path) for v in value]
+
+
+def _as_parsed(raw, parsed):
+    """``raw`` with every string that was parsed as a number replaced by that number."""
+    if isinstance(raw, str):
+        return parsed if isinstance(parsed, float) else raw
+    if isinstance(raw, dict) and isinstance(parsed, dict):
+        return {k: _as_parsed(v, parsed.get(k)) for k, v in raw.items()}
+    if isinstance(raw, list) and isinstance(parsed, list):
+        return [_as_parsed(r, p) for r, p in zip(raw, parsed)]
+    return raw
 
 
 def _echo(raw: dict, config: ExperimentConfig) -> dict:
-    """The mapping echoed into summaries: as written, with ``init`` as parsed."""
-    if config.init is None:
-        return raw
-    return {**raw, "init": [float(v) for v in config.init]}
+    """The mapping echoed into summaries: as written, except that numbers YAML
+    read as strings, and every ``init`` entry, are echoed as parsed."""
+    echo = _as_parsed(raw, config.to_dict())
+    if config.init is not None:
+        echo["init"] = [float(v) for v in config.init]
+    return echo
 
 
 def _join(path, key):
@@ -159,12 +182,10 @@ def parse_config(mapping: dict) -> ExperimentConfig:
         raise ConfigError("batch_size", f"expected an integer or 'full', got {batch!r}")
 
     init = mapping.get("init", "zeros")
-    if init == "zeros":
-        init = None
-    elif isinstance(init, list):
-        init = [_init_entry(v) for v in init]
-    else:
-        raise ConfigError("init", f"expected 'zeros' or a {d}-vector, got {init!r}")
+    init = None if init == "zeros" else _numbers(init, "init")
+    client_weights = mapping.get("client_weights")
+    if client_weights is not None:
+        client_weights = _numbers(client_weights, "client_weights")
 
     prob_raw = mapping["problem"]
     if not isinstance(prob_raw, dict):
@@ -174,9 +195,10 @@ def parse_config(mapping: dict) -> ExperimentConfig:
         raise ConfigError("problem.kind",
                           f"unknown problem kind {kind!r}; expected one of "
                           f"{sorted(_PROBLEM_KEYS)}")
-    _check_keys({k: v for k, v in prob_raw.items() if k != "kind"},
-                _PROBLEM_KEYS[kind], "problem")
-    problem = ProblemConfig(kind, {k: v for k, v in prob_raw.items() if k != "kind"})
+    types = _PROBLEM_KEYS[kind]
+    params = {k: v for k, v in prob_raw.items() if k != "kind"}
+    _check_keys(params, types, "problem")
+    problem = ProblemConfig(kind, {k: _need(params, k, "problem", types[k]) for k in params})
 
     try:
         return ExperimentConfig(
@@ -196,7 +218,7 @@ def parse_config(mapping: dict) -> ExperimentConfig:
             init=init,
             snapshot_every=_need(mapping, "snapshot_every", "", int,
                                  required=False, default=0),
-            client_weights=mapping.get("client_weights"),
+            client_weights=client_weights,
             name=_need(mapping, "name", "", str, required=False, default="run"),
         )
     except ConfigError:

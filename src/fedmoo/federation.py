@@ -55,16 +55,14 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ClientRoundOutput:
-    """Accumulated per-objective updates from one client, plus drift diagnostics."""
+    """One client's round: row r of the (|owned|, d) ``deltas`` block is the
+    accumulated update for ``objectives[r]``, and ``drift[r]`` is how far that
+    objective's local iterate moved from the synchronized point."""
 
     client: int
-    deltas: dict
-    drift: dict
-
-    def __post_init__(self):
-        for s, v in self.deltas.items():
-            if not np.isfinite(v).all():
-                raise ValueError(f"non-finite accumulated update for objective {s}")
+    objectives: tuple
+    deltas: np.ndarray
+    drift: np.ndarray
 
 
 @dataclass
@@ -97,6 +95,8 @@ def strongly_convex_step_limit(smoothness: float, mu: float) -> float:
     return min(descent_step_limit(smoothness), 1.0 / (2.0 * smoothness + mu))
 
 
+# The benchmark traces this entry point by name; it goes once the whole round
+# runs as one vectorized block and the benchmark's traced entry points change.
 def client_update_full(x_t, client, owned, K, eta_local, problem, round_index=0):
     """K full-gradient local steps per owned objective from the synced point.
 
@@ -166,8 +166,8 @@ def client_update_stochastic(x_t, client, owned, K, eta_local, batch, problem, s
             r = int(np.argmin(np.isfinite(acc).all(axis=1) & np.isfinite(X).all(axis=1)))
             _locate_divergence(x_t, client, owned[r], batches[r], eta_local, problem,
                                round_index)
-        drift = np.linalg.norm(X - x_t, axis=1).tolist()
-    return ClientRoundOutput(client, dict(zip(owned, acc)), dict(zip(owned, drift)))
+        drift = np.linalg.norm(X - x_t, axis=1)
+    return ClientRoundOutput(client, tuple(owned), acc, drift)
 
 
 def _locate_divergence(x_t, client, s, batches, eta_local, problem, round_index):
@@ -188,11 +188,12 @@ def server_aggregate(outputs, indicator: IndicatorMatrix, K: int,
                      normalize_delta_by_K: bool = True, client_weights=None) -> np.ndarray:
     """Average accumulated updates over each objective's owner set.
 
-    Summation runs in ascending client order for reproducibility.  The
-    balanced 1/|R_s| average is the default; ``client_weights`` switches to a
-    weighted average proportional to the given per-client weights (normalized
-    within each owner set), for imbalanced shard sizes.  With
-    ``normalize_delta_by_K`` the result is further divided by K.
+    Each client reports the rows of its ``indicator.client_objectives``, and
+    its block is added into those rows in ascending client order.  The
+    balanced average sums first and divides by |R_s| after; ``client_weights``
+    switches to a weighted average proportional to the given per-client
+    weights (normalized within each owner set), for imbalanced shard sizes.
+    With ``normalize_delta_by_K`` the result is further divided by K.
     """
     by_client = {out.client: out for out in outputs}
     if len(by_client) != len(outputs):
@@ -200,31 +201,29 @@ def server_aggregate(outputs, indicator: IndicatorMatrix, K: int,
     for i in range(indicator.n_clients):
         if i not in by_client:
             raise ValueError(f"missing output for client {i}")
-        expected = set(indicator.client_objectives[i])
-        got = set(by_client[i].deltas)
+        got, expected = tuple(by_client[i].objectives), indicator.client_objectives[i]
         if got != expected:
-            raise ValueError(f"client {i} returned objectives {sorted(got)}, "
-                             f"expected {sorted(expected)}")
+            raise ValueError(f"client {i} returned objectives {got}, expected {expected}")
 
-    d = next(iter(by_client[0].deltas.values())).shape[0]
-    agg = np.zeros((indicator.n_objectives, d))
-    for s, owners in enumerate(indicator.owner_sets):
-        if client_weights is None:
-            for i in owners:
-                agg[s] += by_client[i].deltas[s]
-            agg[s] /= len(owners)
-        else:
-            w = np.array([client_weights[i] for i in owners], dtype=np.float64)
-            w /= w.sum()
-            for pos, i in enumerate(owners):
-                agg[s] += w[pos] * by_client[i].deltas[s]
+    scale = None
+    if client_weights is not None:
+        w = np.asarray(client_weights, dtype=np.float64)
+        scale = np.zeros(indicator.entries.shape)
+        for s, owners in enumerate(map(list, indicator.owner_sets)):
+            scale[s, owners] = w[owners] / w[owners].sum()
+    agg = np.zeros((indicator.n_objectives, by_client[0].deltas.shape[1]))
+    for i in range(indicator.n_clients):
+        out = by_client[i]
+        for s, delta in zip(out.objectives, out.deltas):
+            agg[s] += delta if scale is None else scale[s, i] * delta
+    if scale is None:
+        agg /= np.array([len(owners) for owners in indicator.owner_sets])[:, None]
     if normalize_delta_by_K:
         agg /= K
     return agg
 
 
-def run_round(round_index, x_t, config, problem, *, minnorm_tol=1e-10,
-              log_lambda_drift=True):
+def run_round(round_index, x_t, config, problem, *, log_lambda_drift=True):
     """One communication round; returns (next point, round record).
 
     Clients update serially in ascending order; each update is a pure
@@ -241,15 +240,14 @@ def run_round(round_index, x_t, config, problem, *, minnorm_tol=1e-10,
     delta = server_aggregate(outputs, config.indicator, config.K,
                              config.normalize_delta_by_K, config.client_weights)
     try:
-        sol = solve_min_norm(delta, tol=minnorm_tol)
+        sol = solve_min_norm(delta)
     except ValueError as exc:
         raise RuntimeError(f"round {round_index}: min-norm solve failed: {exc}") from exc
 
     dbar = metrics.dbar_norm_sq(sol.weights, x_t, problem)
     losses = problem.losses(x_t)
     dq = metrics.delta_q(sol.weights, x_t, problem) if problem.has_pareto_reference else None
-    drift = metrics.lambda_drift(sol.weights, x_t, problem,
-                                 tol=minnorm_tol) if log_lambda_drift else None
+    drift = metrics.lambda_drift(sol.weights, x_t, problem) if log_lambda_drift else None
     snap = None
     if config.snapshot_every > 0 and round_index % config.snapshot_every == 0:
         snap = x_t.copy()
@@ -310,8 +308,7 @@ def pick_weighted_output(traj: TrajectoryLog, mu, eta, stream) -> np.ndarray:
     return reservoir.pick[1].copy()
 
 
-def run_experiment(config: ExperimentConfig, problem, *, minnorm_tol=1e-10,
-                   log_lambda_drift=True) -> TrajectoryLog:
+def run_experiment(config: ExperimentConfig, problem, *, log_lambda_drift=True) -> TrajectoryLog:
     """Run T rounds from the configured initial point.
 
     Deterministic given the config seed.  Client updates run serially, and
@@ -330,8 +327,7 @@ def run_experiment(config: ExperimentConfig, problem, *, minnorm_tol=1e-10,
                                        output_stream(config.seed))
     for t in range(1, config.T + 1):
         try:
-            x_next, record = run_round(t, x, config, problem, minnorm_tol=minnorm_tol,
-                                       log_lambda_drift=log_lambda_drift)
+            x_next, record = run_round(t, x, config, problem, log_lambda_drift=log_lambda_drift)
         except DivergenceError as exc:
             traj.termination = f"diverged: {exc}"
             break

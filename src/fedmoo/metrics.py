@@ -77,7 +77,7 @@ def delta_q(weights, x, problem) -> float:
     return max(gap, 0.0)
 
 
-def lambda_drift(weights, x, problem, tol: float = 1e-10) -> float:
+def lambda_drift(weights, x, problem) -> float:
     """L1 distance between the round's weights and the full-gradient optimum.
 
     Re-solves the min-norm problem on the true gradients at x.  Diagnostic
@@ -85,7 +85,7 @@ def lambda_drift(weights, x, problem, tol: float = 1e-10) -> float:
     never asserted against.
     """
     w = validate_simplex(weights)
-    ref = solve_min_norm(problem.gradient_matrix(x), tol=tol)
+    ref = solve_min_norm(problem.gradient_matrix(x))
     return float(np.abs(w - ref.weights).sum())
 
 

@@ -55,9 +55,11 @@ def _as_indicator(A) -> IndicatorMatrix:
 class Problem:
     """Base class for federated multi-objective problems.
 
-    Subclasses implement the per-(objective, client) surface; the global
-    objective for s is the average of ``loss(s, i, .)`` over the owner set,
-    accumulated in ascending client order so that every consumer sees
+    Subclasses implement the per-(objective, client) surface: ``loss``,
+    ``stoch_grad`` and ``shard_size``.  ``grad`` is the exact ``stoch_grad``
+    (no minibatch), so each suite writes its gradient formula once.  The
+    global objective for s is the average of ``loss(s, i, .)`` over the owner
+    set, accumulated in ascending client order so that every consumer sees
     bit-identical values.
     """
 
@@ -79,7 +81,8 @@ class Problem:
         raise NotImplementedError
 
     def grad(self, s: int, i: int, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """Exact shard gradient."""
+        return self.stoch_grad(s, i, x, None)
 
     def stoch_grad(self, s: int, i: int, x: np.ndarray, indices) -> np.ndarray:
         """Minibatch gradient; ``indices=None`` or a full-shard batch is exact."""
@@ -118,9 +121,6 @@ class Problem:
     @property
     def has_pareto_reference(self) -> bool:
         return type(self).pareto_point is not Problem.pareto_point
-
-    def dataset_matrix(self) -> np.ndarray | None:
-        return None
 
 
 class QuadraticProblem(Problem):
@@ -168,13 +168,12 @@ class QuadraticProblem(Problem):
         diff = x - self.client_centers[s, i]
         return 0.5 * self.client_curv[s, i] * (float(diff @ diff) + self._anchor_const[s, i])
 
-    def grad(self, s, i, x):
-        return self.client_curv[s, i] * (x - self.client_centers[s, i])
-
     def stoch_grad(self, s, i, x, indices):
         if indices is None or len(indices) >= self.n_per_client:
-            return self.client_curv[s, i] * (x - self.client_centers[s, i])
-        return self.client_curv[s, i] * (x - self.anchors[s, i, indices].mean(axis=0))
+            center = self.client_centers[s, i]
+        else:
+            center = self.anchors[s, i, indices].mean(axis=0)
+        return self.client_curv[s, i] * (x - center)
 
     def global_loss(self, s, x):
         """The closed-form shard losses of all owners at once, then their mean."""
@@ -189,9 +188,6 @@ class QuadraticProblem(Problem):
     def pareto_point(self, weights):
         w = np.asarray(weights, dtype=np.float64) * self.mean_curv
         return (w @ self.eff_centers) / w.sum()
-
-    def dataset_matrix(self):
-        return self.anchors.reshape(-1, self.d)
 
 
 def quadratic_suite(d, S, centers, curvature, M, A, *, heterogeneity=0.0,
@@ -277,15 +273,10 @@ class TanhRidgeProblem(Problem):
         val = float(self.client_amps[s, i] @ self._tanh(s, i, x))
         return val + 0.5 * self.ridge * float(x @ x)
 
-    def grad(self, s, i, x):
-        th = self._tanh(s, i, x)
-        g = self.term_weights[s].T @ (self.client_amps[s, i] * (1.0 - th * th))
-        return g + self.ridge * x
-
     def stoch_grad(self, s, i, x, indices):
-        if indices is None or len(indices) >= self.n_per_client:
-            return self.grad(s, i, x)
-        amp = self.client_amps[s, i] * (1.0 + self.amp_eps[s, i, indices].mean(axis=0))
+        amp = self.client_amps[s, i]
+        if indices is not None and len(indices) < self.n_per_client:
+            amp = amp * (1.0 + self.amp_eps[s, i, indices].mean(axis=0))
         th = self._tanh(s, i, x)
         return self.term_weights[s].T @ (amp * (1.0 - th * th)) + self.ridge * x
 
@@ -372,22 +363,16 @@ class LogisticTasksProblem(Problem):
         xv = x[self.task_cols[s]]
         return float(np.logaddexp(0.0, -m).mean()) + 0.5 * self.ridge * float(xv @ xv)
 
-    def _grad_from(self, s, idx, x):
+    def stoch_grad(self, s, i, x, indices):
+        idx = self.shards[i]
+        if indices is not None and len(indices) < len(idx):
+            idx = idx[np.asarray(indices)]
         m = self._margins(s, idx, x)
         coef = -self.task_signs[s, idx] / (1.0 + np.exp(m))
         g = np.zeros_like(x)
         cols = self.task_cols[s]
         g[cols] = self._views[s][idx].T @ coef / len(idx) + self.ridge * x[cols]
         return g
-
-    def grad(self, s, i, x):
-        return self._grad_from(s, self.shards[i], x)
-
-    def stoch_grad(self, s, i, x, indices):
-        shard = self.shards[i]
-        if indices is None or len(indices) >= len(shard):
-            return self.grad(s, i, x)
-        return self._grad_from(s, shard[np.asarray(indices)], x)
 
     def shard_size(self, i):
         return len(self.shards[i])
@@ -397,10 +382,6 @@ class LogisticTasksProblem(Problem):
                        np.zeros(self.d), jac=True, method="L-BFGS-B",
                        options={"gtol": 1e-12, "maxiter": 5000})
         return float(res.fun)
-
-    def dataset_matrix(self):
-        return np.hstack([self.raw, self.components[:, None].astype(np.float64),
-                          self.task_signs.T.astype(np.float64)])
 
 
 def _haar_rotation(dim, rng) -> np.ndarray:
@@ -614,9 +595,7 @@ def build_problem(config: ExperimentConfig) -> Problem:
     A = config.indicator
     if kind == "quadratic":
         centers = params.pop("centers", "auto")
-        if isinstance(centers, str):
-            if centers != "auto":
-                raise ConfigError("problem.centers", f"expected 'auto' or a list, got {centers!r}")
+        if isinstance(centers, str):  # parse_config allows "auto" or rows of numbers
             centers = _auto_centers(config.S, config.d, config.seed)
         return quadratic_suite(config.d, config.S, centers, params.pop("curvature", 1.0),
                                config.M, A, seed=params.pop("seed", config.seed), **params)

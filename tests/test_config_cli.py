@@ -166,6 +166,30 @@ class TestRunCommand:
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
         assert "init" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("written,replacement,section,key,value", [
+        ("eta_local: 0.01", "eta_local: 1e-3", None, "eta_local", 0.001),
+        ("curvature: 1.0", "curvature: 1e-1", "problem", "curvature", 0.1),
+    ])
+    def test_number_without_a_dot_runs_and_is_echoed_as_parsed(
+            self, tmp_path, written, replacement, section, key, value):
+        text = yaml.safe_dump(quad_config()).replace(written, replacement)
+        raw = yaml.safe_load(text)
+        assert isinstance((raw[section] if section else raw)[key], str)  # PyYAML 1.1
+        path = tmp_path / "config.yaml"
+        path.write_text(text)
+        out = tmp_path / "nodot"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        echo = json.loads((out / "summary.json").read_text())["config"]
+        assert (echo[section] if section else echo)[key] == value
+        assert (echo["eta_global"], echo["problem"]["heterogeneity"]) == (0.3, 0.2)
+
+    def test_non_numeric_problem_value_exits_2_naming_the_key(self, tmp_path, capsys):
+        cfg = quad_config()
+        cfg["problem"]["curvature"] = "steep"
+        cfg_path = self._write(tmp_path, cfg)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert "problem.curvature" in capsys.readouterr().err
+
     def test_jobs_option_rejected_as_usage_error(self, tmp_path):
         cfg_path = self._write(tmp_path, quad_config())
         with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,8 @@ from fedmoo.federation import (ClientRoundOutput, DivergenceError, client_update
                                pick_weighted_output, run_experiment, run_round,
                                sample_weighted_index, server_aggregate)
 from fedmoo.core import client_stream, output_stream
-from fedmoo.problems import quadratic_suite, toy_nonconvex_suite
+from fedmoo.problems import (quadratic_suite, synthetic_classification_suite,
+                             toy_nonconvex_suite)
 from fedmoo.reporting import write_rounds_csv
 from fedmoo.verify import mgd_reference
 
@@ -29,8 +30,9 @@ class TestClientUpdateFull:
         _, prob = symmetric_quadratic()
         x = np.array([0.2, -0.1])
         out = client_update_full(x, 0, (0, 1), K=1, eta_local=0.5, problem=prob)
-        for s in (0, 1):
-            assert np.array_equal(out.deltas[s], prob.grad(s, 0, x))
+        assert out.objectives == (0, 1) and out.deltas.shape == (2, 2)
+        for r, s in enumerate(out.objectives):
+            assert np.array_equal(out.deltas[r], prob.grad(s, 0, x))
 
     def test_zero_local_rate_accumulates_k_copies(self):
         _, prob = symmetric_quadratic()
@@ -55,23 +57,37 @@ class TestClientUpdateFull:
         assert (err.value.round_index, err.value.client, err.value.objective) == (4, 0, 0)
 
 
+SUITES = {
+    "quadratic": lambda A: quadratic_suite(3, 2, np.eye(2, 3), 1.0, 2, A, heterogeneity=0.4,
+                                           curvature_spread=0.3, n_per_client=12, seed=2),
+    "tanh": lambda A: toy_nonconvex_suite(3, 2, 2, A, 3, n_terms=4, heterogeneity=0.3,
+                                          n_per_client=12),
+    "logistic": lambda A: synthetic_classification_suite(6, 2, 2, A, 12, "iid", 4,
+                                                         n_components=4),
+}
+
+
 class TestClientUpdateStochastic:
-    def test_full_batch_matches_full_gradient_update(self):
-        _, prob = symmetric_quadratic(n_per_client=12)
-        x = np.array([0.3, 0.9])
-        full = client_update_full(x, 0, (0, 1), K=3, eta_local=0.1, problem=prob)
-        stoch = client_update_stochastic(x, 0, (0, 1), K=3, eta_local=0.1,
-                                         batch=12, problem=prob, seed=5)
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_full_batch_matches_full_gradient_update(self, suite):
+        prob = SUITES[suite](IndicatorMatrix.all_ones(2, 2))
+        x = np.array([0.3, 0.9, -0.4, 0.2, 0.1, -0.7])[:prob.d]
+        n = prob.shard_size(1)
         for s in (0, 1):
-            assert np.array_equal(full.deltas[s], stoch.deltas[s])
+            exact = prob.grad(s, 1, x)
+            assert prob.stoch_grad(s, 1, x, None).tobytes() == exact.tobytes()
+            assert prob.stoch_grad(s, 1, x, np.arange(n)).tobytes() == exact.tobytes()
+        full = client_update_full(x, 1, (0, 1), K=3, eta_local=0.1, problem=prob)
+        stoch = client_update_stochastic(x, 1, (0, 1), K=3, eta_local=0.1,
+                                         batch=n, problem=prob, seed=5)
+        assert full.deltas.tobytes() == stoch.deltas.tobytes()
 
     def test_same_seed_same_output(self):
         _, prob = symmetric_quadratic(n_per_client=16, data_spread=2.0)
         x = np.array([1.0, -1.0])
         a = client_update_stochastic(x, 0, (0, 1), 4, 0.05, 4, prob, seed=9, round_index=2)
         b = client_update_stochastic(x, 0, (0, 1), 4, 0.05, 4, prob, seed=9, round_index=2)
-        for s in (0, 1):
-            assert np.array_equal(a.deltas[s], b.deltas[s])
+        assert np.array_equal(a.deltas, b.deltas)
 
     def test_single_step_expectation_matches_gradient(self):
         _, prob = symmetric_quadratic(n_per_client=16, data_spread=2.0)
@@ -153,22 +169,60 @@ class TestServerAggregate:
     @given(data=st.data(), M=st.integers(1, 5), S=st.integers(1, 3),
            d=st.integers(1, 4), weighted=st.booleans())
     def test_order_of_client_outputs_does_not_matter(self, data, M, S, d, weighted):
-        mask = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=M, max_size=M),
-                                           min_size=S, max_size=S)), dtype=int)
-        mask[np.arange(S), np.arange(S) % M] = 1  # every objective has an owner
-        mask[np.arange(M) % S, np.arange(M)] = 1  # every client owns an objective
-        A = IndicatorMatrix(mask)
-        finite = st.floats(-1e6, 1e6, allow_nan=False)
-        outputs = [ClientRoundOutput(i, {s: np.array(data.draw(st.lists(
-                       finite, min_size=d, max_size=d))) for s in A.client_objectives[i]}, {})
-                   for i in range(M)]
-        weights = None
-        if weighted:
-            weights = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=M,
-                                                  max_size=M)))
+        A, outputs, weights = draw_round(data, M, S, d, weighted)
         shuffled = data.draw(st.permutations(outputs))
         ref = server_aggregate(outputs, A, K=3, client_weights=weights)
         assert np.array_equal(server_aggregate(shuffled, A, K=3, client_weights=weights), ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), M=st.integers(1, 7), S=st.integers(1, 4),
+           d=st.integers(1, 4), weighted=st.booleans(), by_K=st.booleans())
+    def test_equals_per_objective_loop_bit_for_bit(self, data, M, S, d, weighted, by_K):
+        A, outputs, weights = draw_round(data, M, S, d, weighted)
+        agg = server_aggregate(outputs, A, K=3, normalize_delta_by_K=by_K,
+                               client_weights=weights)
+        ref = per_objective_average(outputs, A, 3, by_K, weights)
+        assert agg.tobytes() == ref.tobytes()
+
+
+def draw_round(data, M, S, d, weighted):
+    """A random indicator, one random output per client, and optional client weights."""
+    mask = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=M, max_size=M),
+                                       min_size=S, max_size=S)), dtype=int)
+    mask[np.arange(S), np.arange(S) % M] = 1  # every objective has an owner
+    mask[np.arange(M) % S, np.arange(M)] = 1  # every client owns an objective
+    A = IndicatorMatrix(mask)
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    outputs = []
+    for i in range(M):
+        owned = A.client_objectives[i]
+        rows = data.draw(st.lists(finite, min_size=len(owned) * d, max_size=len(owned) * d))
+        outputs.append(ClientRoundOutput(i, owned, np.array(rows).reshape(len(owned), d),
+                                         np.zeros(len(owned))))
+    weights = None
+    if weighted:
+        weights = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=M, max_size=M)))
+    return A, outputs, weights
+
+
+def per_objective_average(outputs, A, K, normalize_delta_by_K, client_weights):
+    """The plain reading of the server average: one objective at a time, clients ascending."""
+    deltas = {(out.client, s): out.deltas[r]
+              for out in outputs for r, s in enumerate(out.objectives)}
+    agg = np.zeros((A.n_objectives, outputs[0].deltas.shape[1]))
+    for s, owners in enumerate(A.owner_sets):
+        if client_weights is None:
+            for i in owners:
+                agg[s] += deltas[i, s]
+            agg[s] /= len(owners)
+        else:
+            w = np.array([client_weights[i] for i in owners])
+            w /= w.sum()
+            for pos, i in enumerate(owners):
+                agg[s] += w[pos] * deltas[i, s]
+    if normalize_delta_by_K:
+        agg /= K
+    return agg
 
 
 def base_config(prob, A, **kw):

@@ -64,10 +64,11 @@ class TestBlockMatchesPerPairLoop:
                                            round_index=2, sample_sharing=sharing)
             deltas, drift = reference_update(x_t, client, owned, K, 0.07, batch, problem, 19,
                                              2, sharing)
-            assert list(out.deltas) == list(owned)
-            for s in owned:
-                assert out.deltas[s].tobytes() == deltas[s].tobytes()
-                assert out.drift[s] == pytest.approx(drift[s], rel=1e-12, abs=1e-300)
+            assert out.objectives == owned
+            assert out.deltas.shape == (len(owned), problem.d) and out.drift.shape == (len(owned),)
+            for r, s in enumerate(owned):
+                assert out.deltas[r].tobytes() == deltas[s].tobytes()
+                assert out.drift[r] == pytest.approx(drift[s], rel=1e-12, abs=1e-300)
 
 
 class FaultyQuadratic(Problem):
