@@ -21,7 +21,7 @@ from .config import load_config, load_sweep
 from .core import ConfigError
 from .federation import run_experiment
 from .problems import build_problem
-from .reporting import (DEFAULT_EPS, build_summary, read_rounds_csv, summarize_columns,
+from .reporting import (COLUMNS, build_summary, read_rounds_csv, summarize_columns,
                         write_rounds_csv, write_summary_json)
 from .verify import run_battery
 
@@ -52,35 +52,41 @@ def _prepare_dir(out_dir: str, force: bool) -> str | None:
     return None
 
 
-def _execute_run(config, raw, out_dir: str) -> int:
+def _execute_run(config, raw, out_dir: str) -> tuple[int, dict]:
+    """Run one config into ``out_dir``; returns the exit code and the summary written."""
     problem = build_problem(config)
     traj = run_experiment(config, problem)
     write_rounds_csv(os.path.join(out_dir, "rounds.csv"), traj)
-    write_summary_json(os.path.join(out_dir, "summary.json"),
-                       build_summary(traj, raw, problem))
+    summary = build_summary(traj, raw, problem)
+    write_summary_json(os.path.join(out_dir, "summary.json"), summary)
     if traj.termination != "completed":
         print(f"{config.name}: {traj.termination} (partial log written to {out_dir})",
               file=sys.stderr)
-        return EXIT_DIVERGED
+        return EXIT_DIVERGED, summary
     print(f"{config.name}: {len(traj.records)} rounds -> {out_dir}")
-    return EXIT_OK
+    return EXIT_OK, summary
+
+
+def _run_member(config, raw, out_dir: str, force: bool) -> tuple[int, str | None, dict | None]:
+    """One run, standalone or in a sweep: (exit code, error message, summary)."""
+    err = _prepare_dir(out_dir, force)
+    if err is not None:
+        return EXIT_USAGE, err, None
+    try:
+        code, summary = _execute_run(config, raw, out_dir)
+    except ConfigError as exc:
+        return EXIT_USAGE, str(exc), None
+    return code, None, summary
 
 
 def cmd_run(args) -> int:
     try:
         config, raw = load_config(args.config)
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         return _fail(str(exc), EXIT_USAGE)
     out_dir = args.out or os.path.join(_out_root(), config.name)
-    problem = _prepare_dir(out_dir, args.force)
-    if problem is not None:
-        return _fail(problem, EXIT_USAGE)
-    try:
-        return _execute_run(config, raw, out_dir)
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    code, err, _ = _run_member(config, raw, out_dir, args.force)
+    return code if err is None else _fail(err, code)
 
 
 def cmd_sweep(args) -> int:
@@ -97,14 +103,7 @@ def cmd_sweep(args) -> int:
     def one(member):
         value, config, raw = member
         run_dir = os.path.join(out_dir, f"{spec.axis}={value}")
-        prep = _prepare_dir(run_dir, args.force)
-        if prep is not None:
-            return value, run_dir, EXIT_USAGE, prep
-        try:
-            code = _execute_run(config, raw, run_dir)
-        except ConfigError as exc:
-            return value, run_dir, EXIT_USAGE, str(exc)
-        return value, run_dir, code, None
+        return value, run_dir, *_run_member(config, raw, run_dir, args.force)
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -114,18 +113,13 @@ def cmd_sweep(args) -> int:
 
     entries = []
     worst = EXIT_OK
-    for value, run_dir, code, err_msg in results:
+    for value, run_dir, code, err_msg, summary in results:
         entry = {"value": value, "dir": os.path.basename(run_dir),
                  "status": "ok" if code == EXIT_OK else f"error({code})"}
         if err_msg:
             entry["error"] = err_msg
-        summary_path = os.path.join(run_dir, "summary.json")
-        if os.path.exists(summary_path):
-            with open(summary_path) as fh:
-                member_summary = json.load(fh)
-            entry["thresholds"] = member_summary.get("thresholds")
-            entry["rate_fits"] = member_summary.get("rate_fits")
-            entry["final"] = member_summary.get("final")
+        if summary is not None:
+            entry.update((key, summary[key]) for key in ("thresholds", "rate_fits", "final"))
         entries.append(entry)
         worst = max(worst, code)
     sweep_summary = {"axis": spec.axis, "values": list(spec.values), "members": entries}
@@ -143,36 +137,30 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY
 
 
-def _load_run(run_dir: str):
-    cols = read_rounds_csv(os.path.join(run_dir, "rounds.csv"))
-    with open(os.path.join(run_dir, "summary.json")) as fh:
-        summary = json.load(fh)
-    return cols, summary
-
-
 def cmd_report(args) -> int:
+    # per round: the per-objective columns interleaved by objective, then the rest
+    wide = [(key, stem) for key, stem in COLUMNS.items() if stem]
+    scalars = [key for key, stem in COLUMNS.items() if not stem and key != "t"]
     rows = []
     tables = []
     failures = 0
     for run_dir in args.runs:
         run_id = os.path.basename(os.path.normpath(run_dir))
         try:
-            cols, summary = _load_run(run_dir)
+            cols = read_rounds_csv(os.path.join(run_dir, "rounds.csv"))
+            with open(os.path.join(run_dir, "summary.json")) as fh:
+                f_min = json.load(fh).get("f_min")
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             print(f"skipping {run_dir}: {exc}", file=sys.stderr)
             failures += 1
             continue
-        f_min = summary.get("f_min")
-        derived = summarize_columns(cols, f_min=f_min, eps_list=DEFAULT_EPS)
+        derived = summarize_columns(cols, f_min=f_min)
         tables.append((run_id, derived))
-        S = cols["lambda"].shape[1]
         for r, t in enumerate(cols["t"]):
-            for s in range(S):
-                rows.append((run_id, int(t), f"lambda_{s + 1}", cols["lambda"][r, s]))
-                rows.append((run_id, int(t), f"loss_{s + 1}", cols["losses"][r, s]))
-            for name in ("d_norm_sq", "dbar_norm_sq", "running_min_dbar",
-                         "delta_Q", "fw_gap", "lambda_drift"):
-                rows.append((run_id, int(t), name, cols[name][r]))
+            for s in range(cols["lambda"].shape[1]):
+                rows += [(run_id, int(t), f"{stem}_{s + 1}", cols[key][r, s])
+                         for key, stem in wide]
+            rows += [(run_id, int(t), key, cols[key][r]) for key in scalars]
 
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "report.csv")

@@ -292,6 +292,4 @@ def load_sweep(path) -> SweepSpec:
     values = raw["values"]
     if not isinstance(values, list) or not values:
         raise ConfigError("values", "expected a nonempty list")
-    spec = SweepSpec(base=base, axis=raw["axis"], values=tuple(values))
-    spec.member_configs()  # validate every derived config now, not at run time
-    return spec
+    return SweepSpec(base=base, axis=raw["axis"], values=tuple(values))

@@ -587,26 +587,37 @@ def _auto_centers(S, d, seed) -> np.ndarray:
 
 
 def build_problem(config: ExperimentConfig) -> Problem:
-    """Construct the problem suite described by ``config.problem``."""
+    """Construct the problem suite described by ``config.problem``; bad values are ConfigErrors."""
     if config.problem is None:
         raise ConfigError("problem", "configuration has no problem section")
     kind = config.problem.kind
+    if kind not in ("quadratic", "nonconvex", "classification"):
+        raise ConfigError("problem.kind", f"unknown problem kind {kind!r}")
     params = dict(config.problem.params)
     A = config.indicator
-    if kind == "quadratic":
-        centers = params.pop("centers", "auto")
-        if isinstance(centers, str):  # parse_config allows "auto" or rows of numbers
-            centers = _auto_centers(config.S, config.d, config.seed)
-        return quadratic_suite(config.d, config.S, centers, params.pop("curvature", 1.0),
-                               config.M, A, seed=params.pop("seed", config.seed), **params)
-    if kind == "nonconvex":
-        return toy_nonconvex_suite(config.d, config.S, config.M, A,
-                                   params.pop("seed", config.seed), **params)
-    if kind == "classification":
-        skew = params.pop("partition", "iid")
-        if skew == "label_skew":
-            skew = ("label_skew", params.pop("labels_per_client", 2))
-        return synthetic_classification_suite(
-            config.d, config.S, config.M, A, params.pop("n_per_client", 64),
-            skew, params.pop("seed", config.seed), **params)
-    raise ConfigError("problem.kind", f"unknown problem kind {kind!r}")
+    try:
+        if kind == "quadratic":
+            centers = params.pop("centers", "auto")
+            if isinstance(centers, str):  # parse_config allows "auto" or rows of numbers
+                centers = _auto_centers(config.S, config.d, config.seed)
+            problem = quadratic_suite(config.d, config.S, centers, params.pop("curvature", 1.0),
+                                      config.M, A, seed=params.pop("seed", config.seed),
+                                      **params)
+        elif kind == "nonconvex":
+            problem = toy_nonconvex_suite(config.d, config.S, config.M, A,
+                                          params.pop("seed", config.seed), **params)
+        else:
+            skew = params.pop("partition", "iid")
+            if skew == "label_skew":
+                skew = ("label_skew", params.pop("labels_per_client", 2))
+            problem = synthetic_classification_suite(
+                config.d, config.S, config.M, A, params.pop("n_per_client", 64),
+                skew, params.pop("seed", config.seed), **params)
+    except ValueError as exc:  # a value of the right type but out of range
+        raise ConfigError("problem", str(exc)) from exc
+    if config.mode == "stochastic" and config.batch_size is not None:
+        smallest = min(problem.shard_size(i) for i in range(config.M))
+        if config.batch_size > smallest:
+            raise ConfigError("batch_size", f"{config.batch_size} is larger than the smallest "
+                                            f"client shard ({smallest} samples)")
+    return problem

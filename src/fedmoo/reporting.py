@@ -1,12 +1,13 @@
 """Serialization of trajectories: per-round CSV, run summaries, rate reports.
 
-The rounds.csv schema is fixed and versioned: one header plus one row per
-round, columns ``t, lambda_1..lambda_S, d_norm_sq, dbar_norm_sq,
-running_min_dbar, loss_1..loss_S, delta_Q, fw_gap, lambda_drift``.  Metrics
-that are absent for a run (no optimality-gap reference, drift logging off)
-stay as empty fields so the column set never varies.  Numbers are written in
-shortest round-trip form, so re-reading a file reproduces the exact float
-values and derived summaries match the originals bit for bit.
+The rounds.csv schema is :data:`COLUMNS`, fixed and versioned: one header
+plus one row per round, ``t, lambda_1..lambda_S, d_norm_sq, dbar_norm_sq,
+running_min_dbar, loss_1..loss_S, delta_Q, fw_gap, lambda_drift``.  The
+writer, the reader and the summaries all work from the column arrays of
+:func:`round_columns`.  Metrics that are absent for a run (no optimality-gap
+reference, drift logging off) are NaN there and empty fields in the file, so
+the column set never varies.  Numbers are written in shortest round-trip
+form, so reading a file back gives exactly the arrays it was written from.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from .metrics import fit_rate, rounds_to_threshold, running_min
 __all__ = [
     "FORMAT_VERSION",
     "DEFAULT_EPS",
+    "COLUMNS",
     "rounds_header",
+    "round_columns",
     "write_rounds_csv",
     "read_rounds_csv",
     "summarize_columns",
@@ -33,67 +36,75 @@ __all__ = [
 FORMAT_VERSION = 1
 DEFAULT_EPS = (1e-1, 1e-2, 1e-3)
 
+# rounds.csv columns in file order: key -> stem of the per-objective columns
+# it widens to (<stem>_1..<stem>_S), or None for one column named by its key.
+COLUMNS = {"t": None, "lambda": "lambda", "d_norm_sq": None, "dbar_norm_sq": None,
+           "running_min_dbar": None, "losses": "loss", "delta_Q": None, "fw_gap": None,
+           "lambda_drift": None}
+
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    v = float(value)
-    return "" if np.isnan(v) else repr(v)
+    return "" if np.isnan(value) else repr(float(value))
 
 
 def rounds_header(n_objectives: int) -> str:
-    lams = ",".join(f"lambda_{s + 1}" for s in range(n_objectives))
-    losses = ",".join(f"loss_{s + 1}" for s in range(n_objectives))
-    return f"t,{lams},d_norm_sq,dbar_norm_sq,running_min_dbar,{losses},delta_Q,fw_gap,lambda_drift"
+    return ",".join(f"{stem}_{s + 1}" if stem else key
+                    for key, stem in COLUMNS.items()
+                    for s in range(n_objectives if stem else 1))
+
+
+def round_columns(traj: TrajectoryLog) -> dict:
+    """The rounds.csv columns of a trajectory, exactly as :func:`read_rounds_csv` returns them.
+
+    ``t`` is int64 and every other column float64; ``lambda`` and ``losses``
+    are (T, S) even when S is 1 or T is 0; absent metrics are NaN.
+    """
+    records = traj.records
+    if not records and traj.config is None:
+        raise ValueError("trajectory has no rounds and no config to size the header")
+    S = records[0].weights.shape[0] if records else traj.config.S
+    dbar = traj.series("dbar_norm_sq")
+    return {
+        "t": np.array([r.t for r in records], dtype=np.int64),
+        "lambda": np.array([r.weights for r in records], dtype=np.float64).reshape(-1, S),
+        "d_norm_sq": traj.series("d_norm_sq"),
+        "dbar_norm_sq": dbar,
+        "running_min_dbar": running_min(dbar),
+        "losses": np.array([r.losses for r in records], dtype=np.float64).reshape(-1, S),
+        "delta_Q": traj.series("delta_q"),
+        "fw_gap": traj.series("fw_gap"),
+        "lambda_drift": traj.series("lambda_drift"),
+    }
 
 
 def write_rounds_csv(path, traj: TrajectoryLog) -> None:
     """Write one row per round; a run that diverged in round 1 writes the header only."""
-    if traj.records:
-        S = traj.records[0].weights.shape[0]
-    elif traj.config is not None:
-        S = traj.config.S
-    else:
-        raise ValueError("trajectory has no rounds and no config to size the header")
-    run_min = running_min([r.dbar_norm_sq for r in traj.records])
-    lines = [rounds_header(S)]
-    for rec, rm in zip(traj.records, run_min):
-        cells = [str(rec.t)]
-        cells += [_fmt(w) for w in rec.weights]
-        cells += [_fmt(rec.d_norm_sq), _fmt(rec.dbar_norm_sq), _fmt(rm)]
-        cells += [_fmt(v) for v in rec.losses]
-        cells += [_fmt(rec.delta_q), _fmt(rec.fw_gap), _fmt(rec.lambda_drift)]
-        lines.append(",".join(cells))
+    cols = round_columns(traj)
+    cells = np.column_stack([cols[key] for key in COLUMNS if key != "t"])
+    lines = [rounds_header(cols["lambda"].shape[1])]
+    lines += [",".join([str(t), *map(_fmt, row)]) for t, row in zip(cols["t"], cells)]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_rounds_csv(path) -> dict:
-    """Parse rounds.csv back into column arrays (empty fields become NaN)."""
+    """Parse rounds.csv back into the column arrays of :func:`round_columns`."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    n_lam = sum(1 for h in header if h.startswith("lambda_") and h[7:].isdigit())
-    n_loss = sum(1 for h in header if h.startswith("loss_"))
-    expected = rounds_header(n_lam)
-    if ",".join(header) != expected or n_lam != n_loss:
+    header = lines[0].split(",") if lines else []
+    S = sum(1 for h in header if h.startswith("lambda_") and h[7:].isdigit())
+    if not lines or lines[0] != rounds_header(S):
         raise ValueError(f"{path}: unrecognized rounds.csv header")
     rows = [ln.split(",") for ln in lines[1:]]
     if any(len(r) != len(header) for r in rows):
         raise ValueError(f"{path}: ragged rows")
     grid = np.array([[float(c) if c else np.nan for c in row]
                      for row in rows]).reshape(len(rows), len(header))
-    cols = {
-        "t": grid[:, 0].astype(np.int64),
-        "lambda": grid[:, 1:1 + n_lam],
-        "d_norm_sq": grid[:, 1 + n_lam],
-        "dbar_norm_sq": grid[:, 2 + n_lam],
-        "running_min_dbar": grid[:, 3 + n_lam],
-        "losses": grid[:, 4 + n_lam:4 + n_lam + n_loss],
-        "delta_Q": grid[:, 4 + n_lam + n_loss],
-        "fw_gap": grid[:, 5 + n_lam + n_loss],
-        "lambda_drift": grid[:, 6 + n_lam + n_loss],
-    }
+    widths = [S if stem else 1 for stem in COLUMNS.values()]
+    blocks = np.split(grid, np.cumsum(widths)[:-1], axis=1)
+    cols = {key: block if stem else block[:, 0]
+            for (key, stem), block in zip(COLUMNS.items(), blocks)}
+    cols["t"] = cols["t"].astype(np.int64)
     return cols
 
 
@@ -156,18 +167,9 @@ def _jsonable(value):
     return value
 
 
-def build_summary(traj: TrajectoryLog, raw_config: dict, problem,
-                  eps_list=DEFAULT_EPS) -> dict:
+def build_summary(traj: TrajectoryLog, raw_config: dict, problem) -> dict:
     """Run summary; ``final`` is None when the run diverged before completing a round."""
-    run_min = running_min([r.dbar_norm_sq for r in traj.records])
-    cols = {
-        "t": np.array([r.t for r in traj.records]),
-        "dbar_norm_sq": np.array([r.dbar_norm_sq for r in traj.records]),
-        "running_min_dbar": run_min,
-        "delta_Q": np.array([np.nan if r.delta_q is None else r.delta_q
-                             for r in traj.records]),
-        "losses": np.array([r.losses for r in traj.records]).reshape(-1, problem.S),
-    }
+    cols = round_columns(traj)
     f_min = None if problem.f_min is None else np.asarray(problem.f_min)
     summary = {
         "version": __version__,
@@ -184,12 +186,12 @@ def build_summary(traj: TrajectoryLog, raw_config: dict, problem,
             "t": last.t,
             "d_norm_sq": last.d_norm_sq,
             "dbar_norm_sq": last.dbar_norm_sq,
-            "running_min_dbar": float(run_min[-1]),
+            "running_min_dbar": float(cols["running_min_dbar"][-1]),
             "delta_Q": last.delta_q,
             "losses": _jsonable(last.losses),
             "point": _jsonable(traj.final_point),
         }
-    summary.update(_jsonable(summarize_columns(cols, f_min=f_min, eps_list=eps_list)))
+    summary.update(_jsonable(summarize_columns(cols, f_min=f_min)))
     return summary
 
 

@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 import yaml
@@ -12,6 +13,8 @@ from fedmoo.core import ConfigError
 from fedmoo.minnorm import solve_min_norm
 from fedmoo.reporting import read_rounds_csv, summarize_columns
 from fedmoo.verify import check_minnorm_kkt, check_minnorm_oracle, run_battery
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def quad_config(**overrides):
@@ -190,6 +193,21 @@ class TestRunCommand:
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
         assert "problem.curvature" in capsys.readouterr().err
 
+    def test_out_of_range_problem_value_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = quad_config()
+        cfg["problem"]["curvature_spread"] = 2.0  # the suite builder needs [0, 1)
+        assert main(["run", "--config", self._write(tmp_path, cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "problem: curvature_spread" in capsys.readouterr().err
+
+    def test_batch_larger_than_shard_exits_2_before_round_1(self, tmp_path, capsys):
+        cfg = yaml.safe_load((GOLDEN / "quad_stoch.yaml").read_text())
+        cfg["batch_size"] = 50  # shards hold 12 samples
+        out = tmp_path / "o"
+        assert main(["run", "--config", self._write(tmp_path, cfg), "--out", str(out)]) == 2
+        assert "batch_size" in capsys.readouterr().err
+        assert not (out / "rounds.csv").exists()
+
     def test_jobs_option_rejected_as_usage_error(self, tmp_path):
         cfg_path = self._write(tmp_path, quad_config())
         with pytest.raises(SystemExit) as exc:
@@ -228,6 +246,32 @@ class TestSweepCommand:
         summary = json.loads((out / "sweep_summary.json").read_text())
         statuses = [m["status"] for m in summary["members"]]
         assert statuses[0] == "ok" and statuses[1] == "error(3)"
+
+
+    def test_out_of_range_member_is_recorded_and_sweep_continues(self, tmp_path):
+        # label skew with 2 labels per client cannot cover 4 labels with one client
+        sweep = {"base": str(GOLDEN / "cls_full.yaml"), "axis": "M", "values": [4, 1]}
+        spath = tmp_path / "sweep.yaml"
+        spath.write_text(yaml.safe_dump(sweep))
+        out = tmp_path / "sw3"
+        assert main(["sweep", "--config", str(spath), "--out", str(out)]) == 2
+        members = json.loads((out / "sweep_summary.json").read_text())["members"]
+        assert [m["status"] for m in members] == ["ok", "error(2)"]
+        assert members[1]["error"].startswith("problem: label skew infeasible")
+        assert "final" not in members[1]
+
+    def test_refused_members_carry_no_results_of_an_earlier_run(self, tmp_path):
+        spath = tmp_path / "sweep.yaml"
+        spath.write_text(yaml.safe_dump({"base": quad_config(), "axis": "K", "values": [1, 2]}))
+        out = tmp_path / "sw4"
+        assert main(["sweep", "--config", str(spath), "--out", str(out)]) == 0
+        (out / "sweep_summary.json").unlink()
+        assert main(["sweep", "--config", str(spath), "--out", str(out)]) == 2
+        members = json.loads((out / "sweep_summary.json").read_text())["members"]
+        assert [m["status"] for m in members] == ["error(2)", "error(2)"]
+        for member in members:
+            assert "already contains" in member["error"]
+            assert not {"final", "thresholds", "rate_fits"} & set(member)
 
 
 class TestVerifyCommand:
@@ -290,6 +334,12 @@ class TestReportCommand:
         code = main(["report", dirs[0], str(tmp_path / "ghost"), "--out", str(tmp_path)])
         assert code != 0
         assert "ghost" in capsys.readouterr().err
+
+    def test_empty_rounds_csv_skipped_with_exit_2(self, tmp_path, capsys):
+        dirs = self._run_pair(tmp_path)
+        (Path(dirs[1]) / "rounds.csv").write_text("")
+        assert main(["report", *dirs, "--out", str(tmp_path)]) == 2
+        assert "unrecognized rounds.csv header" in capsys.readouterr().err
 
     def test_report_reproduces_summary_numbers_exactly(self, tmp_path):
         run_dir = self._run_pair(tmp_path)[0]
