@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .config import load_config, load_sweep
+from .config import load_config, load_sweep, member_dir
 from .core import ConfigError
 from .federation import run_experiment
 from .problems import build_problem
@@ -42,19 +42,23 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _prepare_dir(out_dir: str, force: bool) -> str | None:
-    """Create the run directory; refuse to clobber existing outputs without force."""
+def _refusal(out_dir: str, force: bool) -> str | None:
+    """Why ``out_dir`` may not be written: existing outputs are kept without force."""
     existing = [f for f in ("rounds.csv", "summary.json", "sweep_summary.json")
                 if os.path.exists(os.path.join(out_dir, f))]
     if existing and not force:
         return f"{out_dir} already contains {existing[0]}; pass --force to overwrite"
-    os.makedirs(out_dir, exist_ok=True)
     return None
 
 
 def _execute_run(config, raw, out_dir: str) -> tuple[int, dict]:
-    """Run one config into ``out_dir``; returns the exit code and the summary written."""
+    """Run one config into ``out_dir``; returns the exit code and the summary written.
+
+    The directory is created once the problem is built, so a config refused
+    there leaves nothing behind.
+    """
     problem = build_problem(config)
+    os.makedirs(out_dir, exist_ok=True)
     traj = run_experiment(config, problem)
     write_rounds_csv(os.path.join(out_dir, "rounds.csv"), traj)
     summary = build_summary(traj, raw, problem)
@@ -69,7 +73,7 @@ def _execute_run(config, raw, out_dir: str) -> tuple[int, dict]:
 
 def _run_member(config, raw, out_dir: str, force: bool) -> tuple[int, str | None, dict | None]:
     """One run, standalone or in a sweep: (exit code, error message, summary)."""
-    err = _prepare_dir(out_dir, force)
+    err = _refusal(out_dir, force)
     if err is not None:
         return EXIT_USAGE, err, None
     try:
@@ -96,13 +100,14 @@ def cmd_sweep(args) -> int:
     except (ConfigError, OSError) as exc:
         return _fail(str(exc), EXIT_USAGE)
     out_dir = args.out or os.path.join(_out_root(), f"sweep-{spec.axis}")
-    err = _prepare_dir(out_dir, args.force)
+    err = _refusal(out_dir, args.force)
     if err is not None:
         return _fail(err, EXIT_USAGE)
+    os.makedirs(out_dir, exist_ok=True)
 
     def one(member):
         value, config, raw = member
-        run_dir = os.path.join(out_dir, f"{spec.axis}={value}")
+        run_dir = os.path.join(out_dir, member_dir(spec.axis, value))
         return value, run_dir, *_run_member(config, raw, run_dir, args.force)
 
     if args.jobs > 1:

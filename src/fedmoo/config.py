@@ -2,9 +2,13 @@
 
 Unknown keys anywhere in the tree are a hard error, reported with the dotted
 field path, so a typo cannot silently fall back to a default; so is a value of
-the wrong type.  Numeric fields also take the strings PyYAML makes of numbers
-such as ``1e-3``.  An experiment is fully replayable from its config file
-plus nothing else: all randomness derives from the ``seed`` field.
+the wrong type.  Files are read with the YAML 1.1 safe loader plus the YAML
+1.2 floats with an exponent that PyYAML leaves as strings (``1e-3``,
+``1.0e3``), so every number is a number once loaded; the parser only checks
+types, and a quoted number is a string.  Summaries echo the mapping as
+loaded.  Defaults live on :class:`~fedmoo.core.ExperimentConfig`.  An
+experiment is fully replayable from its config file plus nothing else: all
+randomness derives from the ``seed`` field.
 
 Top-level keys::
 
@@ -43,7 +47,9 @@ from __future__ import annotations
 
 import copy
 import os
-from dataclasses import dataclass
+import re
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -52,12 +58,30 @@ from .core import ConfigError, ExperimentConfig, IndicatorMatrix, ProblemConfig
 
 __all__ = ["parse_config", "load_config", "SweepSpec", "load_sweep", "apply_axis"]
 
-_TOP_KEYS = {
-    "name", "M", "S", "d", "indicator", "K", "T", "eta_global", "eta_local",
-    "mode", "batch_size", "seed", "sample_sharing", "normalize_delta_by_K",
-    "init", "snapshot_every", "client_weights", "problem",
-}
+
+class _Loader(yaml.SafeLoader):
+    """The safe loader, also reading ``1e-3``, ``1e3``, ``1.0e3`` and ``.5e3`` as floats."""
+
+
+# PyYAML 1.1 floats need a dot and a signed exponent; YAML 1.2 needs neither
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
+def _load_yaml(path):
+    with open(path) as fh:
+        return yaml.load(fh, Loader=_Loader)
+
+
+# Required in files, though ExperimentConfig has defaults for seed and problem.
 _REQUIRED = {"M", "S", "d", "indicator", "K", "T", "eta_global", "eta_local", "seed", "problem"}
+
+# Top-level keys checked by type alone; the others have their own parsing.
+_SCALARS = {"name": str, "M": int, "S": int, "d": int, "K": int, "T": int,
+            "eta_global": float, "eta_local": float, "mode": str, "seed": int,
+            "sample_sharing": str, "normalize_delta_by_K": bool, "snapshot_every": int}
 
 # Problem keys per kind and their types; ``list`` is "auto" or rows of numbers.
 _PROBLEM_KEYS = {
@@ -77,13 +101,8 @@ SWEEP_AXES = ("K", "batch_size", "eta_local", "M", "heterogeneity")
 _KIND_NAMES = {int: "an integer", bool: "a boolean", str: "a string"}
 
 
-def _need(mapping, key, path, kind, required=True, default=None):
-    if key not in mapping:
-        if required:
-            raise ConfigError(_join(path, key), "required key is missing")
-        return default
-    val = mapping[key]
-    where = _join(path, key)
+def _check_type(val, kind, where):
+    """``val`` checked to be of ``kind``; floats come back as float."""
     if kind is float:
         return _number(val, where)
     if kind is list:
@@ -95,16 +114,11 @@ def _need(mapping, key, path, kind, required=True, default=None):
 
 
 def _number(value, path) -> float:
-    """The one coercion of numeric fields: a YAML number or a string holding one."""
-    # PyYAML reads 1e-3 (no dot) and 1.0e3 (no exponent sign) as strings
-    if not isinstance(value, bool) and isinstance(value, (int, float, str)):
-        try:
-            number = float(value)
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(number):
-                return number
+    """A finite number (an int or a float, not a bool) as a float."""
+    # the bound also excludes inf, nan and ints beyond the float range
+    if (not isinstance(value, bool) and isinstance(value, (int, float))
+            and abs(value) <= sys.float_info.max):
+        return float(value)
     raise ConfigError(path, f"expected a finite number, got {value!r}")
 
 
@@ -113,26 +127,6 @@ def _numbers(value, path) -> list:
     if not isinstance(value, list):
         raise ConfigError(path, f"expected a list of numbers, got {value!r}")
     return [_numbers(v, path) if isinstance(v, list) else _number(v, path) for v in value]
-
-
-def _as_parsed(raw, parsed):
-    """``raw`` with every string that was parsed as a number replaced by that number."""
-    if isinstance(raw, str):
-        return parsed if isinstance(parsed, float) else raw
-    if isinstance(raw, dict) and isinstance(parsed, dict):
-        return {k: _as_parsed(v, parsed.get(k)) for k, v in raw.items()}
-    if isinstance(raw, list) and isinstance(parsed, list):
-        return [_as_parsed(r, p) for r, p in zip(raw, parsed)]
-    return raw
-
-
-def _echo(raw: dict, config: ExperimentConfig) -> dict:
-    """The mapping echoed into summaries: as written, except that numbers YAML
-    read as strings, and every ``init`` entry, are echoed as parsed."""
-    echo = _as_parsed(raw, config.to_dict())
-    if config.init is not None:
-        echo["init"] = [float(v) for v in config.init]
-    return echo
 
 
 def _join(path, key):
@@ -160,37 +154,40 @@ def _parse_indicator(value, S, M):
 
 
 def parse_config(mapping: dict) -> ExperimentConfig:
-    """Validate a parsed key-value tree and build the experiment config."""
-    _check_keys(mapping, _TOP_KEYS, "")
+    """Validate a loaded key-value tree and build the experiment config.
+
+    Only the keys present are passed on; absent optional keys take the
+    defaults of :class:`~fedmoo.core.ExperimentConfig`.
+    """
+    _check_keys(mapping, {f.name for f in fields(ExperimentConfig)}, "")
     for key in _REQUIRED:
         if key not in mapping:
             raise ConfigError(key, "required key is missing")
 
-    S = _need(mapping, "S", "", int)
-    M = _need(mapping, "M", "", int)
-    d = _need(mapping, "d", "", int)
+    kwargs = {key: _check_type(mapping[key], kind, key)
+              for key, kind in _SCALARS.items() if key in mapping}
+    S, M, d = kwargs["S"], kwargs["M"], kwargs["d"]
     if S < 1 or M < 1 or d < 1:
         raise ConfigError("S", f"S, M, d must all be >= 1, got S={S}, M={M}, d={d}")
-    indicator = _parse_indicator(mapping["indicator"], S, M)
-
-    mode = _need(mapping, "mode", "", str, required=False, default="full_gradient")
-    mode = mode.replace("-", "_")
+    kwargs["indicator"] = _parse_indicator(mapping["indicator"], S, M)
+    if "mode" in kwargs:
+        kwargs["mode"] = kwargs["mode"].replace("-", "_")
     batch = mapping.get("batch_size")
-    if batch == "full":
-        batch = None
-    elif batch is not None and (isinstance(batch, bool) or not isinstance(batch, int)):
-        raise ConfigError("batch_size", f"expected an integer or 'full', got {batch!r}")
-
-    init = mapping.get("init", "zeros")
-    init = None if init == "zeros" else _numbers(init, "init")
-    client_weights = mapping.get("client_weights")
-    if client_weights is not None:
-        client_weights = _numbers(client_weights, "client_weights")
+    if batch not in (None, "full"):
+        if isinstance(batch, bool) or not isinstance(batch, int):
+            raise ConfigError("batch_size", f"expected an integer or 'full', got {batch!r}")
+        kwargs["batch_size"] = batch
+    if mapping.get("init", "zeros") != "zeros":
+        kwargs["init"] = _numbers(mapping["init"], "init")
+    if mapping.get("client_weights") is not None:
+        kwargs["client_weights"] = _numbers(mapping["client_weights"], "client_weights")
 
     prob_raw = mapping["problem"]
     if not isinstance(prob_raw, dict):
         raise ConfigError("problem", "expected a mapping")
-    kind = _need(prob_raw, "kind", "problem", str)
+    if "kind" not in prob_raw:
+        raise ConfigError("problem.kind", "required key is missing")
+    kind = _check_type(prob_raw["kind"], str, "problem.kind")
     if kind not in _PROBLEM_KEYS:
         raise ConfigError("problem.kind",
                           f"unknown problem kind {kind!r}; expected one of "
@@ -198,29 +195,11 @@ def parse_config(mapping: dict) -> ExperimentConfig:
     types = _PROBLEM_KEYS[kind]
     params = {k: v for k, v in prob_raw.items() if k != "kind"}
     _check_keys(params, types, "problem")
-    problem = ProblemConfig(kind, {k: _need(params, k, "problem", types[k]) for k in params})
+    kwargs["problem"] = ProblemConfig(
+        kind, {k: _check_type(v, types[k], f"problem.{k}") for k, v in params.items()})
 
     try:
-        return ExperimentConfig(
-            M=M, S=S, indicator=indicator, d=d,
-            K=_need(mapping, "K", "", int),
-            T=_need(mapping, "T", "", int),
-            eta_global=_need(mapping, "eta_global", "", float),
-            eta_local=_need(mapping, "eta_local", "", float),
-            mode=mode,
-            batch_size=batch,
-            seed=_need(mapping, "seed", "", int),
-            sample_sharing=_need(mapping, "sample_sharing", "", str,
-                                 required=False, default="per_client"),
-            normalize_delta_by_K=_need(mapping, "normalize_delta_by_K", "", bool,
-                                       required=False, default=True),
-            problem=problem,
-            init=init,
-            snapshot_every=_need(mapping, "snapshot_every", "", int,
-                                 required=False, default=0),
-            client_weights=client_weights,
-            name=_need(mapping, "name", "", str, required=False, default="run"),
-        )
+        return ExperimentConfig(**kwargs)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -228,13 +207,16 @@ def parse_config(mapping: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> tuple[ExperimentConfig, dict]:
-    """Load and validate a config file; returns (config, mapping for echo)."""
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    """Load and validate a config file; returns (config, the mapping as loaded, for echo)."""
+    raw = _load_yaml(path)
     if not isinstance(raw, dict):
         raise ConfigError("<root>", f"{path}: expected a key-value mapping")
-    config = parse_config(raw)
-    return config, _echo(raw, config)
+    return parse_config(raw), raw
+
+
+def member_dir(axis: str, value) -> str:
+    """Name of a sweep member's output directory under the sweep root."""
+    return f"{axis}={value}"
 
 
 @dataclass(frozen=True)
@@ -250,8 +232,7 @@ class SweepSpec:
         out = []
         for value in self.values:
             raw = apply_axis(self.base, self.axis, value)
-            config = parse_config(raw)
-            out.append((value, config, _echo(raw, config)))
+            out.append((value, parse_config(raw), raw))
         return out
 
 
@@ -270,26 +251,27 @@ def apply_axis(base_raw: dict, axis: str, value) -> dict:
         raw["M"] = value
     else:
         raw[axis] = value
-    raw["name"] = f"{raw.get('name', 'run')}-{axis}={value}"
+    raw["name"] = f"{raw.get('name', ExperimentConfig.name)}-{axis}={value}"
     return raw
 
 
 def load_sweep(path) -> SweepSpec:
     """Load a sweep file; ``base`` may be inline or a path relative to the file."""
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    raw = _load_yaml(path)
     _check_keys(raw, {"base", "axis", "values"}, "")
     for key in ("base", "axis", "values"):
         if key not in raw:
             raise ConfigError(key, "required key is missing")
     base = raw["base"]
     if isinstance(base, str):
-        base_path = os.path.join(os.path.dirname(os.path.abspath(path)), base)
-        with open(base_path) as fh:
-            base = yaml.safe_load(fh)
+        base = _load_yaml(os.path.join(os.path.dirname(os.path.abspath(path)), base))
     if not isinstance(base, dict):
         raise ConfigError("base", "expected an inline config mapping or a path")
     values = raw["values"]
     if not isinstance(values, list) or not values:
         raise ConfigError("values", "expected a nonempty list")
+    dirs = [member_dir(raw["axis"], value) for value in values]
+    repeated = [name for i, name in enumerate(dirs) if name in dirs[:i]]
+    if repeated:
+        raise ConfigError("values", f"two values share the member directory {repeated[0]}")
     return SweepSpec(base=base, axis=raw["axis"], values=tuple(values))

@@ -246,32 +246,6 @@ class ExperimentConfig:
     def initial_point(self) -> np.ndarray:
         return np.zeros(self.d) if self.init is None else self.init.copy()
 
-    def to_dict(self) -> dict:
-        """Canonical key-value form of this config (echoed into summaries)."""
-        out = {
-            "name": self.name,
-            "M": self.M,
-            "S": self.S,
-            "d": self.d,
-            "indicator": [[int(v) for v in row] for row in self.indicator.entries],
-            "K": self.K,
-            "T": self.T,
-            "eta_global": float(self.eta_global),
-            "eta_local": float(self.eta_local),
-            "mode": self.mode,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "sample_sharing": self.sample_sharing,
-            "normalize_delta_by_K": self.normalize_delta_by_K,
-            "init": None if self.init is None else [float(v) for v in self.init],
-            "snapshot_every": self.snapshot_every,
-            "client_weights": (None if self.client_weights is None
-                               else [float(v) for v in self.client_weights]),
-            "problem": (None if self.problem is None
-                        else {"kind": self.problem.kind, **self.problem.params}),
-        }
-        return out
-
 
 @dataclass(frozen=True)
 class RoundRecord:

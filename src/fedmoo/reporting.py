@@ -93,7 +93,7 @@ def read_rounds_csv(path) -> dict:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     header = lines[0].split(",") if lines else []
     S = sum(1 for h in header if h.startswith("lambda_") and h[7:].isdigit())
-    if not lines or lines[0] != rounds_header(S):
+    if S < 1 or lines[0] != rounds_header(S):
         raise ValueError(f"{path}: unrecognized rounds.csv header")
     rows = [ln.split(",") for ln in lines[1:]]
     if any(len(r) != len(header) for r in rows):

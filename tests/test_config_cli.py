@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmoo.cli import main
-from fedmoo.config import apply_axis, load_sweep, parse_config
+from fedmoo.config import _Loader, apply_axis, load_sweep, parse_config
 from fedmoo.core import ConfigError
 from fedmoo.minnorm import solve_min_norm
 from fedmoo.reporting import read_rounds_csv, summarize_columns
@@ -72,6 +74,49 @@ class TestConfigSchema:
     def test_wrong_scalar_type_reported(self):
         with pytest.raises(ConfigError, match="K"):
             parse_config(quad_config(K="three"))
+
+
+def _load(text):
+    return yaml.load(f"value: {text}", Loader=_Loader)["value"]
+
+
+@st.composite
+def float_texts(draw):
+    """A finite float and a way to write it: repr, %e, without a dot, or an unsigned exponent."""
+    x = draw(st.floats(allow_nan=False, allow_infinity=False))
+    mantissa, exponent = f"{x:.16e}".split("e")  # 17 significant digits round-trip
+    sign = "-" if mantissa.startswith("-") else ""
+    digits = mantissa.lstrip("-").replace(".", "")
+    e = int(exponent)
+    forms = [repr(x), f"{x:.16e}",
+             f"{sign}{digits}e{e - 16}",            # 1e-3, 1e3
+             f"{x:.16e}".replace("e+", "e"),         # 1.0e3
+             f"{sign}.{digits}e{e + 1}"]             # .5e3
+    return x, draw(st.sampled_from(forms))
+
+
+class TestLoader:
+    @settings(max_examples=500, deadline=None)
+    @given(float_texts())
+    def test_finite_float_text_loads_as_that_float(self, case):
+        x, text = case
+        loaded = _load(text)
+        assert type(loaded) is float and repr(loaded) == repr(x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers())
+    def test_integers_stay_integers(self, n):
+        loaded = _load(str(n))
+        assert type(loaded) is int and loaded == n
+
+    @pytest.mark.parametrize("text", ["auto", "iid", "all_ones", "full", "zeros", "1e", "e3"])
+    def test_words_stay_strings(self, text):
+        assert _load(text) == text
+
+    def test_quoted_number_is_a_string_and_rejected_naming_the_field(self):
+        assert _load('"1e-3"') == "1e-3"
+        with pytest.raises(ConfigError, match="eta_local"):
+            parse_config(quad_config(eta_local="1e-3"))
 
 
 class TestSweepSpec:
@@ -186,6 +231,19 @@ class TestRunCommand:
         assert (echo[section] if section else echo)[key] == value
         assert (echo["eta_global"], echo["problem"]["heterogeneity"]) == (0.3, 0.2)
 
+    def test_integer_init_is_echoed_as_written(self, tmp_path):
+        out = tmp_path / "init"
+        cfg_path = self._write(tmp_path, quad_config(d=2, init=[1, 0]))
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+        echo = json.loads((out / "summary.json").read_text())["config"]
+        assert echo["init"] == [1, 0] and all(type(v) is int for v in echo["init"])
+
+    def test_unquoted_exponent_name_is_rejected_naming_name(self, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(quad_config()).replace("name: quad-mini", "name: 1e3"))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "name: expected a string, got 1000.0" in capsys.readouterr().err
+
     def test_non_numeric_problem_value_exits_2_naming_the_key(self, tmp_path, capsys):
         cfg = quad_config()
         cfg["problem"]["curvature"] = "steep"
@@ -207,6 +265,23 @@ class TestRunCommand:
         assert main(["run", "--config", self._write(tmp_path, cfg), "--out", str(out)]) == 2
         assert "batch_size" in capsys.readouterr().err
         assert not (out / "rounds.csv").exists()
+
+    @pytest.mark.parametrize("out", ["o", "new/o"])
+    def test_run_refused_at_build_leaves_no_directory(self, tmp_path, out):
+        cfg = yaml.safe_load((GOLDEN / "quad_stoch.yaml").read_text())
+        cfg["batch_size"] = 500
+        cfg_path = self._write(tmp_path, cfg)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / out)]) == 2
+        assert not (tmp_path / out.split("/")[0]).exists()
+
+    def test_run_refused_at_build_keeps_an_existing_directory(self, tmp_path):
+        cfg = yaml.safe_load((GOLDEN / "quad_stoch.yaml").read_text())
+        cfg["batch_size"] = 500
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        assert main(["run", "--config", self._write(tmp_path, cfg), "--out", str(out)]) == 2
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
     def test_jobs_option_rejected_as_usage_error(self, tmp_path):
         cfg_path = self._write(tmp_path, quad_config())
@@ -259,6 +334,7 @@ class TestSweepCommand:
         assert [m["status"] for m in members] == ["ok", "error(2)"]
         assert members[1]["error"].startswith("problem: label skew infeasible")
         assert "final" not in members[1]
+        assert not (out / "M=1").exists()
 
     def test_refused_members_carry_no_results_of_an_earlier_run(self, tmp_path):
         spath = tmp_path / "sweep.yaml"
@@ -272,6 +348,30 @@ class TestSweepCommand:
         for member in members:
             assert "already contains" in member["error"]
             assert not {"final", "thresholds", "rate_fits"} & set(member)
+
+    def test_exponent_values_without_a_dot_are_numbers(self, tmp_path):
+        path = tmp_path / "sweep.yaml"
+        path.write_text(yaml.safe_dump({"base": quad_config(), "axis": "eta_local"})
+                        + "values: [1e-3, 1e-2]\n")
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["values"] == [0.001, 0.01]
+        assert [m["dir"] for m in summary["members"]] == ["eta_local=0.001", "eta_local=0.01"]
+        assert (out / "eta_local=0.001" / "rounds.csv").exists()
+
+    @pytest.mark.parametrize("axis,values", [("K", "[2, 2]"),
+                                             ("eta_local", "[0.01, 1.0e-2]")])
+    def test_values_sharing_a_member_directory_exit_2_before_any_run(
+            self, tmp_path, capsys, axis, values):
+        path = tmp_path / "sweep.yaml"
+        path.write_text(yaml.safe_dump({"base": quad_config(), "axis": axis})
+                        + f"values: {values}\n")
+        out = tmp_path / "sw"
+        code = main(["sweep", "--config", str(path), "--out", str(out), "--jobs", "2"])
+        assert code == 2
+        assert "values: two values share the member directory" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerifyCommand:
@@ -338,6 +438,14 @@ class TestReportCommand:
     def test_empty_rounds_csv_skipped_with_exit_2(self, tmp_path, capsys):
         dirs = self._run_pair(tmp_path)
         (Path(dirs[1]) / "rounds.csv").write_text("")
+        assert main(["report", *dirs, "--out", str(tmp_path)]) == 2
+        assert "unrecognized rounds.csv header" in capsys.readouterr().err
+
+    def test_rounds_csv_without_objective_columns_skipped_with_exit_2(self, tmp_path, capsys):
+        dirs = self._run_pair(tmp_path)
+        (Path(dirs[1]) / "rounds.csv").write_text(
+            "t,d_norm_sq,dbar_norm_sq,running_min_dbar,delta_Q,fw_gap,lambda_drift\n"
+            "1,1.0,1.0,1.0,,0.0,\n")
         assert main(["report", *dirs, "--out", str(tmp_path)]) == 2
         assert "unrecognized rounds.csv header" in capsys.readouterr().err
 

@@ -93,11 +93,6 @@ class TestExperimentConfig:
         args.update(kw)
         return ExperimentConfig(**args)
 
-    def test_valid_config_round_trips_to_dict(self):
-        cfg = self._base(seed=9)
-        echo = cfg.to_dict()
-        assert echo["seed"] == 9 and echo["indicator"] == [[1, 0], [0, 1]]
-
     @pytest.mark.parametrize("field,value", [
         ("K", 0), ("T", 0), ("eta_global", 0.0), ("eta_local", -0.1),
         ("mode", "warp"), ("sample_sharing", "sometimes"), ("snapshot_every", -1),
