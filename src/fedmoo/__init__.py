@@ -12,9 +12,8 @@ __version__ = "0.1.0"
 from .core import (ConfigError, ExperimentConfig, IndicatorMatrix, ProblemConfig,
                    RoundRecord, client_stream, derive_owner_sets, validate_simplex)
 from .minnorm import MinNormSolution, closed_form_two, fw_gap, grid_oracle, solve_min_norm
-from .problems import (PartitionPlan, Problem, build_problem, load_dataset, partition,
-                       quadratic_suite, save_dataset, synthetic_classification_suite,
-                       toy_nonconvex_suite)
+from .problems import (PartitionPlan, Problem, build_problem, partition, quadratic_suite,
+                       synthetic_classification_suite, toy_nonconvex_suite)
 from .federation import (ClientRoundOutput, DivergenceError, TrajectoryLog,
                          client_update_full, client_update_stochastic,
                          descent_step_limit, pick_weighted_output, run_experiment,
@@ -29,9 +28,8 @@ __all__ = [
     "ConfigError", "ExperimentConfig", "IndicatorMatrix", "ProblemConfig",
     "RoundRecord", "client_stream", "derive_owner_sets", "validate_simplex",
     "MinNormSolution", "closed_form_two", "fw_gap", "grid_oracle", "solve_min_norm",
-    "PartitionPlan", "Problem", "build_problem", "load_dataset", "partition",
-    "quadratic_suite", "save_dataset", "synthetic_classification_suite",
-    "toy_nonconvex_suite",
+    "PartitionPlan", "Problem", "build_problem", "partition", "quadratic_suite",
+    "synthetic_classification_suite", "toy_nonconvex_suite",
     "ClientRoundOutput", "DivergenceError", "TrajectoryLog", "client_update_full",
     "client_update_stochastic", "descent_step_limit", "pick_weighted_output",
     "run_experiment", "run_round", "sample_weighted_index", "server_aggregate",

@@ -1,7 +1,9 @@
 """Experiment driver: ``fedmoo run | sweep | verify | report``.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 runtime divergence,
-4 verification failure.  Output directories are immutable run artifacts:
+Exit codes: 0 success, 2 usage or configuration error, 3 runtime divergence
+(a non-finite local update or averaged block, named by round and phase, or a
+global point beyond the norm guard; the partial log is written), 4
+verification failure.  Output directories are immutable run artifacts:
 ``rounds.csv`` plus ``summary.json`` per run, and ``sweep_summary.json`` at
 the sweep root.  Nothing is overwritten without ``--force``.  The default
 output root is ``$FEDMOO_OUT`` (falling back to ``./runs``).

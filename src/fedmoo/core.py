@@ -20,6 +20,7 @@ __all__ = [
     "as_model_point",
     "as_direction_set",
     "validate_simplex",
+    "roundoff_bound",
     "ProblemConfig",
     "ExperimentConfig",
     "RoundRecord",
@@ -170,6 +171,13 @@ def validate_simplex(weights, atol: float = SIMPLEX_ATOL) -> np.ndarray:
     if abs(w.sum() - 1.0) > atol:
         raise ValueError(f"simplex weights sum to {w.sum()!r}, expected 1 within {atol}")
     return w
+
+
+def roundoff_bound(scale: float) -> float:
+    """How far below zero roundoff may push a difference that is nonnegative in
+    exact arithmetic: 1e-12 of ``scale``, the summed magnitude of its terms,
+    and never less than 1e-12, so a scaling of the data scales the bound too."""
+    return 1e-12 * max(1.0, scale)
 
 
 @dataclass(frozen=True)

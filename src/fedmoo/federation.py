@@ -42,15 +42,24 @@ DIVERGENCE_NORM = 1e8
 
 
 class DivergenceError(RuntimeError):
-    """A local update or iterate went non-finite; carries (round, client, objective, step)."""
+    """A round went non-finite; carries its (round, client, objective, step).
+
+    In the local phase these locate the first non-finite update or iterate of
+    a client's local steps.  In the aggregate phase (``client`` and ``step``
+    are None) the clients' updates are finite but the averaged block is not,
+    and ``objective`` is its first non-finite row.
+    """
 
     def __init__(self, round_index, client, objective, step):
         self.round_index = round_index
         self.client = client
         self.objective = objective
         self.step = step
-        super().__init__(f"non-finite local update at round {round_index}, client {client}, "
-                         f"objective {objective}, local step {step}")
+        if client is None:
+            super().__init__(f"non-finite aggregate at round {round_index}, objective {objective}")
+        else:
+            super().__init__(f"non-finite local update at round {round_index}, client {client}, "
+                             f"objective {objective}, local step {step}")
 
 
 @dataclass(frozen=True)
@@ -230,19 +239,21 @@ def run_round(round_index, x_t, config, problem, *, log_lambda_drift=True):
     function of the round inputs, so the order does not affect the result.
     Metrics in the record refer to the round's start point: the losses, the
     true-gradient stationarity measure under the round's weights, and the
-    optimality gap when the problem has a scalarization reference.
+    optimality gap when the problem has a scalarization reference.  A
+    non-finite client update or averaged block raises :class:`DivergenceError`.
     """
     batch = config.batch_size if config.mode == "stochastic" else None
     outputs = [client_update_stochastic(x_t, i, config.indicator.client_objectives[i],
                                         config.K, config.eta_local, batch, problem,
                                         config.seed, round_index, config.sample_sharing)
                for i in range(config.M)]
-    delta = server_aggregate(outputs, config.indicator, config.K,
-                             config.normalize_delta_by_K, config.client_weights)
-    try:
-        sol = solve_min_norm(delta)
-    except ValueError as exc:
-        raise RuntimeError(f"round {round_index}: min-norm solve failed: {exc}") from exc
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        delta = server_aggregate(outputs, config.indicator, config.K,
+                                 config.normalize_delta_by_K, config.client_weights)
+    finite = np.isfinite(delta).all(axis=1)
+    if not finite.all():
+        raise DivergenceError(round_index, None, int(np.argmin(finite)), None)
+    sol = solve_min_norm(delta)
 
     dbar = metrics.dbar_norm_sq(sol.weights, x_t, problem)
     losses = problem.losses(x_t)
@@ -313,11 +324,11 @@ def run_experiment(config: ExperimentConfig, problem, *, log_lambda_drift=True) 
 
     Deterministic given the config seed.  Client updates run serially, and
     the result does not depend on the order in which clients are computed.
-    Divergence (a non-finite local update or iterate, or a global point
-    beyond the norm guard) stops the run early; the partial log is returned
-    with ``termination`` flagging the reason.  For strongly convex problems
-    the weighted output iterate is selected in a streaming pass alongside the
-    run.
+    Divergence (a non-finite local update, iterate or averaged block, or a
+    global point beyond the norm guard) stops the run early; the partial log
+    is returned with ``termination`` flagging the reason.  For strongly
+    convex problems the weighted output iterate is selected in a streaming
+    pass alongside the run.
     """
     x = config.initial_point()
     traj = TrajectoryLog(config=config)

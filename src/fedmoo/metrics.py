@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import validate_simplex
+from .core import roundoff_bound, validate_simplex
 from .minnorm import solve_min_norm
 
 __all__ = [
@@ -63,15 +63,16 @@ def delta_q(weights, x, problem) -> float:
     """Weighted optimality gap sum_s w_s [f_s(x) - f_s(x_*)] at x_* = x_*(weights).
 
     Requires the problem to expose the closed-form scalarization minimizer.
-    Nonnegative by definition of x_*; tiny negative roundoff (within 1e-12)
-    is clamped to zero, anything beyond that raises.
+    Nonnegative by definition of x_*; negative roundoff within
+    1e-12 * max(1, w . (|f(x)| + |f(x_*)|)) is clamped to zero, anything
+    beyond that raises.
     """
     w = validate_simplex(weights)
     if not problem.has_pareto_reference:
         raise ValueError(f"{problem.name} provides no scalarization minimizer for delta_q")
-    x_star = problem.pareto_point(w)
-    gap = float(w @ (problem.losses(x) - problem.losses(x_star)))
-    if gap < -1e-12:
+    f_x, f_star = problem.losses(x), problem.losses(problem.pareto_point(w))
+    gap = float(w @ (f_x - f_star))
+    if gap < -roundoff_bound(float(w @ (np.abs(f_x) + np.abs(f_star)))):
         raise AssertionError(f"delta_q={gap} below roundoff tolerance; "
                              "scalarization minimizer is inconsistent")
     return max(gap, 0.0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_direction_set, validate_simplex
+from .core import as_direction_set, roundoff_bound, validate_simplex
 
 __all__ = [
     "MinNormSolution",
@@ -59,15 +59,22 @@ def fw_gap(G, weights) -> float:
 
     Equals 2 * max_s <u, u - G_s> with u = weights^T G.  Zero exactly at the
     optimum; for any feasible point it upper-bounds the suboptimality
-    ||u||^2 - ||u*||^2.  Clamped at zero against roundoff.
+    ||u||^2 - ||u*||^2.  Clamped at zero against roundoff, within the
+    relative bound of :func:`fedmoo.core.roundoff_bound`; beyond it, raises.
     """
-    g = as_direction_set(G)
-    w = validate_simplex(weights)
-    u = w @ g
-    raw = 2.0 * float(u @ u - (g @ u).min())
-    if raw < -1e-12:
+    _, _, raw, scale = _duality_gap(as_direction_set(G), validate_simplex(weights))
+    if raw < -roundoff_bound(scale):
         raise AssertionError(f"negative duality gap {raw} indicates an infeasible point")
     return max(raw, 0.0)
+
+
+def _duality_gap(g, lam):
+    """u = lam^T G, ||u||^2, the raw gap 2 (||u||^2 - min_s <G_s, u>), and the
+    summed magnitude of the gap's two terms, which scales its roundoff."""
+    u = lam @ g
+    norm_sq = float(u @ u)
+    low = float((g @ u).min())
+    return u, norm_sq, 2.0 * (norm_sq - low), 2.0 * (norm_sq + abs(low))
 
 
 def _affine_min(Q, support) -> np.ndarray:
@@ -181,13 +188,13 @@ def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None,
 
     lam = np.maximum(lam, 0.0)
     lam /= lam.sum()
-    u = lam @ g
-    final_gap = max(2.0 * float(u @ u - (g @ u).min()), 0.0)  # lam is feasible
+    u, norm_sq, final_gap, _ = _duality_gap(g, lam)
+    final_gap = max(final_gap, 0.0)  # lam is feasible
     converged = final_gap <= tol
     if not converged and termination == "gap_tol":
         # renormalization nudged the gap back above tol; report honestly
         termination = "max_iter"
-    return MinNormSolution(lam, u, float(u @ u), final_gap, iterations, converged, termination)
+    return MinNormSolution(lam, u, norm_sq, final_gap, iterations, converged, termination)
 
 
 def closed_form_two(g1, g2) -> MinNormSolution:

@@ -14,7 +14,6 @@ number of distinct labels).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +31,6 @@ __all__ = [
     "synthetic_classification_suite",
     "PartitionPlan",
     "partition",
-    "save_dataset",
-    "load_dataset",
     "build_problem",
 ]
 
@@ -338,7 +335,6 @@ class LogisticTasksProblem(Problem):
         self.shards = plan.assignment
         # ridge acts per task view, so f_s is flat across other tasks' blocks
         self.mu = 0.0
-        self.view_ridge = self.ridge
         # per-task design matrix: shared block, rotated own core, bias column
         h = self.n_shared
         own_core = raw[:, h:]
@@ -392,7 +388,7 @@ def _haar_rotation(dim, rng) -> np.ndarray:
 def synthetic_classification_suite(d, S, M, A, n_per_client, partition_spec, seed, *,
                                    task_overlap=0.0, independent_labels=False,
                                    n_components=10, feature_scale=3.0, ridge=1e-2,
-                                   noise=1.0, dataset=None) -> LogisticTasksProblem:
+                                   noise=1.0) -> LogisticTasksProblem:
     """Build the multi-task logistic suite on Gaussian-mixture samples.
 
     The d model coordinates split into a shared block of ``round(task_overlap
@@ -407,9 +403,7 @@ def synthetic_classification_suite(d, S, M, A, n_per_client, partition_spec, see
     task, giving tasks of unequal difficulty.  ``partition_spec`` is either a
     prebuilt :class:`PartitionPlan` or a skew descriptor: ``"iid"`` or
     ``("label_skew", k)``, where the mixture component plays the role of the
-    label.  ``dataset`` optionally replays a previously dumped
-    (raw features, components, task_signs) triple instead of generating
-    fresh data.
+    label.
     """
     indicator = _as_indicator(A)
     if indicator.n_objectives != S or indicator.n_clients != M:
@@ -431,25 +425,16 @@ def synthetic_classification_suite(d, S, M, A, n_per_client, partition_spec, see
     # task 0 sees the canonical view; later tasks see Haar-rotated copies
     rotations = [np.eye(block - 1)] + [_haar_rotation(block - 1, rng)
                                        for _ in range(S - 1)]
-    if dataset is not None:
-        raw, components, task_signs = dataset
-        raw = np.asarray(raw, dtype=np.float64)
-        components = np.asarray(components, dtype=np.int64)
-        task_signs = np.asarray(task_signs, dtype=np.float64)
-        n_total = raw.shape[0]
-        if raw.shape[1] != m or task_signs.shape != (S, n_total):
-            raise ValueError("dataset arrays do not match the d/S/task_overlap layout")
-    else:
-        means = feature_scale * rng.standard_normal((n_components, m)) / np.sqrt(m)
-        components = np.repeat(np.arange(n_components), -(-n_total // n_components))[:n_total]
-        components = rng.permutation(components)
-        raw = means[components] + noise * rng.standard_normal((n_total, m))
-        task_signs = np.empty((S, n_total))
-        positive = rng.choice(n_components, n_components // 2, replace=False)
-        for s in range(S):
-            if independent_labels and s > 0:
-                positive = rng.choice(n_components, n_components // 2, replace=False)
-            task_signs[s] = np.where(np.isin(components, positive), 1.0, -1.0)
+    means = feature_scale * rng.standard_normal((n_components, m)) / np.sqrt(m)
+    components = np.repeat(np.arange(n_components), -(-n_total // n_components))[:n_total]
+    components = rng.permutation(components)
+    raw = means[components] + noise * rng.standard_normal((n_total, m))
+    task_signs = np.empty((S, n_total))
+    positive = rng.choice(n_components, n_components // 2, replace=False)
+    for s in range(S):
+        if independent_labels and s > 0:
+            positive = rng.choice(n_components, n_components // 2, replace=False)
+        task_signs[s] = np.where(np.isin(components, positive), 1.0, -1.0)
 
     if isinstance(partition_spec, PartitionPlan):
         plan = partition_spec
@@ -541,43 +526,6 @@ def partition(labels, n_clients, skew, seed=0) -> PartitionPlan:
         return PartitionPlan(merged, f"label_skew({k})", labels_per_client=k)
 
     raise ValueError(f"unknown skew descriptor {skew!r}")
-
-
-# Dataset dump/reload: magic, uint32 version, uint32 d, uint64 n, uint32 S
-# header followed by float64 features (n x d), int64 labels (n), float64
-# task signs (S x n), all little-endian row-major.
-_DATASET_MAGIC = b"FMOODS01"
-_DATASET_VERSION = 1
-
-
-def save_dataset(path, features, labels, task_signs):
-    feats = np.ascontiguousarray(features, dtype="<f8")
-    labs = np.ascontiguousarray(labels, dtype="<i8")
-    signs = np.ascontiguousarray(task_signs, dtype="<f8")
-    n, d = feats.shape
-    if labs.shape != (n,) or signs.shape[1] != n:
-        raise ValueError("inconsistent dataset array shapes")
-    with open(path, "wb") as fh:
-        fh.write(_DATASET_MAGIC)
-        fh.write(struct.pack("<IIQI", _DATASET_VERSION, d, n, signs.shape[0]))
-        fh.write(feats.tobytes())
-        fh.write(labs.tobytes())
-        fh.write(signs.tobytes())
-
-
-def load_dataset(path):
-    """Read back (features, labels, task_signs) written by :func:`save_dataset`."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_DATASET_MAGIC))
-        if magic != _DATASET_MAGIC:
-            raise ValueError(f"{path}: not a dataset file")
-        version, d, n, S = struct.unpack("<IIQI", fh.read(20))
-        if version != _DATASET_VERSION:
-            raise ValueError(f"{path}: unsupported dataset version {version}")
-        feats = np.frombuffer(fh.read(8 * n * d), dtype="<f8").reshape(n, d).copy()
-        labs = np.frombuffer(fh.read(8 * n), dtype="<i8").copy()
-        signs = np.frombuffer(fh.read(8 * S * n), dtype="<f8").reshape(S, n).copy()
-    return feats, labs, signs
 
 
 def _auto_centers(S, d, seed) -> np.ndarray:

@@ -129,7 +129,7 @@ _FIT_MODEL = {
 }
 
 
-def summarize_columns(cols: dict, f_min=None, eps_list=DEFAULT_EPS) -> dict:
+def summarize_columns(cols: dict, f_min=None) -> dict:
     """Thresholds and rate fits per metric series; the single source reports reuse.
 
     Rate fits use the second half of the trajectory (transients skipped) and
@@ -142,7 +142,7 @@ def summarize_columns(cols: dict, f_min=None, eps_list=DEFAULT_EPS) -> dict:
         if np.isnan(values).any():
             continue
         out["thresholds"][name] = {repr(float(eps)): rounds_to_threshold(values, eps)
-                                   for eps in eps_list}
+                                   for eps in DEFAULT_EPS}
         if window[1] - window[0] + 1 >= 5:
             fit = fit_rate(values, window, model=_FIT_MODEL[name], name=name)
             out["rate_fits"][name] = {

@@ -35,6 +35,13 @@ def quad_config(**overrides):
     return cfg
 
 
+def aggregate_overflow_config():
+    """Each client's update is finite near 1e308, but their sum overflows."""
+    cfg = quad_config(M=2, S=1, d=2, K=1, eta_local=0.0, init=[1.0e308, 0.0])
+    cfg["problem"]["centers"] = [[1.0, 0.0]]
+    return cfg
+
+
 class TestConfigSchema:
     def test_valid_config_parses(self):
         cfg = parse_config(quad_config())
@@ -198,6 +205,28 @@ class TestRunCommand:
         assert summary["final"] is None
         assert "partial log" in capsys.readouterr().err
 
+    def test_overflowing_aggregate_exits_3_naming_round_and_phase(self, tmp_path, capsys):
+        out = tmp_path / "agg"
+        assert main(["run", "--config", self._write(tmp_path, aggregate_overflow_config()),
+                     "--out", str(out)]) == 3
+        header = ("t,lambda_1,d_norm_sq,dbar_norm_sq,running_min_dbar,loss_1,"
+                  "delta_Q,fw_gap,lambda_drift\n")
+        assert (out / "rounds.csv").read_text() == header
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["termination"] == "diverged: non-finite aggregate at round 1, objective 0"
+        err = capsys.readouterr().err
+        assert "partial log" in err and "Traceback" not in err and "Warning" not in err
+
+    def test_large_scale_centers_complete_without_a_false_alarm(self, tmp_path):
+        # the weighted gap's roundoff at |centers| ~ 1e3 is ~1e-11, above a fixed 1e-12
+        cfg = quad_config(M=4, S=3, d=2, K=2, T=300, eta_global=0.5, eta_local=0.01, seed=0)
+        cfg["problem"].update(centers=[[1000.0, 0.0], [0.0, 1000.0], [-600.0, 800.0]],
+                              heterogeneity=0.3)
+        out = tmp_path / "big"
+        assert main(["run", "--config", self._write(tmp_path, cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["termination"] == "completed" and summary["final"]["t"] == 300
+
     def test_unsigned_exponent_init_is_echoed_as_parsed_numbers(self, tmp_path):
         # PyYAML reads 1.0e3 (no exponent sign) as a string
         text = yaml.safe_dump(quad_config(d=2)) + "init: [1.0e3, 0.0]\n"
@@ -322,6 +351,17 @@ class TestSweepCommand:
         statuses = [m["status"] for m in summary["members"]]
         assert statuses[0] == "ok" and statuses[1] == "error(3)"
 
+    def test_parallel_members_with_overflowing_aggregates_are_recorded(self, tmp_path):
+        spath = tmp_path / "sweep.yaml"
+        spath.write_text(yaml.safe_dump({"base": aggregate_overflow_config(), "axis": "M",
+                                         "values": [2, 3]}))
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", str(spath), "--out", str(out), "--jobs", "2"]) == 3
+        members = json.loads((out / "sweep_summary.json").read_text())["members"]
+        assert [m["status"] for m in members] == ["error(3)", "error(3)"]
+        for member in members:
+            summary = json.loads((out / member["dir"] / "summary.json").read_text())
+            assert summary["termination"].endswith("aggregate at round 1, objective 0")
 
     def test_out_of_range_member_is_recorded_and_sweep_continues(self, tmp_path):
         # label skew with 2 labels per client cannot cover 4 labels with one client

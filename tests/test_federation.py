@@ -1,5 +1,7 @@
 """Round engine: local steps, aggregation, full rounds, weighted output."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,6 +264,19 @@ class TestRunRound:
         acc /= 2
         acc /= 4
         assert np.array_equal(x_next, x - 0.7 * acc)
+
+    def test_overflowing_average_raises_with_round_and_row_and_no_warning(self):
+        # objective 0 has one owner; objective 1 sums two finite updates near 1e308
+        A = IndicatorMatrix(np.array([[1, 0], [1, 1]]))
+        prob = quadratic_suite(2, 2, np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0, 2, A, seed=0)
+        cfg = base_config(prob, A, eta_local=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                run_round(4, np.array([1e308, 0.0]), cfg, prob)
+        exc = err.value
+        assert (exc.round_index, exc.client, exc.objective, exc.step) == (4, None, 1, None)
+        assert str(exc) == "non-finite aggregate at round 4, objective 1"
 
     def test_vanishing_step_changes_nothing(self):
         # the config requires eta_global > 0; a step below one ulp is a null step

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmoo.core import IndicatorMatrix
 from fedmoo.metrics import (dbar_norm_sq, delta_q, fit_rate, lambda_drift,
@@ -62,6 +64,26 @@ class TestDeltaQ:
         for _ in range(100):
             lam = rng.dirichlet(np.ones(2))
             assert delta_q(lam, rng.standard_normal(3), prob) >= 0.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(exponent=st.floats(-6.0, 6.0), seed=st.integers(0, 2**16), ulps=st.integers(-3, 3))
+    def test_roundoff_next_to_the_minimizer_passes_at_every_center_scale(
+            self, exponent, seed, ulps):
+        # a few ulps from x_*, the gap is roundoff of losses that grow as |centers|^2
+        rng = np.random.default_rng(seed)
+        centers = 10.0 ** exponent * rng.standard_normal((3, 2))
+        prob = quadratic_suite(2, 3, centers, 1.0, 4, IndicatorMatrix.all_ones(3, 4),
+                               heterogeneity=0.3, seed=seed)
+        lam = rng.dirichlet(np.ones(3))
+        x_star = prob.pareto_point(lam)
+        assert delta_q(lam, x_star + ulps * np.spacing(x_star), prob) >= 0.0
+
+    def test_gap_beyond_roundoff_still_raises(self):
+        prob = plain_quadratic([[1000.0, 0.0], [0.0, 1000.0]])
+        lam = np.array([0.5, 0.5])
+        prob.pareto_point = lambda w: np.array([400.0, 400.0])  # not the minimizer (500, 500)
+        with pytest.raises(AssertionError, match="below roundoff tolerance"):
+            delta_q(lam, np.array([500.0, 500.0]), prob)
 
     def test_requires_pareto_reference(self):
         prob = toy_nonconvex_suite(3, 2, 1, IndicatorMatrix.all_ones(2, 1), 1)

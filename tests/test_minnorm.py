@@ -176,6 +176,16 @@ class TestFwGap:
         G = np.array([[1.0, 0.0], [0.0, 1.0]])
         assert fw_gap(G, np.array([1.0, 0.0])) == pytest.approx(2.0)
 
+    @settings(max_examples=80, deadline=None)
+    @given(exponent=st.floats(-6.0, 6.0), seed=st.integers(0, 2**16))
+    def test_optimum_certifies_at_every_scale(self, exponent, seed):
+        # the gap's roundoff at the optimum grows as |G|^2
+        rng = np.random.default_rng(seed)
+        G = 10.0 ** exponent * rng.standard_normal((int(rng.integers(2, 6)),
+                                                    int(rng.integers(2, 6))))
+        sol = solve_min_norm(G)
+        assert fw_gap(G, sol.weights) == sol.fw_gap >= 0.0
+
     def test_bounds_suboptimality(self):
         rng = np.random.default_rng(43)
         for _ in range(30):

@@ -1,4 +1,4 @@
-"""Problem suites: gradients, certificates, partitions, dataset round-trips."""
+"""Problem suites: gradients, certificates, partitions."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,8 @@ from scipy.stats import chisquare
 
 from fedmoo.core import IndicatorMatrix
 from fedmoo.minnorm import solve_min_norm
-from fedmoo.problems import (PartitionPlan, load_dataset, partition, quadratic_suite,
-                             save_dataset, synthetic_classification_suite,
-                             toy_nonconvex_suite)
+from fedmoo.problems import (PartitionPlan, partition, quadratic_suite,
+                             synthetic_classification_suite, toy_nonconvex_suite)
 
 
 def fd_gradient(fn, x, h=1e-6):
@@ -214,24 +213,6 @@ class TestClassificationSuite:
             x = rng.standard_normal(12)
             for s in range(2):
                 assert prob.global_loss(s, x) >= prob.f_min[s] - 1e-9
-
-    def test_dataset_dump_reload_rebuilds_identical_suite(self, tmp_path):
-        prob = self._suite()
-        path = tmp_path / "data.bin"
-        save_dataset(path, prob.raw, prob.components, prob.task_signs)
-        raw, comps, signs = load_dataset(path)
-        assert np.array_equal(raw, prob.raw)
-        assert np.array_equal(comps, prob.components)
-        assert np.array_equal(signs, prob.task_signs)
-        rebuilt = self._suite(dataset=(raw, comps, signs))
-        x = np.random.default_rng(8).standard_normal(12)
-        assert rebuilt.losses(x) == pytest.approx(prob.losses(x), abs=0)
-
-    def test_dataset_magic_is_checked(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"not a dataset")
-        with pytest.raises(ValueError, match="not a dataset"):
-            load_dataset(path)
 
 
 class TestPartition:
