@@ -19,8 +19,7 @@ centers = rng.standard_normal((2, 10))
 centers /= np.linalg.norm(centers, axis=1, keepdims=True)
 
 A = IndicatorMatrix.all_ones(2, 4)
-problem = quadratic_suite(10, 2, centers, 1.0, 4, A,
-                          heterogeneity=0.3, n_per_client=32, seed=42)
+problem = quadratic_suite(10, A, centers=centers, heterogeneity=0.3, n_per_client=32, seed=42)
 print(f"suite: mu = {problem.mu:.3f}, L = {problem.smoothness:.3f}")
 
 eta = 0.1

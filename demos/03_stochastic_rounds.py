@@ -14,8 +14,8 @@ from fedmoo import (ExperimentConfig, IndicatorMatrix, quadratic_suite, run_expe
                     running_min, toy_nonconvex_suite)
 
 A = IndicatorMatrix(np.array([[1, 1, 0], [0, 1, 1]]))
-problem = toy_nonconvex_suite(5, 2, 3, A, 100, n_terms=6, heterogeneity=0.3,
-                              amp_noise=0.5, n_per_client=64)
+problem = toy_nonconvex_suite(5, A, n_terms=6, heterogeneity=0.3, amp_noise=0.5, n_per_client=64,
+                              seed=100)
 print(f"tanh suite: L = {problem.smoothness:.2f}, G = {problem.grad_bound:.2f}, "
       f"D = {problem.stoch_grad_bound:.2f}")
 
@@ -50,8 +50,8 @@ print("\nvariance floor on the quadratic suite (delta_Q plateau, last 20%):")
 A4 = IndicatorMatrix.all_ones(2, 4)
 rng = np.random.default_rng(40)
 centers = rng.standard_normal((2, 6))
-quad = quadratic_suite(6, 2, centers, 1.0, 4, A4, heterogeneity=0.3,
-                       n_per_client=128, data_spread=1.5, seed=40)
+quad = quadratic_suite(6, A4, centers=centers, heterogeneity=0.3, n_per_client=128,
+                       data_spread=1.5, seed=40)
 for batch in (16, 64, None):
     config = ExperimentConfig(M=4, S=2, indicator=A4, d=6, K=5, T=300,
                               eta_global=0.3, eta_local=1e-2,

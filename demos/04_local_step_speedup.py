@@ -21,8 +21,9 @@ EPS = 1e-2
 print(f"{'seed':>5} {'K=1':>6} {'K=5':>6} {'K=10':>6}")
 table = {k: [] for k in (1, 5, 10)}
 for seed in (300, 301, 302):
-    problem = synthetic_classification_suite(12, 2, 5, A, 40, ("label_skew", 2),
-                                             seed, n_components=10, ridge=0.05)
+    problem = synthetic_classification_suite(12, A, n_per_client=40, partition="label_skew",
+                                             labels_per_client=2, n_components=10, ridge=0.05,
+                                             seed=seed)
     shard_labels = problem.plan.shard_labels(problem.components)
     assert all(len(labs) <= 2 for labs in shard_labels)
     row = []

@@ -1,12 +1,13 @@
 """Experiment driver: ``fedmoo run | sweep | verify | report``.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime divergence
-(a non-finite local update or averaged block, named by round and phase, or a
-global point beyond the norm guard; the partial log is written), 4
-verification failure.  Output directories are immutable run artifacts:
-``rounds.csv`` plus ``summary.json`` per run, and ``sweep_summary.json`` at
-the sweep root.  Nothing is overwritten without ``--force``.  The default
-output root is ``$FEDMOO_OUT`` (falling back to ``./runs``).
+(a non-finite local update, averaged block or min-norm solve, named by round
+and phase, or a global point beyond the norm guard; the partial log is
+written), 4 verification failure.  Output directories are immutable run
+artifacts: ``rounds.csv`` plus ``summary.json`` per run, and
+``sweep_summary.json`` at the sweep root.  Nothing is overwritten without
+``--force``.  The default output root is ``$FEDMOO_OUT`` (falling back to
+``./runs``).
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ def _execute_run(config, raw, out_dir: str) -> tuple[int, dict]:
     summary = build_summary(traj, raw, problem)
     write_summary_json(os.path.join(out_dir, "summary.json"), summary)
     if traj.termination != "completed":
-        print(f"{config.name}: {traj.termination} (partial log written to {out_dir})",
-              file=sys.stderr)
+        # one write per line, so concurrent sweep members cannot interleave within it
+        sys.stderr.write(f"{config.name}: {traj.termination} "
+                         f"(partial log written to {out_dir})\n")
         return EXIT_DIVERGED, summary
     print(f"{config.name}: {len(traj.records)} rounds -> {out_dir}")
     return EXIT_OK, summary

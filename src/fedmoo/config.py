@@ -28,16 +28,10 @@ Top-level keys::
     client_weights       optional M positive weights for imbalanced averaging
     problem              problem section, see below
 
-Problem sections (``kind`` selects the suite)::
-
-    kind: quadratic      centers ("auto" or S x d rows), curvature,
-                         heterogeneity, curvature_spread, n_per_client,
-                         data_spread, seed
-    kind: nonconvex      n_terms, ridge, heterogeneity, amp_noise,
-                         n_per_client, seed
-    kind: classification n_per_client, partition ("iid" | "label_skew"),
-                         labels_per_client, n_components, feature_scale,
-                         ridge, noise, seed
+The problem section names the suite by ``kind``; its other keys and their
+types are :data:`fedmoo.problems.SUITES`, and the suite builders' docstrings
+document them.  Each key is a keyword argument of the builder, which holds
+its default, and ``seed`` defaults to the top-level seed.
 
 Sweep files hold ``base`` (inline config map or path to one), ``axis`` (one
 of K, batch_size, eta_local, M, heterogeneity) and ``values``.
@@ -55,6 +49,7 @@ import numpy as np
 import yaml
 
 from .core import ConfigError, ExperimentConfig, IndicatorMatrix, ProblemConfig
+from .problems import SUITES
 
 __all__ = ["parse_config", "load_config", "SweepSpec", "load_sweep", "apply_axis"]
 
@@ -82,19 +77,6 @@ _REQUIRED = {"M", "S", "d", "indicator", "K", "T", "eta_global", "eta_local", "s
 _SCALARS = {"name": str, "M": int, "S": int, "d": int, "K": int, "T": int,
             "eta_global": float, "eta_local": float, "mode": str, "seed": int,
             "sample_sharing": str, "normalize_delta_by_K": bool, "snapshot_every": int}
-
-# Problem keys per kind and their types; ``list`` is "auto" or rows of numbers.
-_PROBLEM_KEYS = {
-    "quadratic": {"centers": list, "curvature": float, "heterogeneity": float,
-                  "curvature_spread": float, "n_per_client": int, "data_spread": float,
-                  "seed": int},
-    "nonconvex": {"n_terms": int, "ridge": float, "heterogeneity": float, "amp_noise": float,
-                  "n_per_client": int, "seed": int},
-    "classification": {"n_per_client": int, "partition": str, "labels_per_client": int,
-                       "task_overlap": float, "independent_labels": bool,
-                       "n_components": int, "feature_scale": float, "ridge": float,
-                       "noise": float, "seed": int},
-}
 
 SWEEP_AXES = ("K", "batch_size", "eta_local", "M", "heterogeneity")
 
@@ -188,11 +170,10 @@ def parse_config(mapping: dict) -> ExperimentConfig:
     if "kind" not in prob_raw:
         raise ConfigError("problem.kind", "required key is missing")
     kind = _check_type(prob_raw["kind"], str, "problem.kind")
-    if kind not in _PROBLEM_KEYS:
+    if kind not in SUITES:
         raise ConfigError("problem.kind",
-                          f"unknown problem kind {kind!r}; expected one of "
-                          f"{sorted(_PROBLEM_KEYS)}")
-    types = _PROBLEM_KEYS[kind]
+                          f"unknown problem kind {kind!r}; expected one of {sorted(SUITES)}")
+    types = SUITES[kind][1]
     params = {k: v for k, v in prob_raw.items() if k != "kind"}
     _check_keys(params, types, "problem")
     kwargs["problem"] = ProblemConfig(

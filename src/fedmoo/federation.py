@@ -47,7 +47,9 @@ class DivergenceError(RuntimeError):
     In the local phase these locate the first non-finite update or iterate of
     a client's local steps.  In the aggregate phase (``client`` and ``step``
     are None) the clients' updates are finite but the averaged block is not,
-    and ``objective`` is its first non-finite row.
+    and ``objective`` is its first non-finite row.  In the solve phase (all
+    three None) the averaged block is finite but the min-norm solve's norm or
+    direction is not, because the block's Gram matrix overflowed.
     """
 
     def __init__(self, round_index, client, objective, step):
@@ -55,7 +57,9 @@ class DivergenceError(RuntimeError):
         self.client = client
         self.objective = objective
         self.step = step
-        if client is None:
+        if objective is None:
+            super().__init__(f"non-finite min-norm solve at round {round_index}")
+        elif client is None:
             super().__init__(f"non-finite aggregate at round {round_index}, objective {objective}")
         else:
             super().__init__(f"non-finite local update at round {round_index}, client {client}, "
@@ -240,7 +244,8 @@ def run_round(round_index, x_t, config, problem, *, log_lambda_drift=True):
     Metrics in the record refer to the round's start point: the losses, the
     true-gradient stationarity measure under the round's weights, and the
     optimality gap when the problem has a scalarization reference.  A
-    non-finite client update or averaged block raises :class:`DivergenceError`.
+    non-finite client update, averaged block or min-norm solve raises
+    :class:`DivergenceError` before any metric is computed.
     """
     batch = config.batch_size if config.mode == "stochastic" else None
     outputs = [client_update_stochastic(x_t, i, config.indicator.client_objectives[i],
@@ -250,10 +255,12 @@ def run_round(round_index, x_t, config, problem, *, log_lambda_drift=True):
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         delta = server_aggregate(outputs, config.indicator, config.K,
                                  config.normalize_delta_by_K, config.client_weights)
-    finite = np.isfinite(delta).all(axis=1)
-    if not finite.all():
-        raise DivergenceError(round_index, None, int(np.argmin(finite)), None)
-    sol = solve_min_norm(delta)
+        finite = np.isfinite(delta).all(axis=1)
+        if not finite.all():
+            raise DivergenceError(round_index, None, int(np.argmin(finite)), None)
+        sol = solve_min_norm(delta)
+    if not np.isfinite(sol.norm_sq):  # ||direction||^2: finite only with the direction
+        raise DivergenceError(round_index, None, None, None)
 
     dbar = metrics.dbar_norm_sq(sol.weights, x_t, problem)
     losses = problem.losses(x_t)
@@ -324,11 +331,11 @@ def run_experiment(config: ExperimentConfig, problem, *, log_lambda_drift=True) 
 
     Deterministic given the config seed.  Client updates run serially, and
     the result does not depend on the order in which clients are computed.
-    Divergence (a non-finite local update, iterate or averaged block, or a
-    global point beyond the norm guard) stops the run early; the partial log
-    is returned with ``termination`` flagging the reason.  For strongly
-    convex problems the weighted output iterate is selected in a streaming
-    pass alongside the run.
+    Divergence (a non-finite local update, iterate, averaged block or
+    min-norm solve, or a global point beyond the norm guard) stops the run
+    early; the partial log is returned with ``termination`` flagging the
+    reason.  For strongly convex problems the weighted output iterate is
+    selected in a streaming pass alongside the run.
     """
     x = config.initial_point()
     traj = TrajectoryLog(config=config)

@@ -36,8 +36,7 @@ class MinNormSolution:
 
     ``direction = weights @ G`` and ``norm_sq = ||direction||^2``.  ``fw_gap``
     is the Frank-Wolfe duality gap at the returned point; ``converged`` is
-    False when the iteration budget ran out before the gap tolerance was met,
-    in which case ``termination`` says so explicitly.
+    False when the budget ran out or ``G G^T`` overflowed, as ``termination`` says.
     """
 
     weights: np.ndarray
@@ -124,7 +123,8 @@ def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     supported or gets no weight), or after ``max_iter`` updates, each an
     affine solve (default ``10*S*d + 1000``); an exhausted budget is
     reported as ``converged=False`` rather than silently returned.  The
-    returned direction, norm and gap are computed from ``G`` itself.
+    returned direction, norm and gap are computed from ``G`` itself.  An
+    overflowing Gram matrix returns NaN weights and direction (``overflow``).
 
     ``callback(iteration, weights, objective)`` is invoked once per major
     cycle before its update, mainly so tests can observe the objective
@@ -145,6 +145,9 @@ def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         return MinNormSolution(lam, u, float(u @ u), 0.0, 0, True, "single_objective")
 
     Q = g @ g.T
+    if not np.isfinite(Q).all():  # overflowed inner products cannot rank the vertices
+        return MinNormSolution(np.full(n, np.nan), np.full(g.shape[1], np.nan), np.inf,
+                               np.inf, 0, False, "overflow")
     first = int(np.argmin(np.diag(Q)))
     lam = np.zeros(n)
     lam[first] = 1.0

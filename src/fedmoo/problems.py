@@ -31,6 +31,7 @@ __all__ = [
     "synthetic_classification_suite",
     "PartitionPlan",
     "partition",
+    "SUITES",
     "build_problem",
 ]
 
@@ -43,10 +44,6 @@ _TAG_QUAD, _TAG_TANH, _TAG_CLS, _TAG_PART, _TAG_CENTERS = 11, 12, 13, 14, 15
 
 def _rng(seed, tag: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) & (2**64 - 1), tag])
-
-
-def _as_indicator(A) -> IndicatorMatrix:
-    return A if isinstance(A, IndicatorMatrix) else IndicatorMatrix(np.asarray(A))
 
 
 class Problem:
@@ -187,31 +184,36 @@ class QuadraticProblem(Problem):
         return (w @ self.eff_centers) / w.sum()
 
 
-def quadratic_suite(d, S, centers, curvature, M, A, *, heterogeneity=0.0,
-                    curvature_spread=0.0, n_per_client=32, data_spread=1.0,
-                    seed=0) -> QuadraticProblem:
+def quadratic_suite(d, A: IndicatorMatrix, *, centers="auto", curvature=1.0,
+                    heterogeneity=0.0, curvature_spread=0.0, n_per_client=32,
+                    data_spread=1.0, seed=0) -> QuadraticProblem:
     """Build the strongly convex quadratic suite.
 
+    Keys: ``centers`` is ``"auto"`` (unit-norm rows drawn from ``seed``) or
+    S x d base centers; ``curvature`` (> 0) is the base curvature;
     ``heterogeneity`` is the spread radius of client centers around each base
     center; ``curvature_spread`` (in [0, 1)) lets per-shard curvatures vary
     around ``curvature``, which makes accumulated local updates genuinely
-    biased and so gives the local-step error floor something to show.  With
-    both at zero all shards of an objective are identical.
+    biased and so gives the local-step error floor something to show;
+    ``n_per_client`` anchor points per shard lie ``data_spread`` around the
+    client center.  With ``heterogeneity`` and ``curvature_spread`` at zero
+    all shards of an objective are identical.
     """
-    indicator = _as_indicator(A)
-    if indicator.n_objectives != S or indicator.n_clients != M:
-        raise ValueError(f"indicator shape {indicator.entries.shape} != ({S}, {M})")
+    S, M = A.n_objectives, A.n_clients
     if not curvature > 0:
         raise ValueError(f"curvature must be > 0, got {curvature}")
     if not 0 <= curvature_spread < 1:
         raise ValueError(f"curvature_spread must be in [0, 1), got {curvature_spread}")
+    if isinstance(centers, str) and centers == "auto":
+        centers = _rng(seed, _TAG_CENTERS).standard_normal((S, d))
+        centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     centers = np.asarray(centers, dtype=np.float64)
     if centers.shape != (S, d):
         raise ValueError(f"centers must have shape ({S}, {d}), got {centers.shape}")
 
     rng = _rng(seed, _TAG_QUAD)
     client_centers = np.broadcast_to(centers[:, None, :], (S, M, d)).copy()
-    for s, owners in enumerate(indicator.owner_sets):
+    for s, owners in enumerate(A.owner_sets):
         if len(owners) > 1 and heterogeneity > 0:
             offs = heterogeneity * rng.standard_normal((len(owners), d))
             offs -= offs.mean(axis=0)
@@ -223,7 +225,7 @@ def quadratic_suite(d, S, centers, curvature, M, A, *, heterogeneity=0.0,
     anchors = client_centers[:, :, None, :] + data_spread * rng.standard_normal(
         (S, M, n_per_client, d))
     anchors -= anchors.mean(axis=2, keepdims=True) - client_centers[:, :, None, :]
-    return QuadraticProblem(indicator, centers, client_centers, client_curv, anchors)
+    return QuadraticProblem(A, centers, client_centers, client_curv, anchors)
 
 
 class TanhRidgeProblem(Problem):
@@ -281,15 +283,18 @@ class TanhRidgeProblem(Problem):
         return self.n_per_client
 
 
-def toy_nonconvex_suite(d, S, M, A, seed, *, n_terms=6, ridge=0.0,
-                        heterogeneity=0.2, amp_noise=0.3,
-                        n_per_client=64) -> TanhRidgeProblem:
-    """Build the non-convex tanh-mixture suite with reported G and L constants."""
+def toy_nonconvex_suite(d, A: IndicatorMatrix, *, n_terms=6, ridge=0.0, heterogeneity=0.2,
+                        amp_noise=0.3, n_per_client=64, seed=0) -> TanhRidgeProblem:
+    """Build the non-convex tanh-mixture suite with reported G and L constants.
+
+    Keys: each objective sums ``n_terms`` tanh terms plus ``ridge``/2 ||x||^2;
+    ``heterogeneity`` perturbs each client's amplitudes and offsets around the
+    objective's; each shard holds ``n_per_client`` samples whose amplitude
+    factors have spread ``amp_noise``; ``seed`` fixes the instance.
+    """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    indicator = _as_indicator(A)
-    if indicator.n_objectives != S or indicator.n_clients != M:
-        raise ValueError(f"indicator shape {indicator.entries.shape} != ({S}, {M})")
+    S, M = A.n_objectives, A.n_clients
     rng = _rng(seed, _TAG_TANH)
 
     weights = rng.standard_normal((S, n_terms, d)) / np.sqrt(d)
@@ -299,7 +304,7 @@ def toy_nonconvex_suite(d, S, M, A, seed, *, n_terms=6, ridge=0.0,
     offsets = base_off[:, None, :] + heterogeneity * rng.standard_normal((S, M, n_terms))
     eps = amp_noise * rng.standard_normal((S, M, n_per_client, n_terms))
     eps -= eps.mean(axis=2, keepdims=True)
-    return TanhRidgeProblem(indicator, d, weights, amps, offsets, eps, ridge)
+    return TanhRidgeProblem(A, d, weights, amps, offsets, eps, ridge)
 
 
 class LogisticTasksProblem(Problem):
@@ -385,14 +390,18 @@ def _haar_rotation(dim, rng) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def synthetic_classification_suite(d, S, M, A, n_per_client, partition_spec, seed, *,
-                                   task_overlap=0.0, independent_labels=False,
-                                   n_components=10, feature_scale=3.0, ridge=1e-2,
-                                   noise=1.0) -> LogisticTasksProblem:
+def synthetic_classification_suite(d, A: IndicatorMatrix, *, n_per_client=64, partition="iid",
+                                   labels_per_client=None, task_overlap=0.0,
+                                   independent_labels=False, n_components=10,
+                                   feature_scale=3.0, ridge=1e-2, noise=1.0,
+                                   seed=0) -> LogisticTasksProblem:
     """Build the multi-task logistic suite on Gaussian-mixture samples.
 
-    The d model coordinates split into a shared block of ``round(task_overlap
-    * d)`` coordinates plus one equal block per task (each ending in that
+    Keys: each client holds ``n_per_client`` samples of a mixture of
+    ``n_components`` Gaussians with means of scale ``feature_scale`` and
+    standard deviation ``noise``; ``ridge`` regularizes each task.  The d
+    model coordinates split into a shared block of ``round(task_overlap *
+    d)`` coordinates plus one equal block per task (each ending in that
     task's bias); task s reads the shared block and its own orthogonal
     rotation of the sample's own-view core.  ``task_overlap=0`` decouples the
     tasks so the joint optimum reaches every task's individual minimum;
@@ -400,14 +409,18 @@ def synthetic_classification_suite(d, S, M, A, n_per_client, partition_spec, see
     default every task labels the same half of the mixture components
     positive (matched difficulty, like classifying the same digits in two
     sub-images); ``independent_labels`` draws a separate component split per
-    task, giving tasks of unequal difficulty.  ``partition_spec`` is either a
-    prebuilt :class:`PartitionPlan` or a skew descriptor: ``"iid"`` or
-    ``("label_skew", k)``, where the mixture component plays the role of the
-    label.
+    task, giving tasks of unequal difficulty.  ``partition`` is ``"iid"`` or
+    ``"label_skew"``, where the mixture component plays the role of the
+    label and each client sees at most ``labels_per_client`` (default 2;
+    label skew only) of them.
     """
-    indicator = _as_indicator(A)
-    if indicator.n_objectives != S or indicator.n_clients != M:
-        raise ValueError(f"indicator shape {indicator.entries.shape} != ({S}, {M})")
+    S, M = A.n_objectives, A.n_clients
+    skew = partition
+    if partition == "label_skew":
+        skew = ("label_skew", 2 if labels_per_client is None else labels_per_client)
+    elif labels_per_client is not None:
+        raise ValueError(f"labels_per_client applies to partition 'label_skew', "
+                         f"not {partition!r}")
     if not 0 <= task_overlap < 1:
         raise ValueError(f"task_overlap must be in [0, 1), got {task_overlap}")
     n_shared = round(task_overlap * d)
@@ -436,13 +449,8 @@ def synthetic_classification_suite(d, S, M, A, n_per_client, partition_spec, see
             positive = rng.choice(n_components, n_components // 2, replace=False)
         task_signs[s] = np.where(np.isin(components, positive), 1.0, -1.0)
 
-    if isinstance(partition_spec, PartitionPlan):
-        plan = partition_spec
-        if plan.n_samples != n_total:
-            raise ValueError(f"partition covers {plan.n_samples} samples, expected {n_total}")
-    else:
-        plan = partition(components, M, partition_spec, seed=seed)
-    return LogisticTasksProblem(indicator, d, raw, components, task_signs, task_cols,
+    plan = _partition(components, M, skew, seed=seed)
+    return LogisticTasksProblem(A, d, raw, components, task_signs, task_cols,
                                 n_shared, rotations, plan, ridge)
 
 
@@ -462,14 +470,6 @@ class PartitionPlan:
             raise ValueError("shards overlap")
         if joined.size and (np.sort(joined) != np.arange(joined.size)).any():
             raise ValueError("shards do not cover all sample indices")
-
-    @property
-    def n_clients(self) -> int:
-        return len(self.assignment)
-
-    @property
-    def n_samples(self) -> int:
-        return sum(len(a) for a in self.assignment)
 
     def shard_labels(self, labels) -> list[np.ndarray]:
         labels = np.asarray(labels)
@@ -528,39 +528,36 @@ def partition(labels, n_clients, skew, seed=0) -> PartitionPlan:
     raise ValueError(f"unknown skew descriptor {skew!r}")
 
 
-def _auto_centers(S, d, seed) -> np.ndarray:
-    rng = _rng(seed, _TAG_CENTERS)
-    c = rng.standard_normal((S, d))
-    return c / np.linalg.norm(c, axis=1, keepdims=True)
+# the classification builder's ``partition`` key shadows the function's name
+_partition = partition
+
+# Problem kind -> (suite builder, {section key: type}); each key is a keyword-only
+# parameter of the builder, which holds its default; ``list`` is "auto" or rows.
+SUITES = {
+    "quadratic": (quadratic_suite, {
+        "centers": list, "curvature": float, "heterogeneity": float,
+        "curvature_spread": float, "n_per_client": int, "data_spread": float, "seed": int}),
+    "nonconvex": (toy_nonconvex_suite, {
+        "n_terms": int, "ridge": float, "heterogeneity": float, "amp_noise": float,
+        "n_per_client": int, "seed": int}),
+    "classification": (synthetic_classification_suite, {
+        "n_per_client": int, "partition": str, "labels_per_client": int,
+        "task_overlap": float, "independent_labels": bool, "n_components": int,
+        "feature_scale": float, "ridge": float, "noise": float, "seed": int}),
+}
 
 
 def build_problem(config: ExperimentConfig) -> Problem:
-    """Construct the problem suite described by ``config.problem``; bad values are ConfigErrors."""
+    """Call the builder of ``config.problem.kind`` with the section's keys, ``seed``
+    defaulting to the top-level seed; bad values are ConfigErrors."""
     if config.problem is None:
         raise ConfigError("problem", "configuration has no problem section")
-    kind = config.problem.kind
-    if kind not in ("quadratic", "nonconvex", "classification"):
-        raise ConfigError("problem.kind", f"unknown problem kind {kind!r}")
-    params = dict(config.problem.params)
-    A = config.indicator
+    if config.problem.kind not in SUITES:
+        raise ConfigError("problem.kind", f"unknown problem kind {config.problem.kind!r}")
+    builder, _ = SUITES[config.problem.kind]
     try:
-        if kind == "quadratic":
-            centers = params.pop("centers", "auto")
-            if isinstance(centers, str):  # parse_config allows "auto" or rows of numbers
-                centers = _auto_centers(config.S, config.d, config.seed)
-            problem = quadratic_suite(config.d, config.S, centers, params.pop("curvature", 1.0),
-                                      config.M, A, seed=params.pop("seed", config.seed),
-                                      **params)
-        elif kind == "nonconvex":
-            problem = toy_nonconvex_suite(config.d, config.S, config.M, A,
-                                          params.pop("seed", config.seed), **params)
-        else:
-            skew = params.pop("partition", "iid")
-            if skew == "label_skew":
-                skew = ("label_skew", params.pop("labels_per_client", 2))
-            problem = synthetic_classification_suite(
-                config.d, config.S, config.M, A, params.pop("n_per_client", 64),
-                skew, params.pop("seed", config.seed), **params)
+        problem = builder(config.d, config.indicator,
+                          **{"seed": config.seed, **config.problem.params})
     except ValueError as exc:  # a value of the right type but out of range
         raise ConfigError("problem", str(exc)) from exc
     if config.mode == "stochastic" and config.batch_size is not None:

@@ -138,13 +138,14 @@ def _fd_gradient(fn, x, h=1e-6):
 
 def _sample_problems(seed):
     A = IndicatorMatrix(np.array([[1, 1, 0], [0, 1, 1]]))
-    quad = quadratic_suite(4, 2, np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]), 1.3, 3, A,
+    quad = quadratic_suite(4, A, centers=[[1.0, 0, 0, 0], [0, 1.0, 0, 0]], curvature=1.3,
                            heterogeneity=0.4, curvature_spread=0.3, n_per_client=16,
                            seed=seed)
-    tanh = toy_nonconvex_suite(4, 2, 3, A, seed, n_terms=5, heterogeneity=0.3,
-                               n_per_client=24)
-    cls = synthetic_classification_suite(8, 2, 3, A, 30, ("label_skew", 4), seed,
-                                         n_components=6, task_overlap=0.25)
+    tanh = toy_nonconvex_suite(4, A, n_terms=5, heterogeneity=0.3, n_per_client=24,
+                               seed=seed)
+    cls = synthetic_classification_suite(8, A, n_per_client=30, partition="label_skew",
+                                         labels_per_client=4, n_components=6,
+                                         task_overlap=0.25, seed=seed)
     return [quad, tanh, cls]
 
 
@@ -197,7 +198,7 @@ def check_mgd_reduction(rounds=50, seed=20244) -> CheckResult:
     """Engine with M=1, K=1, full gradients is bit-identical to direct MGD."""
     A = IndicatorMatrix.all_ones(2, 1)
     centers = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, -0.5]])
-    problem = quadratic_suite(3, 2, centers, 1.0, 1, A, seed=seed)
+    problem = quadratic_suite(3, A, centers=centers, seed=seed)
     config = ExperimentConfig(M=1, S=2, indicator=A, d=3, K=1, T=rounds,
                               eta_global=0.5, eta_local=0.1, seed=seed,
                               snapshot_every=1)
@@ -215,8 +216,8 @@ def check_descent(rounds=100, seed=20245, slack=1e-12) -> CheckResult:
     """Every objective non-increasing per round at the guaranteed step size."""
     A = IndicatorMatrix.all_ones(2, 1)
     suites = [
-        quadratic_suite(3, 2, np.array([[1.0, 0, 0], [0, 1.0, 0]]), 1.0, 1, A, seed=seed),
-        toy_nonconvex_suite(3, 2, 1, A, seed, n_terms=5),
+        quadratic_suite(3, A, centers=[[1.0, 0, 0], [0, 1.0, 0]], seed=seed),
+        toy_nonconvex_suite(3, A, n_terms=5, seed=seed),
     ]
     for problem in suites:
         eta = descent_step_limit(problem.smoothness)

@@ -67,7 +67,7 @@ def test_02_closed_form_agreement():
 def test_03_mgd_reduction_bit_identical():
     A = IndicatorMatrix.all_ones(2, 1)
     centers = auto_centers(2, 4, 77)
-    prob = quadratic_suite(4, 2, centers, 1.0, 1, A, seed=77)
+    prob = quadratic_suite(4, A, centers=centers, seed=77)
     cfg = ExperimentConfig(M=1, S=2, indicator=A, d=4, K=1, T=100,
                            eta_global=0.5, eta_local=0.1, seed=1, snapshot_every=1)
     traj = run_experiment(cfg, prob)
@@ -82,8 +82,8 @@ def test_03_mgd_reduction_bit_identical():
 def test_04_common_descent_property():
     A = IndicatorMatrix.all_ones(2, 1)
     suites = [
-        quadratic_suite(3, 2, auto_centers(2, 3, 5), 1.0, 1, A, seed=5),
-        toy_nonconvex_suite(3, 2, 1, A, 6, n_terms=5),
+        quadratic_suite(3, A, centers=auto_centers(2, 3, 5), seed=5),
+        toy_nonconvex_suite(3, A, n_terms=5, seed=6),
     ]
     worst = -np.inf
     for prob in suites:
@@ -102,8 +102,8 @@ def test_04_common_descent_property():
 def test_05_linear_rate_strongly_convex():
     start = time.perf_counter()
     A = IndicatorMatrix.all_ones(2, 4)
-    prob = quadratic_suite(10, 2, auto_centers(2, 10, 42), 1.0, 4, A,
-                           heterogeneity=0.3, n_per_client=32, seed=42)
+    prob = quadratic_suite(10, A, centers=auto_centers(2, 10, 42), heterogeneity=0.3,
+                           n_per_client=32, seed=42)
     eta = 0.1
     assert eta <= strongly_convex_step_limit(prob.smoothness, prob.mu)
     assert eta >= 1.0 / (prob.mu * 200)
@@ -122,9 +122,8 @@ def test_05_linear_rate_strongly_convex():
 
 def test_06_neighborhood_shrinkage():
     A = IndicatorMatrix.all_ones(2, 4)
-    prob = quadratic_suite(8, 2, auto_centers(2, 8, 5), 1.0, 4, A,
-                           heterogeneity=0.5, curvature_spread=0.5,
-                           n_per_client=16, seed=5)
+    prob = quadratic_suite(8, A, centers=auto_centers(2, 8, 5), heterogeneity=0.5,
+                           curvature_spread=0.5, n_per_client=16, seed=5)
     plateaus = []
     for eta_l in (1e-1, 1e-2, 1e-3, 1e-4):
         cfg = ExperimentConfig(M=4, S=2, indicator=A, d=8, K=10, T=300,
@@ -142,7 +141,7 @@ def test_07_nonconvex_sublinear_trend():
     A = IndicatorMatrix(np.array([[1, 1, 0], [0, 1, 1]]))
     avgs = {}
     for T in (250, 1000):
-        prob = toy_nonconvex_suite(6, 2, 3, A, 21, n_terms=6, heterogeneity=0.3)
+        prob = toy_nonconvex_suite(6, A, n_terms=6, heterogeneity=0.3, seed=21)
         eta = descent_step_limit(prob.smoothness)
         cfg = ExperimentConfig(M=3, S=2, indicator=A, d=6, K=5, T=T,
                                eta_global=eta, eta_local=0.05 / np.sqrt(T), seed=3)
@@ -158,8 +157,8 @@ def test_08_stochastic_trend():
     A = IndicatorMatrix(np.array([[1, 1, 0], [0, 1, 1]]))
     mins = {400: [], 6400: []}
     for seed in range(5):
-        prob = toy_nonconvex_suite(5, 2, 3, A, 100 + seed, n_terms=6,
-                                   heterogeneity=0.3, amp_noise=0.5, n_per_client=64)
+        prob = toy_nonconvex_suite(5, A, n_terms=6, heterogeneity=0.3, amp_noise=0.5,
+                                   n_per_client=64, seed=100 + seed)
         cap = descent_step_limit(prob.smoothness)
         for T in (400, 6400):
             cfg = ExperimentConfig(M=3, S=2, indicator=A, d=5, K=3, T=T,
@@ -179,8 +178,9 @@ def test_09_local_step_speedup():
     A = IndicatorMatrix.all_ones(2, 5)
     rounds = {1: [], 10: []}
     for seed in range(3):
-        prob = synthetic_classification_suite(12, 2, 5, A, 40, ("label_skew", 2),
-                                              300 + seed, n_components=10, ridge=0.05)
+        prob = synthetic_classification_suite(12, A, n_per_client=40, partition="label_skew",
+                                              labels_per_client=2, n_components=10, ridge=0.05,
+                                              seed=300 + seed)
         for K in (1, 10):
             cfg = ExperimentConfig(M=5, S=2, indicator=A, d=12, K=K, T=200,
                                    eta_global=0.5, eta_local=0.05,
@@ -204,9 +204,8 @@ def test_10_batch_size_ordering():
     A = IndicatorMatrix.all_ones(2, 4)
     plateaus = {16: [], 64: [], "full": []}
     for seed in range(3):
-        prob = quadratic_suite(6, 2, auto_centers(2, 6, 40 + seed), 1.0, 4, A,
-                               heterogeneity=0.3, n_per_client=128, data_spread=1.5,
-                               seed=40 + seed)
+        prob = quadratic_suite(6, A, centers=auto_centers(2, 6, 40 + seed), heterogeneity=0.3,
+                               n_per_client=128, data_spread=1.5, seed=40 + seed)
         for batch in (16, 64, "full"):
             cfg = ExperimentConfig(M=4, S=2, indicator=A, d=6, K=5, T=300,
                                    eta_global=0.3, eta_local=1e-2, mode="stochastic",
@@ -225,7 +224,7 @@ def test_11_weighted_output_sampler():
     # T=5 with mu*eta/2 = 0.3: weights w_t = 0.7**(1-t)
     mu, eta = 0.6, 1.0
     A = IndicatorMatrix.all_ones(2, 1)
-    prob = quadratic_suite(2, 2, np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0, 1, A, seed=0)
+    prob = quadratic_suite(2, A, centers=np.array([[1.0, 0.0], [0.0, 1.0]]), seed=0)
     cfg = ExperimentConfig(M=1, S=2, indicator=A, d=2, K=1, T=5,
                            eta_global=0.4, eta_local=0.0, seed=3, snapshot_every=1)
     traj = run_experiment(cfg, prob)
@@ -248,8 +247,8 @@ def test_11_weighted_output_sampler():
 
 def test_12_determinism_serial_vs_parallel(tmp_path):
     A = IndicatorMatrix.all_ones(2, 4)
-    prob = quadratic_suite(6, 2, auto_centers(2, 6, 9), 1.0, 4, A,
-                           heterogeneity=0.4, n_per_client=32, seed=9)
+    prob = quadratic_suite(6, A, centers=auto_centers(2, 6, 9), heterogeneity=0.4, n_per_client=32,
+                           seed=9)
     cfg = ExperimentConfig(M=4, S=2, indicator=A, d=6, K=4, T=40,
                            eta_global=0.3, eta_local=5e-3, mode="stochastic",
                            batch_size=8, seed=13, snapshot_every=1)

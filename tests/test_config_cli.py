@@ -1,9 +1,11 @@
 """Config schema enforcement and the run/sweep/verify/report driver."""
 
 import json
+import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from fedmoo.cli import main
 from fedmoo.config import _Loader, apply_axis, load_sweep, parse_config
 from fedmoo.core import ConfigError
 from fedmoo.minnorm import solve_min_norm
+from fedmoo.problems import build_problem
 from fedmoo.reporting import read_rounds_csv, summarize_columns
 from fedmoo.verify import check_minnorm_kkt, check_minnorm_oracle, run_battery
 
@@ -217,6 +220,23 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "partial log" in err and "Traceback" not in err and "Warning" not in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("M,S,init,centers", [
+        (2, 2, [1.0e200, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+        (1, 3, "zeros", [[-1.0e200, -1.0], [-1.0, -1.0e200], [-1.0, 1.0e200]]),
+    ])
+    def test_overflowing_gram_matrix_exits_3_naming_round_and_solve(
+            self, tmp_path, capsys, M, S, init, centers):
+        # the averaged block is finite, but its rows of norm ~1e200 overflow G G^T
+        cfg = quad_config(M=M, S=S, d=2, K=1, T=3, eta_local=0.0, init=init)
+        cfg["problem"]["centers"] = centers
+        out = tmp_path / "gram"
+        assert main(["run", "--config", self._write(tmp_path, cfg), "--out", str(out)]) == 3
+        assert (out / "rounds.csv").read_text().count("\n") == 1  # the header alone
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["termination"] == "diverged: non-finite min-norm solve at round 1"
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_large_scale_centers_complete_without_a_false_alarm(self, tmp_path):
         # the weighted gap's roundoff at |centers| ~ 1e3 is ~1e-11, above a fixed 1e-12
         cfg = quad_config(M=4, S=3, d=2, K=2, T=300, eta_global=0.5, eta_local=0.01, seed=0)
@@ -286,6 +306,21 @@ class TestRunCommand:
         assert main(["run", "--config", self._write(tmp_path, cfg),
                      "--out", str(tmp_path / "o")]) == 2
         assert "problem: curvature_spread" in capsys.readouterr().err
+
+    def test_labels_per_client_under_iid_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = yaml.safe_load((GOLDEN / "cls_full.yaml").read_text())
+        cfg["problem"]["partition"] = "iid"  # labels_per_client: 2 stays
+        out = tmp_path / "o"
+        assert main(["run", "--config", self._write(tmp_path, cfg), "--out", str(out)]) == 2
+        assert "problem: labels_per_client" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_problem_seed_fixes_the_quadratic_instance(self):
+        cfg = yaml.safe_load((GOLDEN / "quad_full.yaml").read_text())
+        cfg["problem"]["seed"] = 5
+        first, second = (build_problem(parse_config({**cfg, "seed": seed})) for seed in (1, 2))
+        assert np.array_equal(first.centers, second.centers)
+        assert np.array_equal(first.client_centers, second.client_centers)
 
     def test_batch_larger_than_shard_exits_2_before_round_1(self, tmp_path, capsys):
         cfg = yaml.safe_load((GOLDEN / "quad_stoch.yaml").read_text())
@@ -362,6 +397,26 @@ class TestSweepCommand:
         for member in members:
             summary = json.loads((out / member["dir"] / "summary.json").read_text())
             assert summary["termination"].endswith("aggregate at round 1, objective 0")
+
+    def test_diverging_parallel_members_write_whole_stderr_lines(self, tmp_path, monkeypatch):
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        spath = tmp_path / "sweep.yaml"
+        spath.write_text(yaml.safe_dump({"base": aggregate_overflow_config(), "axis": "M",
+                                         "values": [2, 3]}))
+        monkeypatch.setattr(sys, "stderr", Recorder())
+        assert main(["sweep", "--config", str(spath), "--out", str(tmp_path / "sw"),
+                     "--jobs", "2"]) == 3
+        assert len(writes) == 2
+        assert all(text.endswith("\n") and text.count("\n") == 1 for text in writes)
 
     def test_out_of_range_member_is_recorded_and_sweep_continues(self, tmp_path):
         # label skew with 2 labels per client cannot cover 4 labels with one client

@@ -22,8 +22,7 @@ from fedmoo.verify import mgd_reference
 def symmetric_quadratic(M=1, heterogeneity=0.0, seed=0, **kw):
     A = IndicatorMatrix.all_ones(2, M)
     centers = np.array([[1.0, 0.0], [0.0, 1.0]])
-    prob = quadratic_suite(2, 2, centers, 1.0, M, A, heterogeneity=heterogeneity,
-                           seed=seed, **kw)
+    prob = quadratic_suite(2, A, centers=centers, heterogeneity=heterogeneity, seed=seed, **kw)
     return A, prob
 
 
@@ -47,7 +46,7 @@ class TestClientUpdateFull:
         # f = 1/2 ||x - c||^2 from x=0 with eta_local=0.1: gradients -c, -0.9c
         A = IndicatorMatrix.all_ones(1, 1)
         c = np.array([2.0, -1.0])
-        prob = quadratic_suite(2, 1, c[None, :], 1.0, 1, A, seed=0)
+        prob = quadratic_suite(2, A, centers=c[None, :], seed=0)
         out = client_update_full(np.zeros(2), 0, (0,), K=2, eta_local=0.1, problem=prob)
         assert np.allclose(out.deltas[0], -1.9 * c, atol=1e-15)
 
@@ -60,12 +59,12 @@ class TestClientUpdateFull:
 
 
 SUITES = {
-    "quadratic": lambda A: quadratic_suite(3, 2, np.eye(2, 3), 1.0, 2, A, heterogeneity=0.4,
+    "quadratic": lambda A: quadratic_suite(3, A, centers=np.eye(2, 3), heterogeneity=0.4,
                                            curvature_spread=0.3, n_per_client=12, seed=2),
-    "tanh": lambda A: toy_nonconvex_suite(3, 2, 2, A, 3, n_terms=4, heterogeneity=0.3,
-                                          n_per_client=12),
-    "logistic": lambda A: synthetic_classification_suite(6, 2, 2, A, 12, "iid", 4,
-                                                         n_components=4),
+    "tanh": lambda A: toy_nonconvex_suite(3, A, n_terms=4, heterogeneity=0.3, n_per_client=12,
+                                          seed=3),
+    "logistic": lambda A: synthetic_classification_suite(6, A, n_per_client=12, partition="iid",
+                                                         n_components=4, seed=4),
 }
 
 
@@ -104,7 +103,7 @@ class TestClientUpdateStochastic:
         # identical objective data => shared sample gives identical deltas
         A = IndicatorMatrix.all_ones(2, 1)
         centers = np.array([[1.0, 0.0], [1.0, 0.0]])
-        prob = quadratic_suite(2, 2, centers, 1.0, 1, A, data_spread=2.0, seed=3)
+        prob = quadratic_suite(2, A, centers=centers, data_spread=2.0, seed=3)
         prob.anchors[1] = prob.anchors[0]  # force equal shards across objectives
         x = np.array([3.0, -2.0])
         shared = client_update_stochastic(x, 0, (0, 1), 1, 0.0, 4, prob, seed=1,
@@ -153,7 +152,7 @@ class TestServerAggregate:
 
     def test_wrong_objectives_rejected(self):
         A = IndicatorMatrix(np.array([[1, 0], [1, 1]]))
-        prob = quadratic_suite(2, 2, np.eye(2), 1.0, 2, A, seed=0)
+        prob = quadratic_suite(2, A, centers=np.eye(2), seed=0)
         ok = client_update_full(np.zeros(2), 0, (0, 1), 1, 0.0, prob)
         bad = client_update_full(np.zeros(2), 1, (0,), 1, 0.0, prob)  # owns only (1,)
         with pytest.raises(ValueError, match="client 1"):
@@ -245,8 +244,8 @@ class TestRunRound:
 
     def test_single_objective_reduces_to_averaged_local_sgd(self):
         A = IndicatorMatrix.all_ones(1, 2)
-        prob = quadratic_suite(3, 1, np.array([[1.0, 2.0, 3.0]]), 1.0, 2, A,
-                               heterogeneity=0.5, seed=6)
+        prob = quadratic_suite(3, A, centers=np.array([[1.0, 2.0, 3.0]]), heterogeneity=0.5,
+                               seed=6)
         cfg = base_config(prob, A, K=4, eta_global=0.7, eta_local=0.05)
         x = np.array([0.1, 0.2, 0.3])
         x_next, rec = run_round(1, x, cfg, prob)
@@ -268,7 +267,7 @@ class TestRunRound:
     def test_overflowing_average_raises_with_round_and_row_and_no_warning(self):
         # objective 0 has one owner; objective 1 sums two finite updates near 1e308
         A = IndicatorMatrix(np.array([[1, 0], [1, 1]]))
-        prob = quadratic_suite(2, 2, np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0, 2, A, seed=0)
+        prob = quadratic_suite(2, A, centers=np.array([[1.0, 0.0], [0.0, 1.0]]), seed=0)
         cfg = base_config(prob, A, eta_local=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -373,8 +372,7 @@ class TestWeightedOutputSampler:
 class TestDescentProperty:
     @pytest.mark.parametrize("make", [
         lambda: symmetric_quadratic()[1],
-        lambda: toy_nonconvex_suite(3, 2, 1, IndicatorMatrix.all_ones(2, 1), 12,
-                                    n_terms=5),
+        lambda: toy_nonconvex_suite(3, IndicatorMatrix.all_ones(2, 1), n_terms=5, seed=12),
     ])
     def test_every_objective_non_increasing_at_guaranteed_step(self, make):
         prob = make()

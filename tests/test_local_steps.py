@@ -40,13 +40,13 @@ def reference_update(x_t, client, owned, K, eta_local, batch, problem, seed, rou
 
 
 SUITES = {
-    "quadratic": lambda: quadratic_suite(
-        6, 3, np.eye(3, 6), 1.0, 4, A, heterogeneity=0.4, curvature_spread=0.3,
-        n_per_client=20, seed=3),
-    "tanh": lambda: toy_nonconvex_suite(5, 3, 4, A, 4, n_terms=6, heterogeneity=0.3,
-                                        n_per_client=24),
-    "logistic": lambda: synthetic_classification_suite(12, 3, 4, A, 30, ("label_skew", 4), 5,
-                                                       n_components=6),
+    "quadratic": lambda: quadratic_suite(6, A, centers=np.eye(3, 6), heterogeneity=0.4,
+                                         curvature_spread=0.3, n_per_client=20, seed=3),
+    "tanh": lambda: toy_nonconvex_suite(5, A, n_terms=6, heterogeneity=0.3, n_per_client=24,
+                                        seed=4),
+    "logistic": lambda: synthetic_classification_suite(12, A, n_per_client=30,
+                                                       partition="label_skew", labels_per_client=4,
+                                                       n_components=6, seed=5),
 }
 
 
@@ -112,8 +112,8 @@ class FaultyQuadratic(Problem):
 
 
 def faulty_run(faults, mode="full_gradient", sharing="per_client", K=3):
-    base = quadratic_suite(4, 3, np.eye(3, 4), 1.0, 4, A, heterogeneity=0.3,
-                           curvature_spread=0.2, n_per_client=12, seed=1)
+    base = quadratic_suite(4, A, centers=np.eye(3, 4), heterogeneity=0.3, curvature_spread=0.2,
+                           n_per_client=12, seed=1)
     config = ExperimentConfig(M=4, S=3, indicator=A, d=4, K=K, T=6, eta_global=0.2,
                               eta_local=0.05, mode=mode, batch_size=5, seed=8,
                               sample_sharing=sharing)
@@ -148,7 +148,7 @@ class TestFaultInjection:
                   "eta_local": 0.05, "seed": 8, "problem": {"kind": "quadratic"}}
         path = tmp_path / "faulty.yaml"
         path.write_text(yaml.safe_dump(config))
-        base = quadratic_suite(4, 3, np.eye(3, 4), 1.0, 4, A, seed=1)
+        base = quadratic_suite(4, A, centers=np.eye(3, 4), seed=1)
         monkeypatch.setattr(cli, "build_problem",
                             lambda cfg: FaultyQuadratic(base, 3, [(3, 2, 1, 2)]))
         out = tmp_path / "out"

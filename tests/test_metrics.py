@@ -16,7 +16,7 @@ def plain_quadratic(centers, q=1.0):
     centers = np.asarray(centers, dtype=np.float64)
     S, d = centers.shape
     A = IndicatorMatrix.all_ones(S, 1)
-    return quadratic_suite(d, S, centers, q, 1, A, seed=0)
+    return quadratic_suite(d, A, centers=centers, curvature=q, seed=0)
 
 
 class TestDbarNormSq:
@@ -72,7 +72,7 @@ class TestDeltaQ:
         # a few ulps from x_*, the gap is roundoff of losses that grow as |centers|^2
         rng = np.random.default_rng(seed)
         centers = 10.0 ** exponent * rng.standard_normal((3, 2))
-        prob = quadratic_suite(2, 3, centers, 1.0, 4, IndicatorMatrix.all_ones(3, 4),
+        prob = quadratic_suite(2, IndicatorMatrix.all_ones(3, 4), centers=centers,
                                heterogeneity=0.3, seed=seed)
         lam = rng.dirichlet(np.ones(3))
         x_star = prob.pareto_point(lam)
@@ -86,7 +86,7 @@ class TestDeltaQ:
             delta_q(lam, np.array([500.0, 500.0]), prob)
 
     def test_requires_pareto_reference(self):
-        prob = toy_nonconvex_suite(3, 2, 1, IndicatorMatrix.all_ones(2, 1), 1)
+        prob = toy_nonconvex_suite(3, IndicatorMatrix.all_ones(2, 1), seed=1)
         with pytest.raises(ValueError, match="scalarization minimizer"):
             delta_q(np.array([0.5, 0.5]), np.zeros(3), prob)
 

@@ -41,6 +41,13 @@ class TestHandInstances:
         with pytest.raises(ValueError):
             solve_min_norm(np.array([[np.nan, 1.0]]))
 
+    def test_overflowing_gram_matrix_is_flagged(self):
+        G = np.array([[1e200, 1.0], [1.0, 1e200], [1.0, -1e200]])  # finite rows, G G^T is not
+        with np.errstate(over="ignore"):
+            sol = solve_min_norm(G)
+        assert (sol.termination, sol.converged, sol.norm_sq) == ("overflow", False, np.inf)
+        assert np.isnan(sol.weights).all() and np.isnan(sol.direction).all()
+
     def test_max_iter_exhaustion_is_flagged(self):
         G = np.array([[1.0, 0.2, 0.0], [-0.4, 1.0, 0.1], [0.1, -0.9, 1.0]])
         sol = solve_min_norm(G, tol=1e-14, max_iter=1)

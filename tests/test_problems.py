@@ -1,12 +1,14 @@
 """Problem suites: gradients, certificates, partitions."""
 
+import inspect
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
 from fedmoo.core import IndicatorMatrix
 from fedmoo.minnorm import solve_min_norm
-from fedmoo.problems import (PartitionPlan, partition, quadratic_suite,
+from fedmoo.problems import (SUITES, PartitionPlan, partition, quadratic_suite,
                              synthetic_classification_suite, toy_nonconvex_suite)
 
 
@@ -19,18 +21,26 @@ def fd_gradient(fn, x, h=1e-6):
     return g
 
 
+@pytest.mark.parametrize("kind", sorted(SUITES))
+def test_section_keys_are_the_builder_keywords(kind):
+    builder, types = SUITES[kind]
+    keywords = [name for name, par in inspect.signature(builder).parameters.items()
+                if par.kind is inspect.Parameter.KEYWORD_ONLY]
+    assert sorted(types) == sorted(keywords)
+
+
 @pytest.fixture
 def quad():
     A = IndicatorMatrix.all_ones(2, 3)
     centers = np.array([[1.0, 0.0], [0.0, 1.0]])
-    return quadratic_suite(2, 2, centers, 1.0, 3, A, heterogeneity=0.4,
-                           curvature_spread=0.3, n_per_client=20, seed=3)
+    return quadratic_suite(2, A, centers=centers, heterogeneity=0.4, curvature_spread=0.3,
+                           n_per_client=20, seed=3)
 
 
 class TestQuadraticSuite:
     def test_symmetric_instance_hand_values(self):
         A = IndicatorMatrix.all_ones(2, 1)
-        prob = quadratic_suite(2, 2, np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0, 1, A, seed=0)
+        prob = quadratic_suite(2, A, centers=np.array([[1.0, 0.0], [0.0, 1.0]]), seed=0)
         x = np.zeros(2)
         assert np.allclose(prob.global_grad(0, x), [-1.0, 0.0])
         assert np.allclose(prob.global_grad(1, x), [0.0, -1.0])
@@ -48,7 +58,7 @@ class TestQuadraticSuite:
     def test_zero_heterogeneity_makes_shards_identical(self):
         A = IndicatorMatrix.all_ones(2, 4)
         centers = np.array([[1.0, 0.0], [0.0, 1.0]])
-        prob = quadratic_suite(2, 2, centers, 1.0, 4, A, heterogeneity=0.0, seed=1)
+        prob = quadratic_suite(2, A, centers=centers, heterogeneity=0.0, seed=1)
         x = np.array([0.3, -0.2])
         grads = [prob.grad(0, i, x) for i in range(4)]
         for g in grads[1:]:
@@ -106,20 +116,20 @@ class TestQuadraticSuite:
 
     def test_identical_centers_flagged_degenerate(self):
         A = IndicatorMatrix.all_ones(2, 1)
-        prob = quadratic_suite(2, 2, np.ones((2, 2)), 1.0, 1, A, seed=0)
+        prob = quadratic_suite(2, A, centers=np.ones((2, 2)), seed=0)
         assert prob.degenerate_pareto
 
 
 class TestNonconvexSuite:
     def test_single_term_gradient_bound_is_amp_times_weight_norm(self):
         A = IndicatorMatrix.all_ones(1, 1)
-        prob = toy_nonconvex_suite(3, 1, 1, A, 2, n_terms=1, ridge=0.0, heterogeneity=0.0)
+        prob = toy_nonconvex_suite(3, A, n_terms=1, ridge=0.0, heterogeneity=0.0, seed=2)
         expected = abs(prob.client_amps[0, 0, 0]) * np.linalg.norm(prob.term_weights[0, 0])
         assert prob.grad_bound == pytest.approx(expected, rel=1e-12)
 
     def test_bounds_hold_over_random_evaluations(self):
         A = IndicatorMatrix(np.array([[1, 1], [1, 1]]))
-        prob = toy_nonconvex_suite(4, 2, 2, A, 9, n_terms=5, ridge=0.0, amp_noise=0.4)
+        prob = toy_nonconvex_suite(4, A, n_terms=5, ridge=0.0, amp_noise=0.4, seed=9)
         rng = np.random.default_rng(21)
         worst_g = 0.0
         worst_d = 0.0
@@ -134,7 +144,7 @@ class TestNonconvexSuite:
 
     def test_loss_bounded_below_without_ridge(self):
         A = IndicatorMatrix.all_ones(2, 2)
-        prob = toy_nonconvex_suite(3, 2, 2, A, 4, n_terms=6, ridge=0.0)
+        prob = toy_nonconvex_suite(3, A, n_terms=6, ridge=0.0, seed=4)
         rng = np.random.default_rng(33)
         for _ in range(200):
             x = 5.0 * rng.standard_normal(3)
@@ -143,7 +153,7 @@ class TestNonconvexSuite:
 
     def test_gradients_match_finite_differences(self):
         A = IndicatorMatrix(np.array([[1, 0], [1, 1]]))
-        prob = toy_nonconvex_suite(4, 2, 2, A, 14, n_terms=4, ridge=0.05)
+        prob = toy_nonconvex_suite(4, A, n_terms=4, ridge=0.05, seed=14)
         rng = np.random.default_rng(15)
         for _ in range(50):
             s = int(rng.integers(2))
@@ -154,7 +164,7 @@ class TestNonconvexSuite:
 
     def test_stochastic_unbiased(self):
         A = IndicatorMatrix.all_ones(1, 1)
-        prob = toy_nonconvex_suite(3, 1, 1, A, 44, n_terms=4, amp_noise=0.5, n_per_client=32)
+        prob = toy_nonconvex_suite(3, A, n_terms=4, amp_noise=0.5, n_per_client=32, seed=44)
         rng = np.random.default_rng(55)
         x = rng.standard_normal(3)
         draws = np.array([prob.stoch_grad(0, 0, x, rng.integers(0, 32, 4))
@@ -164,12 +174,13 @@ class TestNonconvexSuite:
 
 
 class TestClassificationSuite:
-    def _suite(self, skew=("label_skew", 2), M=5, seed=300, **kw):
+    def _suite(self, partition="label_skew", M=5, seed=300, **kw):
         A = IndicatorMatrix.all_ones(2, M)
-        return synthetic_classification_suite(12, 2, M, A, 40, skew, seed, **kw)
+        return synthetic_classification_suite(12, A, n_per_client=40, partition=partition,
+                                              seed=seed, **kw)
 
     def test_full_shard_stochastic_equals_full_gradient(self):
-        prob = self._suite(skew="iid", M=1)
+        prob = self._suite(partition="iid", M=1)
         x = np.zeros(12)
         n = prob.shard_size(0)
         assert np.array_equal(prob.stoch_grad(0, 0, x, np.arange(n)), prob.grad(0, 0, x))
@@ -180,7 +191,7 @@ class TestClassificationSuite:
             assert len(labs) <= 2
 
     def test_minibatch_unbiased(self):
-        prob = self._suite(skew="iid", M=2)
+        prob = self._suite(partition="iid", M=2)
         rng = np.random.default_rng(78)
         x = 0.1 * rng.standard_normal(12)
         n = prob.shard_size(0)
