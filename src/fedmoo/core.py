@@ -33,6 +33,7 @@ SIMPLEX_ATOL = 1e-12
 # consumers of the experiment seed on disjoint key prefixes.
 _DOMAIN_CLIENT = 0
 _DOMAIN_OUTPUT = 1
+_WORD = 2**32 - 1
 
 
 class ConfigError(ValueError):
@@ -125,13 +126,31 @@ def client_stream(seed: int, client: int, round_index: int, step: int,
         if objective < 0:
             raise ValueError(f"objective index must be nonnegative, got {objective}")
         key.append(1 + objective)
-    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=tuple(key))
-    return np.random.Generator(np.random.Philox(ss))
+    return _keyed_stream(seed, key)
 
 
 def output_stream(seed: int) -> np.random.Generator:
     """Stream reserved for the weighted-output round sampler."""
-    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=(_DOMAIN_OUTPUT,))
+    return _keyed_stream(seed, (_DOMAIN_OUTPUT,))
+
+
+def _keyed_stream(seed: int, key) -> np.random.Generator:
+    """Philox seeded by the words of ``seed`` mod 2**64, zero-padded to four,
+    then the little-endian 32-bit words of each nonnegative key entry.
+
+    That is the entropy ``SeedSequence(entropy=seed, spawn_key=key)`` assembles,
+    so the draws are the same; handing it over as one uint32 array skips
+    numpy's per-entry coercion of the spawn key.
+    """
+    s = int(seed) & (2**64 - 1)
+    words = [s & _WORD, s >> 32, 0, 0]
+    for v in key:
+        words.append(v & _WORD)
+        v >>= 32
+        while v:
+            words.append(v & _WORD)
+            v >>= 32
+    ss = np.random.SeedSequence(np.array(words, dtype=np.uint32))
     return np.random.Generator(np.random.Philox(ss))
 
 

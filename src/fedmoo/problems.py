@@ -46,6 +46,11 @@ def _rng(seed, tag: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) & (2**64 - 1), tag])
 
 
+def _check_shard_size(n_per_client):
+    if n_per_client < 1:
+        raise ValueError(f"n_per_client must be >= 1, got {n_per_client}")
+
+
 class Problem:
     """Base class for federated multi-objective problems.
 
@@ -166,7 +171,8 @@ class QuadraticProblem(Problem):
         if indices is None or len(indices) >= self.n_per_client:
             center = self.client_centers[s, i]
         else:
-            center = self.anchors[s, i, indices].mean(axis=0)
+            # .mean(axis=0)'s reduction and division, minus its Python-level wrapper
+            center = np.add.reduce(self.anchors[s, i, indices]) / len(indices)
         return self.client_curv[s, i] * (x - center)
 
     def global_loss(self, s, x):
@@ -200,6 +206,7 @@ def quadratic_suite(d, A: IndicatorMatrix, *, centers="auto", curvature=1.0,
     all shards of an objective are identical.
     """
     S, M = A.n_objectives, A.n_clients
+    _check_shard_size(n_per_client)
     if not curvature > 0:
         raise ValueError(f"curvature must be > 0, got {curvature}")
     if not 0 <= curvature_spread < 1:
@@ -275,7 +282,7 @@ class TanhRidgeProblem(Problem):
     def stoch_grad(self, s, i, x, indices):
         amp = self.client_amps[s, i]
         if indices is not None and len(indices) < self.n_per_client:
-            amp = amp * (1.0 + self.amp_eps[s, i, indices].mean(axis=0))
+            amp = amp * (1.0 + np.add.reduce(self.amp_eps[s, i, indices]) / len(indices))
         th = self._tanh(s, i, x)
         return self.term_weights[s].T @ (amp * (1.0 - th * th)) + self.ridge * x
 
@@ -294,6 +301,7 @@ def toy_nonconvex_suite(d, A: IndicatorMatrix, *, n_terms=6, ridge=0.0, heteroge
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
+    _check_shard_size(n_per_client)
     S, M = A.n_objectives, A.n_clients
     rng = _rng(seed, _TAG_TANH)
 
@@ -340,39 +348,38 @@ class LogisticTasksProblem(Problem):
         self.shards = plan.assignment
         # ridge acts per task view, so f_s is flat across other tasks' blocks
         self.mu = 0.0
-        # per-task design matrix: shared block, rotated own core, bias column
+        # _blocks[s][i] = (Z, y): client i's rows of task s's design matrix
+        # (shared block, rotated own core, bias column) and their signs, read-only
         h = self.n_shared
-        own_core = raw[:, h:]
         ones = np.ones((raw.shape[0], 1))
-        self._views = [np.hstack([raw[:, :h], own_core @ rotations[s].T, ones])
-                       for s in range(self.S)]
+        self._blocks = [_shard_blocks(np.hstack([raw[:, :h], raw[:, h:] @ rotations[s].T, ones]),
+                                      task_signs[s], self.shards) for s in range(self.S)]
 
         l_bound = 0.0
         for s in range(self.S):
             for i in indicator.owner_sets[s]:
-                Zi = self._views[s][self.shards[i]]
+                Zi = self._blocks[s][i][0]
                 lam_max = float(np.linalg.eigvalsh(Zi.T @ Zi / len(Zi)).max())
                 l_bound = max(l_bound, 0.25 * lam_max + self.ridge)
         self.smoothness = l_bound
         self.f_min = np.array([self._solve_task_min(s) for s in range(self.S)])
 
-    def _margins(self, s, idx, x):
-        return self.task_signs[s, idx] * (self._views[s][idx] @ x[self.task_cols[s]])
-
     def loss(self, s, i, x):
-        m = self._margins(s, self.shards[i], x)
+        Z, y = self._blocks[s][i]
         xv = x[self.task_cols[s]]
+        m = y * (Z @ xv)
         return float(np.logaddexp(0.0, -m).mean()) + 0.5 * self.ridge * float(xv @ xv)
 
     def stoch_grad(self, s, i, x, indices):
-        idx = self.shards[i]
-        if indices is not None and len(indices) < len(idx):
-            idx = idx[np.asarray(indices)]
-        m = self._margins(s, idx, x)
-        coef = -self.task_signs[s, idx] / (1.0 + np.exp(m))
-        g = np.zeros_like(x)
+        Z, y = self._blocks[s][i]
+        if indices is not None and len(indices) < len(y):
+            idx = np.asarray(indices)
+            Z, y = Z[idx], y[idx]
         cols = self.task_cols[s]
-        g[cols] = self._views[s][idx].T @ coef / len(idx) + self.ridge * x[cols]
+        xv = x[cols]
+        coef = -y / (1.0 + np.exp(y * (Z @ xv)))
+        g = np.zeros_like(x)
+        g[cols] = Z.T @ coef / len(y) + self.ridge * xv
         return g
 
     def shard_size(self, i):
@@ -383,6 +390,15 @@ class LogisticTasksProblem(Problem):
                        np.zeros(self.d), jac=True, method="L-BFGS-B",
                        options={"gtol": 1e-12, "maxiter": 5000})
         return float(res.fun)
+
+
+def _shard_blocks(view, signs, shards) -> list:
+    """Each shard's rows of one task's design matrix and signs, as read-only copies."""
+    blocks = [(view[idx], signs[idx]) for idx in shards]
+    for Z, y in blocks:
+        Z.setflags(write=False)
+        y.setflags(write=False)
+    return blocks
 
 
 def _haar_rotation(dim, rng) -> np.ndarray:
@@ -415,6 +431,7 @@ def synthetic_classification_suite(d, A: IndicatorMatrix, *, n_per_client=64, pa
     label skew only) of them.
     """
     S, M = A.n_objectives, A.n_clients
+    _check_shard_size(n_per_client)
     skew = partition
     if partition == "label_skew":
         skew = ("label_skew", 2 if labels_per_client is None else labels_per_client)

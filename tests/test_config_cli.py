@@ -315,6 +315,16 @@ class TestRunCommand:
         assert "problem: labels_per_client" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("golden", ["quad_full", "tanh_stoch", "cls_full"])
+    def test_empty_shards_exit_2_naming_n_per_client(self, tmp_path, capsys, golden):
+        cfg = yaml.safe_load((GOLDEN / f"{golden}.yaml").read_text())
+        cfg["problem"]["n_per_client"] = 0
+        out = tmp_path / "o"
+        assert main(["run", "--config", self._write(tmp_path, cfg), "--out", str(out)]) == 2
+        assert "problem: n_per_client must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_problem_seed_fixes_the_quadratic_instance(self):
         cfg = yaml.safe_load((GOLDEN / "quad_full.yaml").read_text())
         cfg["problem"]["seed"] = 5

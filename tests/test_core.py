@@ -2,9 +2,27 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmoo.core import (ConfigError, ExperimentConfig, IndicatorMatrix, RoundRecord,
-                         client_stream, derive_owner_sets, validate_simplex)
+                         client_stream, derive_owner_sets, output_stream, validate_simplex)
+
+# 0, one-word and two-word seeds mod 2**64, and seeds that wrap (negative or >= 2**64)
+SEEDS = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                  st.integers(-2**70, 2**70 - 1))
+INDICES = st.integers(0, 2**40)
+
+
+def philox_state(bit_generator):
+    state = bit_generator.state["state"]
+    return state["counter"].tolist(), state["key"].tolist()
+
+
+def spawn_key_state(seed, key):
+    """The stream's documented definition: SeedSequence with a spawn key."""
+    ss = np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=key)
+    return philox_state(np.random.Philox(ss))
 
 
 class TestOwnerSets:
@@ -66,6 +84,20 @@ class TestClientStream:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             client_stream(1, -1, 0, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=SEEDS, client=INDICES, round_index=INDICES, step=INDICES,
+           objective=st.none() | INDICES)
+    def test_key_words_match_the_spawn_key_seed_sequence(self, seed, client, round_index,
+                                                         step, objective):
+        key = (0, client, round_index, step) + (() if objective is None else (1 + objective,))
+        stream = client_stream(seed, client, round_index, step, objective=objective)
+        assert philox_state(stream.bit_generator) == spawn_key_state(seed, key)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=SEEDS)
+    def test_output_stream_matches_the_spawn_key_seed_sequence(self, seed):
+        assert philox_state(output_stream(seed).bit_generator) == spawn_key_state(seed, (1,))
 
 
 class TestValidators:

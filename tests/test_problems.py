@@ -185,6 +185,54 @@ class TestClassificationSuite:
         n = prob.shard_size(0)
         assert np.array_equal(prob.stoch_grad(0, 0, x, np.arange(n)), prob.grad(0, 0, x))
 
+    @staticmethod
+    def _reference(prob, s, i, x, indices=None):
+        """Loss and gradient gathered from task s's full design matrix, rebuilt from raw."""
+        h = prob.n_shared
+        view = np.hstack([prob.raw[:, :h], prob.raw[:, h:] @ prob.rotations[s].T,
+                          np.ones((len(prob.raw), 1))])
+        idx = prob.shards[i]
+        if indices is not None and len(indices) < len(idx):
+            idx = idx[np.asarray(indices)]
+        cols = prob.task_cols[s]
+        m = prob.task_signs[s, idx] * (view[idx] @ x[cols])
+        loss = float(np.logaddexp(0.0, -m).mean()) + 0.5 * prob.ridge * float(x[cols] @ x[cols])
+        g = np.zeros_like(x)
+        coef = -prob.task_signs[s, idx] / (1.0 + np.exp(m))
+        g[cols] = view[idx].T @ coef / len(idx) + prob.ridge * x[cols]
+        return loss, g
+
+    @pytest.mark.parametrize("partition", ["iid", "label_skew"])
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_shard_blocks_match_gathers_from_the_full_view_bit_for_bit(self, partition,
+                                                                       as_list):
+        prob = self._suite(partition=partition, task_overlap=0.25)
+        rng = np.random.default_rng(27)
+        for s in range(2):
+            for i in range(5):
+                x = rng.standard_normal(12)
+                n = prob.shard_size(i)
+                loss, grad = self._reference(prob, s, i, x)
+                assert prob.loss(s, i, x) == loss
+                assert np.array_equal(prob.grad(s, i, x), grad)
+                batch = rng.integers(0, n, 7)
+                batch = batch.tolist() if as_list else batch
+                _, mini = self._reference(prob, s, i, x, batch)
+                assert np.array_equal(prob.stoch_grad(s, i, x, batch), mini)
+                full = rng.permutation(n)
+                full = full.tolist() if as_list else full
+                assert np.array_equal(prob.stoch_grad(s, i, x, full), grad)
+
+    def test_shard_blocks_are_read_only(self):
+        prob = self._suite()
+        for s in range(2):
+            for i in range(5):
+                Z, y = prob._blocks[s][i]
+                with pytest.raises(ValueError, match="read-only"):
+                    Z[0, 0] = 1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    y *= -1.0
+
     def test_label_skew_limits_distinct_labels(self):
         prob = self._suite()
         for labs in prob.plan.shard_labels(prob.components):
