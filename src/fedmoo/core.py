@@ -10,6 +10,8 @@ boundaries instead of wrapping every vector in a class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import operator
+
 import numpy as np
 
 __all__ = [
@@ -145,6 +147,7 @@ def _keyed_stream(seed: int, key) -> np.random.Generator:
     s = int(seed) & (2**64 - 1)
     words = [s & _WORD, s >> 32, 0, 0]
     for v in key:
+        v = operator.index(v)
         words.append(v & _WORD)
         v >>= 32
         while v:

@@ -171,8 +171,7 @@ class QuadraticProblem(Problem):
         if indices is None or len(indices) >= self.n_per_client:
             center = self.client_centers[s, i]
         else:
-            # .mean(axis=0)'s reduction and division, minus its Python-level wrapper
-            center = np.add.reduce(self.anchors[s, i, indices]) / len(indices)
+            center = self.anchors[s, i, indices].mean(axis=0)
         return self.client_curv[s, i] * (x - center)
 
     def global_loss(self, s, x):

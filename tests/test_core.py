@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedmoo.core import (ConfigError, ExperimentConfig, IndicatorMatrix, RoundRecord,
@@ -88,6 +88,10 @@ class TestClientStream:
     @settings(max_examples=300, deadline=None)
     @given(seed=SEEDS, client=INDICES, round_index=INDICES, step=INDICES,
            objective=st.none() | INDICES)
+    @example(seed=7, client=np.int32(3), round_index=np.int32(2), step=np.int32(1),
+             objective=np.int32(4))
+    @example(seed=7, client=np.int64(2**40), round_index=np.int64(2), step=np.int64(1),
+             objective=None)
     def test_key_words_match_the_spawn_key_seed_sequence(self, seed, client, round_index,
                                                          step, objective):
         key = (0, client, round_index, step) + (() if objective is None else (1 + objective,))
