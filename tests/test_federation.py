@@ -325,6 +325,32 @@ class TestRunExperiment:
         assert traj.weighted_output is not None
         assert traj.weighted_output.shape == (2,)
 
+    @pytest.mark.parametrize("kw", [
+        dict(mode="stochastic", batch_size=4, seed=11),
+        dict(mode="stochastic", batch_size=3, seed=5, client_weights=[3.0, 1.0, 2.0]),
+    ])
+    def test_weighted_output_is_the_pick_over_the_recorded_start_points(self, kw):
+        A = IndicatorMatrix(np.array([[1, 1, 0], [0, 1, 1]]))
+        prob = quadratic_suite(3, A, heterogeneity=0.4, curvature_spread=0.3,
+                               n_per_client=10, seed=4)
+        cfg = base_config(prob, A, T=12, K=2, eta_global=0.3, eta_local=0.05,
+                          snapshot_every=1, **kw)
+        traj = run_experiment(cfg, prob)
+        picked = pick_weighted_output(traj, prob.mu, cfg.eta_global, output_stream(cfg.seed))
+        assert traj.weighted_output is not None
+        assert traj.weighted_output.tobytes() == picked.tobytes()
+
+    def test_no_weighted_output_outside_the_strongly_convex_regime(self):
+        A = IndicatorMatrix.all_ones(2, 1)
+        prob = toy_nonconvex_suite(3, A, n_terms=5, seed=12)
+        assert prob.mu == 0.0
+        assert run_experiment(base_config(prob, A, T=4, eta_global=0.1), prob) \
+            .weighted_output is None
+        A, prob = symmetric_quadratic()
+        cfg = base_config(prob, A, T=4, eta_global=2.0 / prob.mu)  # mu*eta/2 == 1
+        traj = run_experiment(cfg, prob)
+        assert traj.records and traj.weighted_output is None
+
 
 class TestWeightedOutputSampler:
     def test_single_round_always_selected(self):
