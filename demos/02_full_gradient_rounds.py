@@ -13,6 +13,7 @@ import numpy as np
 
 from fedmoo import (ExperimentConfig, IndicatorMatrix, fit_rate, quadratic_suite,
                     run_experiment, strongly_convex_step_limit)
+from fedmoo.reporting import round_columns
 
 rng = np.random.default_rng(42)
 centers = rng.standard_normal((2, 10))
@@ -30,7 +31,7 @@ config = ExperimentConfig(M=4, S=2, indicator=A, d=10, K=5, T=200,
 traj = run_experiment(config, problem)
 
 dq = traj.series("delta_q")
-lams = traj.weights_matrix
+lams = round_columns(traj)["lambda"]
 print(f"\n{'round':>6} {'delta_Q':>12} {'|dbar|^2':>12} {'lambda':>18}")
 for t in (1, 2, 5, 10, 20, 50, 100, 200):
     rec = traj.records[t - 1]

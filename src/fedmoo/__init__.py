@@ -17,8 +17,7 @@ from .problems import (PartitionPlan, Problem, build_problem, partition, quadrat
 from .federation import (ClientRoundOutput, DivergenceError, TrajectoryLog,
                          client_update_full, client_update_stochastic,
                          descent_step_limit, pick_weighted_output, run_experiment,
-                         run_round, sample_weighted_index, server_aggregate,
-                         strongly_convex_step_limit)
+                         run_round, server_aggregate, strongly_convex_step_limit)
 from .metrics import (RateFit, dbar_norm_sq, delta_q, fit_rate, lambda_drift,
                       rounds_to_threshold, running_min)
 from .config import SweepSpec, load_config, load_sweep, parse_config
@@ -32,7 +31,7 @@ __all__ = [
     "synthetic_classification_suite", "toy_nonconvex_suite",
     "ClientRoundOutput", "DivergenceError", "TrajectoryLog", "client_update_full",
     "client_update_stochastic", "descent_step_limit", "pick_weighted_output",
-    "run_experiment", "run_round", "sample_weighted_index", "server_aggregate",
+    "run_experiment", "run_round", "server_aggregate",
     "strongly_convex_step_limit",
     "RateFit", "dbar_norm_sq", "delta_q", "fit_rate", "lambda_drift",
     "rounds_to_threshold", "running_min",

@@ -24,7 +24,6 @@ Top-level keys::
     sample_sharing       "per_client" (default) | "per_objective"
     normalize_delta_by_K bool, default true
     init                 "zeros" (default) or explicit d-vector
-    snapshot_every       int >= 0, default 0 (no snapshots)
     client_weights       optional M positive weights for imbalanced averaging
     problem              problem section, see below
 
@@ -76,7 +75,7 @@ _REQUIRED = {"M", "S", "d", "indicator", "K", "T", "eta_global", "eta_local", "s
 # Top-level keys checked by type alone; the others have their own parsing.
 _SCALARS = {"name": str, "M": int, "S": int, "d": int, "K": int, "T": int,
             "eta_global": float, "eta_local": float, "mode": str, "seed": int,
-            "sample_sharing": str, "normalize_delta_by_K": bool, "snapshot_every": int}
+            "sample_sharing": str, "normalize_delta_by_K": bool}
 
 SWEEP_AXES = ("K", "batch_size", "eta_local", "M", "heterogeneity")
 
@@ -131,7 +130,10 @@ def _parse_indicator(value, S, M):
     if value == "all_ones":
         return IndicatorMatrix.all_ones(S, M)
     if isinstance(value, list):
-        return IndicatorMatrix(np.asarray(value))
+        if not all(isinstance(row, list) for row in value) or len(set(map(len, value))) > 1:
+            raise ConfigError("indicator", f"expected rows of equal length, got {value!r}")
+        return IndicatorMatrix(np.array([[_check_type(v, int, "indicator") for v in row]
+                                         for row in value]))
     raise ConfigError("indicator", f"expected 'identity', 'all_ones' or a matrix, got {value!r}")
 
 

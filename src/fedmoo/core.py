@@ -240,7 +240,6 @@ class ExperimentConfig:
     normalize_delta_by_K: bool = True
     problem: ProblemConfig | None = None
     init: np.ndarray | None = None
-    snapshot_every: int = 0
     client_weights: np.ndarray | None = None
     name: str = "run"
 
@@ -263,10 +262,11 @@ class ExperimentConfig:
         if self.sample_sharing not in _SHARING:
             raise ConfigError("sample_sharing",
                               f"must be one of {_SHARING}, got {self.sample_sharing!r}")
-        if self.snapshot_every < 0:
-            raise ConfigError("snapshot_every", f"must be >= 0, got {self.snapshot_every}")
         if self.init is not None:
-            object.__setattr__(self, "init", as_model_point(self.init, self.d))
+            try:
+                object.__setattr__(self, "init", as_model_point(self.init, self.d))
+            except ValueError as exc:
+                raise ConfigError("init", str(exc)) from exc
         if self.client_weights is not None:
             w = np.asarray(self.client_weights, dtype=np.float64)
             if w.shape != (self.M,) or (w <= 0).any():
@@ -285,7 +285,8 @@ class RoundRecord:
     accumulated client updates; ``dbar_norm_sq`` applies the same weights to
     the true full gradients and is the stationarity metric for non-convex
     runs.  ``delta_q`` is the weighted optimality gap, present only when the
-    problem provides a closed-form scalarization minimizer.
+    problem provides a closed-form scalarization minimizer.  ``x_snapshot``
+    is the round's start point x_t, the weighted output's candidate.
     """
 
     t: int

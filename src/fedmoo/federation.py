@@ -31,7 +31,6 @@ __all__ = [
     "server_aggregate",
     "run_round",
     "run_experiment",
-    "sample_weighted_index",
     "pick_weighted_output",
     "descent_step_limit",
     "strongly_convex_step_limit",
@@ -92,10 +91,6 @@ class TrajectoryLog:
         """Per-round column as an array; missing optional values become NaN."""
         vals = [getattr(r, name) for r in self.records]
         return np.array([np.nan if v is None else v for v in vals], dtype=np.float64)
-
-    @property
-    def weights_matrix(self) -> np.ndarray:
-        return np.vstack([r.weights for r in self.records])
 
 
 def descent_step_limit(smoothness: float) -> float:
@@ -266,64 +261,34 @@ def run_round(round_index, x_t, config, problem, *, log_lambda_drift=True):
     losses = problem.losses(x_t)
     dq = metrics.delta_q(sol.weights, x_t, problem) if problem.has_pareto_reference else None
     drift = metrics.lambda_drift(sol.weights, x_t, problem) if log_lambda_drift else None
-    snap = None
-    if config.snapshot_every > 0 and round_index % config.snapshot_every == 0:
-        snap = x_t.copy()
     record = RoundRecord(t=round_index, weights=sol.weights, d_norm_sq=sol.norm_sq,
                          dbar_norm_sq=dbar, losses=losses, delta_q=dq,
-                         fw_gap=sol.fw_gap, lambda_drift=drift, x_snapshot=snap)
+                         fw_gap=sol.fw_gap, lambda_drift=drift, x_snapshot=x_t.copy())
     x_next = x_t - config.eta_global * sol.direction
     return x_next, record
 
 
-class _WeightedReservoir:
-    """Single-pass weighted pick of one round index (and payload).
-
-    Round t carries weight (1 - mu*eta/2)^(1-t); the running total is kept in
-    log space so long runs cannot overflow.
-    """
-
-    def __init__(self, mu, eta, stream):
-        half = mu * eta / 2.0
-        if not 0.0 < half < 1.0:
-            raise ValueError(f"mu*eta/2 must be in (0, 1), got {half}")
-        self.log_decay = np.log1p(-half)
-        self.stream = stream
-        self.log_total = -np.inf
-        self.pick = None
-
-    def offer(self, t, payload):
-        log_w = (1 - t) * self.log_decay
-        self.log_total = np.logaddexp(self.log_total, log_w)
-        if self.stream.uniform() < np.exp(log_w - self.log_total):
-            self.pick = (t, payload)
-
-
-def sample_weighted_index(T, mu, eta, stream) -> int:
-    """Sample a round index in [1, T] with probability proportional to its weight."""
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    reservoir = _WeightedReservoir(mu, eta, stream)
-    for t in range(1, T + 1):
-        reservoir.offer(t, None)
-    return reservoir.pick[0]
-
-
 def pick_weighted_output(traj: TrajectoryLog, mu, eta, stream) -> np.ndarray:
-    """Sample the output iterate x_t with the strongly convex weighting.
+    """Sample one round's start point x_t with the strongly convex weighting.
 
-    Requires the trajectory to carry a snapshot for every round (run with
-    ``snapshot_every=1``); the engine's built-in streaming pick avoids that
-    requirement during the run itself.
+    Round t carries weight (1 - mu*eta/2)^(1-t).  One pass over the records
+    keeps a running pick: round t replaces it with probability equal to its
+    share of the weight seen so far, one uniform draw per round.  The running
+    total is kept in log space so long runs cannot overflow.
     """
     if not traj.records:
         raise ValueError("empty trajectory")
-    reservoir = _WeightedReservoir(mu, eta, stream)
+    half = mu * eta / 2.0
+    if not 0.0 < half < 1.0:
+        raise ValueError(f"mu*eta/2 must be in (0, 1), got {half}")
+    log_decay = np.log1p(-half)
+    log_total = -np.inf
     for rec in traj.records:
-        if rec.x_snapshot is None:
-            raise ValueError(f"round {rec.t} has no snapshot; rerun with snapshot_every=1")
-        reservoir.offer(rec.t, rec.x_snapshot)
-    return reservoir.pick[1].copy()
+        log_w = (1 - rec.t) * log_decay
+        log_total = np.logaddexp(log_total, log_w)
+        if stream.uniform() < np.exp(log_w - log_total):
+            pick = rec.x_snapshot
+    return pick.copy()
 
 
 def run_experiment(config: ExperimentConfig, problem, *, log_lambda_drift=True) -> TrajectoryLog:
@@ -335,14 +300,10 @@ def run_experiment(config: ExperimentConfig, problem, *, log_lambda_drift=True) 
     min-norm solve, or a global point beyond the norm guard) stops the run
     early; the partial log is returned with ``termination`` flagging the
     reason.  For strongly convex problems the weighted output iterate is
-    selected in a streaming pass alongside the run.
+    picked from the recorded start points after the run.
     """
     x = config.initial_point()
     traj = TrajectoryLog(config=config)
-    reservoir = None
-    if problem.mu > 0 and 0.0 < problem.mu * config.eta_global / 2.0 < 1.0:
-        reservoir = _WeightedReservoir(problem.mu, config.eta_global,
-                                       output_stream(config.seed))
     for t in range(1, config.T + 1):
         try:
             x_next, record = run_round(t, x, config, problem, log_lambda_drift=log_lambda_drift)
@@ -350,8 +311,6 @@ def run_experiment(config: ExperimentConfig, problem, *, log_lambda_drift=True) 
             traj.termination = f"diverged: {exc}"
             break
         traj.records.append(record)
-        if reservoir is not None:
-            reservoir.offer(t, x.copy())
         if not np.isfinite(x_next).all() or np.linalg.norm(x_next) > DIVERGENCE_NORM:
             traj.termination = (f"diverged: global point norm exceeded "
                                 f"{DIVERGENCE_NORM:g} at round {t}")
@@ -359,6 +318,7 @@ def run_experiment(config: ExperimentConfig, problem, *, log_lambda_drift=True) 
             break
         x = x_next
     traj.final_point = x
-    if reservoir is not None and reservoir.pick is not None:
-        traj.weighted_output = reservoir.pick[1]
+    if traj.records and 0.0 < problem.mu * config.eta_global / 2.0 < 1.0:
+        traj.weighted_output = pick_weighted_output(traj, problem.mu, config.eta_global,
+                                                    output_stream(config.seed))
     return traj

@@ -200,8 +200,7 @@ def check_mgd_reduction(rounds=50, seed=20244) -> CheckResult:
     centers = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, -0.5]])
     problem = quadratic_suite(3, A, centers=centers, seed=seed)
     config = ExperimentConfig(M=1, S=2, indicator=A, d=3, K=1, T=rounds,
-                              eta_global=0.5, eta_local=0.1, seed=seed,
-                              snapshot_every=1)
+                              eta_global=0.5, eta_local=0.1, seed=seed)
     traj = run_experiment(config, problem)
     fed = np.vstack([rec.x_snapshot for rec in traj.records] + [traj.final_point])
     ref = mgd_reference(problem, np.zeros(3), 0.5, rounds)

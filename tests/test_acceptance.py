@@ -69,7 +69,7 @@ def test_03_mgd_reduction_bit_identical():
     centers = auto_centers(2, 4, 77)
     prob = quadratic_suite(4, A, centers=centers, seed=77)
     cfg = ExperimentConfig(M=1, S=2, indicator=A, d=4, K=1, T=100,
-                           eta_global=0.5, eta_local=0.1, seed=1, snapshot_every=1)
+                           eta_global=0.5, eta_local=0.1, seed=1)
     traj = run_experiment(cfg, prob)
     fed = np.vstack([r.x_snapshot for r in traj.records] + [traj.final_point])
     ref = mgd_reference(prob, np.zeros(4), 0.5, 100)
@@ -226,7 +226,7 @@ def test_11_weighted_output_sampler():
     A = IndicatorMatrix.all_ones(2, 1)
     prob = quadratic_suite(2, A, centers=np.array([[1.0, 0.0], [0.0, 1.0]]), seed=0)
     cfg = ExperimentConfig(M=1, S=2, indicator=A, d=2, K=1, T=5,
-                           eta_global=0.4, eta_local=0.0, seed=3, snapshot_every=1)
+                           eta_global=0.4, eta_local=0.0, seed=3)
     traj = run_experiment(cfg, prob)
     snaps = [r.x_snapshot for r in traj.records]
     weights = 0.7 ** (1.0 - np.arange(1, 6))
@@ -251,7 +251,7 @@ def test_12_determinism_serial_vs_parallel(tmp_path):
                            seed=9)
     cfg = ExperimentConfig(M=4, S=2, indicator=A, d=6, K=4, T=40,
                            eta_global=0.3, eta_local=5e-3, mode="stochastic",
-                           batch_size=8, seed=13, snapshot_every=1)
+                           batch_size=8, seed=13)
     blobs = []
     for rep in range(2):
         path = tmp_path / f"rounds_{rep}.csv"

@@ -263,6 +263,32 @@ class TestRunCommand:
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
         assert "init" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("init", [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [[1.0, 0.0]] * 2])
+    def test_misshapen_init_exits_2_naming_init(self, tmp_path, capsys, init):
+        cfg = yaml.safe_load((GOLDEN / "quad_full.yaml").read_text())
+        cfg["init"] = init
+        assert main(["run", "--config", self._write(tmp_path, cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "error: init: model point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("indicator,message", [
+        ([[1, 1, 1], [1, 1]], "indicator: expected rows of equal length"),
+        ([[True, 1, 1], [1, 1, 1]], "indicator: expected an integer, got True"),
+    ])
+    def test_malformed_indicator_exits_2_naming_indicator(self, tmp_path, capsys, indicator,
+                                                          message):
+        cfg = yaml.safe_load((GOLDEN / "quad_full.yaml").read_text())
+        cfg["indicator"] = indicator
+        out = tmp_path / "o"
+        assert main(["run", "--config", self._write(tmp_path, cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_snapshot_every_is_an_unknown_key(self, tmp_path, capsys):
+        cfg_path = self._write(tmp_path, quad_config(snapshot_every=1))
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert "snapshot_every: unknown key" in capsys.readouterr().err
+
     @pytest.mark.parametrize("written,replacement,section,key,value", [
         ("eta_local: 0.01", "eta_local: 1e-3", None, "eta_local", 0.001),
         ("curvature: 1.0", "curvature: 1e-1", "problem", "curvature", 0.1),

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmoo.core import ExperimentConfig, IndicatorMatrix
-from fedmoo.federation import (ClientRoundOutput, DivergenceError, client_update_full,
-                               client_update_stochastic, descent_step_limit,
-                               pick_weighted_output, run_experiment, run_round,
-                               sample_weighted_index, server_aggregate)
+from fedmoo.core import ExperimentConfig, IndicatorMatrix, RoundRecord
+from fedmoo.federation import (ClientRoundOutput, DivergenceError, TrajectoryLog,
+                               client_update_full, client_update_stochastic,
+                               descent_step_limit, pick_weighted_output, run_experiment,
+                               run_round, server_aggregate)
 from fedmoo.core import client_stream, output_stream
 from fedmoo.problems import (quadratic_suite, synthetic_classification_suite,
                              toy_nonconvex_suite)
@@ -306,7 +306,7 @@ class TestRunExperiment:
 
     def test_matches_centralized_mgd_bit_for_bit(self):
         A, prob = symmetric_quadratic()
-        cfg = base_config(prob, A, T=30, K=1, eta_global=0.5, snapshot_every=1)
+        cfg = base_config(prob, A, T=30, K=1, eta_global=0.5)
         traj = run_experiment(cfg, prob)
         fed = np.vstack([r.x_snapshot for r in traj.records] + [traj.final_point])
         ref = mgd_reference(prob, np.zeros(2), 0.5, 30)
@@ -333,8 +333,7 @@ class TestRunExperiment:
         A = IndicatorMatrix(np.array([[1, 1, 0], [0, 1, 1]]))
         prob = quadratic_suite(3, A, heterogeneity=0.4, curvature_spread=0.3,
                                n_per_client=10, seed=4)
-        cfg = base_config(prob, A, T=12, K=2, eta_global=0.3, eta_local=0.05,
-                          snapshot_every=1, **kw)
+        cfg = base_config(prob, A, T=12, K=2, eta_global=0.3, eta_local=0.05, **kw)
         traj = run_experiment(cfg, prob)
         picked = pick_weighted_output(traj, prob.mu, cfg.eta_global, output_stream(cfg.seed))
         assert traj.weighted_output is not None
@@ -352,14 +351,27 @@ class TestRunExperiment:
         assert traj.records and traj.weighted_output is None
 
 
+def start_points(T):
+    """A hand-built trajectory whose round t started at the point (t,)."""
+    return TrajectoryLog(records=[
+        RoundRecord(t=t, weights=np.ones(1), d_norm_sq=0.0, dbar_norm_sq=0.0,
+                    losses=np.zeros(1), x_snapshot=np.array([float(t)]))
+        for t in range(1, T + 1)])
+
+
+def picked_round(traj, mu, eta, stream):
+    return int(pick_weighted_output(traj, mu, eta, stream)[0])
+
+
 class TestWeightedOutputSampler:
     def test_single_round_always_selected(self):
-        assert sample_weighted_index(1, 1.0, 0.5, output_stream(0)) == 1
+        assert picked_round(start_points(1), 1.0, 0.5, output_stream(0)) == 1
 
     def test_near_uniform_weights_select_uniformly(self):
+        traj = start_points(4)
         counts = np.zeros(4)
         for rep in range(20_000):
-            t = sample_weighted_index(4, 1e-9, 1e-9, client_stream(1, 0, rep, 0))
+            t = picked_round(traj, 1e-9, 1e-9, client_stream(1, 0, rep, 0))
             counts[t - 1] += 1
         freq = counts / counts.sum()
         se = np.sqrt(0.25 * 0.75 / counts.sum())
@@ -368,31 +380,25 @@ class TestWeightedOutputSampler:
     def test_geometric_weights_one_two_four(self):
         # mu*eta/2 = 0.5 over T=3 rounds puts weights (1, 2, 4)/7 on the iterates
         probs = np.array([1.0, 2.0, 4.0]) / 7.0
+        traj = start_points(3)
         counts = np.zeros(3)
         for rep in range(20_000):
-            t = sample_weighted_index(3, 1.0, 1.0, client_stream(2, 0, rep, 0))
+            t = picked_round(traj, 1.0, 1.0, client_stream(2, 0, rep, 0))
             counts[t - 1] += 1
         freq = counts / counts.sum()
         se = np.sqrt(probs * (1 - probs) / counts.sum())
         assert (np.abs(freq - probs) <= 3 * se).all()
 
-    def test_pick_weighted_output_needs_snapshots(self):
-        A, prob = symmetric_quadratic()
-        traj = run_experiment(base_config(prob, A, T=3, eta_global=0.5), prob)
-        with pytest.raises(ValueError, match="snapshot"):
-            pick_weighted_output(traj, 1.0, 0.5, output_stream(1))
-
     def test_pick_weighted_output_returns_round_snapshot(self):
         A, prob = symmetric_quadratic()
-        cfg = base_config(prob, A, T=5, eta_global=0.5, snapshot_every=1)
-        traj = run_experiment(cfg, prob)
+        traj = run_experiment(base_config(prob, A, T=5, eta_global=0.5), prob)
         picked = pick_weighted_output(traj, 1.0, 0.5, output_stream(3))
         snaps = [r.x_snapshot for r in traj.records]
         assert any(np.array_equal(picked, s) for s in snaps)
 
     def test_invalid_weight_parameters_rejected(self):
         with pytest.raises(ValueError, match="mu\\*eta/2"):
-            sample_weighted_index(3, 4.0, 1.0, output_stream(0))
+            pick_weighted_output(start_points(3), 4.0, 1.0, output_stream(0))
 
 
 class TestDescentProperty:
