@@ -192,6 +192,16 @@ def cmd_report(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_USAGE
 
 
+def _positive_int(text) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fedmoo",
                                      description="Federated multi-objective optimization "
@@ -208,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True, help="path to the sweep file")
     p_sweep.add_argument("--out", help="sweep output root")
     p_sweep.add_argument("--force", action="store_true", help="overwrite existing outputs")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel sweep members")
+    p_sweep.add_argument("--jobs", type=_positive_int, default=1, help="parallel sweep members")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the built-in verification battery")

@@ -150,10 +150,10 @@ def parse_config(mapping: dict) -> ExperimentConfig:
 
     kwargs = {key: _check_type(mapping[key], kind, key)
               for key, kind in _SCALARS.items() if key in mapping}
-    S, M, d = kwargs["S"], kwargs["M"], kwargs["d"]
-    if S < 1 or M < 1 or d < 1:
-        raise ConfigError("S", f"S, M, d must all be >= 1, got S={S}, M={M}, d={d}")
-    kwargs["indicator"] = _parse_indicator(mapping["indicator"], S, M)
+    for key in ("S", "M", "d"):
+        if kwargs[key] < 1:
+            raise ConfigError(key, f"must be >= 1, got {kwargs[key]}")
+    kwargs["indicator"] = _parse_indicator(mapping["indicator"], kwargs["S"], kwargs["M"])
     if "mode" in kwargs:
         kwargs["mode"] = kwargs["mode"].replace("-", "_")
     batch = mapping.get("batch_size")

@@ -83,8 +83,9 @@ class IndicatorMatrix:
     client_objectives: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=np.int64)
-        owners = derive_owner_sets(a)
+        raw = np.asarray(self.entries)
+        owners = derive_owner_sets(raw)  # checks the entries before the cast truncates them
+        a = raw.astype(np.int64)
         object.__setattr__(self, "entries", a)
         object.__setattr__(self, "owner_sets", tuple(owners))
         cols = tuple(tuple(int(s) for s in np.flatnonzero(a[:, i])) for i in range(a.shape[1]))

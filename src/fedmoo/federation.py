@@ -164,17 +164,22 @@ def client_update_stochastic(x_t, client, owned, K, eta_local, batch, problem, s
     X[:] = x_t
     acc = np.zeros_like(X)
     G = np.empty_like(X)
+    # per owned objective: its iterate and gradient rows (views into X and G) and batches
+    rows = [(s, X[r], G[r], batches[r]) for r, s in enumerate(owned)]
+    stoch_grad = problem.stoch_grad
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         for k in range(K):
-            for r, s in enumerate(owned):
-                G[r] = problem.stoch_grad(s, client, X[r], batches[r][k])
+            for s, x_row, g_row, row_batches in rows:
+                g_row[...] = stoch_grad(s, client, x_row, row_batches[k])
             acc += G
-            X -= eta_local * G
+            X -= eta_local * G  # in place, so the row views stay the iterates
         if not (np.isfinite(acc).all() and np.isfinite(X).all()):
             r = int(np.argmin(np.isfinite(acc).all(axis=1) & np.isfinite(X).all(axis=1)))
             _locate_divergence(x_t, client, owned[r], batches[r], eta_local, problem,
                                round_index)
-        drift = np.linalg.norm(X - x_t, axis=1)
+        # np.linalg.norm(X - x_t, axis=1) without its wrapper: the same reduction
+        X -= x_t
+        drift = np.sqrt(np.add.reduce(X * X, axis=1))
     return ClientRoundOutput(client, tuple(owned), acc, drift)
 
 

@@ -59,7 +59,12 @@ class Problem:
     (no minibatch), so each suite writes its gradient formula once.  The
     global objective for s is the average of ``loss(s, i, .)`` over the owner
     set, accumulated in ascending client order so that every consumer sees
-    bit-identical values.
+    bit-identical values.  A subclass may override ``global_loss`` and
+    ``global_grad`` with closed forms, but never ``losses`` or
+    ``gradient_matrix``: the benchmark counts calls to those two on this
+    class, and an override would hide them.  Each built-in suite builds one
+    read-only table of per-shard operands at construction, so ``stoch_grad``
+    reads one entry instead of indexing the suite's arrays on every call.
     """
 
     name = "problem"
@@ -162,17 +167,21 @@ class QuadraticProblem(Problem):
         self.degenerate_pareto = bool(np.ptp(centers, axis=0).max() == 0.0)
         self.f_min = np.array([self.global_loss(s, self.eff_centers[s])
                                for s in range(self.S)])
+        # _operands[s][i] = (q_si, c_si): the shard's curvature and a read-only center row.
+        # Built last: built before ``dev``, the rows' small allocations can split the heap
+        # hole that ``dev`` reuses, and the heap grows by one more anchor-sized array.
+        self._operands = [[(float(client_curv[s, i]), _read_only(client_centers[s, i]))
+                           for i in range(M)] for s in range(S)]
 
     def loss(self, s, i, x):
         diff = x - self.client_centers[s, i]
         return 0.5 * self.client_curv[s, i] * (float(diff @ diff) + self._anchor_const[s, i])
 
     def stoch_grad(self, s, i, x, indices):
-        if indices is None or len(indices) >= self.n_per_client:
-            center = self.client_centers[s, i]
-        else:
+        curv, center = self._operands[s][i]
+        if indices is not None and len(indices) < self.n_per_client:
             center = self.anchors[s, i, indices].mean(axis=0)
-        return self.client_curv[s, i] * (x - center)
+        return curv * (x - center)
 
     def global_loss(self, s, x):
         """The closed-form shard losses of all owners at once, then their mean."""
@@ -253,6 +262,10 @@ class TanhRidgeProblem(Problem):
         self.amp_eps = amp_eps               # (S, M, n, J), column-centered
         self.ridge = float(ridge)
         self.n_per_client = amp_eps.shape[2]
+        # _operands[s][i] = (W_s, W_s.T, amp_si, offset_si, eps_si), read-only views
+        self._operands = [[tuple(map(_read_only, (weights[s], weights[s].T, amps[s, i],
+                                                  offsets[s, i], amp_eps[s, i])))
+                           for i in range(self.M)] for s in range(self.S)]
 
         row_norms = np.linalg.norm(weights, axis=2)            # (S, J)
         owners = indicator.owner_sets
@@ -271,19 +284,17 @@ class TanhRidgeProblem(Problem):
         self.stoch_grad_bound = d_bound if ridge == 0.0 else None
         self.lower_bound = -float(np.abs(amps).sum(axis=2).max()) if ridge == 0.0 else None
 
-    def _tanh(self, s, i, x):
-        return np.tanh(self.term_weights[s] @ x + self.client_offsets[s, i])
-
     def loss(self, s, i, x):
-        val = float(self.client_amps[s, i] @ self._tanh(s, i, x))
+        W, _, amp, offset, _ = self._operands[s][i]
+        val = float(amp @ np.tanh(W @ x + offset))
         return val + 0.5 * self.ridge * float(x @ x)
 
     def stoch_grad(self, s, i, x, indices):
-        amp = self.client_amps[s, i]
+        W, WT, amp, offset, eps = self._operands[s][i]
         if indices is not None and len(indices) < self.n_per_client:
-            amp = amp * (1.0 + np.add.reduce(self.amp_eps[s, i, indices]) / len(indices))
-        th = self._tanh(s, i, x)
-        return self.term_weights[s].T @ (amp * (1.0 - th * th)) + self.ridge * x
+            amp = amp * (1.0 + np.add.reduce(eps[indices]) / len(indices))
+        th = np.tanh(W @ x + offset)
+        return WT @ (amp * (1.0 - th * th)) + self.ridge * x
 
     def shard_size(self, i):
         return self.n_per_client
@@ -353,6 +364,8 @@ class LogisticTasksProblem(Problem):
         ones = np.ones((raw.shape[0], 1))
         self._blocks = [_shard_blocks(np.hstack([raw[:, :h], raw[:, h:] @ rotations[s].T, ones]),
                                       task_signs[s], self.shards) for s in range(self.S)]
+        # each task's model columns, as a slice when they are contiguous
+        self._cols = [_as_slice(cols) for cols in task_cols]
 
         l_bound = 0.0
         for s in range(self.S):
@@ -365,7 +378,7 @@ class LogisticTasksProblem(Problem):
 
     def loss(self, s, i, x):
         Z, y = self._blocks[s][i]
-        xv = x[self.task_cols[s]]
+        xv = x[self._cols[s]]
         m = y * (Z @ xv)
         return float(np.logaddexp(0.0, -m).mean()) + 0.5 * self.ridge * float(xv @ xv)
 
@@ -374,7 +387,7 @@ class LogisticTasksProblem(Problem):
         if indices is not None and len(indices) < len(y):
             idx = np.asarray(indices)
             Z, y = Z[idx], y[idx]
-        cols = self.task_cols[s]
+        cols = self._cols[s]
         xv = x[cols]
         coef = -y / (1.0 + np.exp(y * (Z @ xv)))
         g = np.zeros_like(x)
@@ -391,13 +404,21 @@ class LogisticTasksProblem(Problem):
         return float(res.fun)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _shard_blocks(view, signs, shards) -> list:
     """Each shard's rows of one task's design matrix and signs, as read-only copies."""
-    blocks = [(view[idx], signs[idx]) for idx in shards]
-    for Z, y in blocks:
-        Z.setflags(write=False)
-        y.setflags(write=False)
-    return blocks
+    return [(_read_only(view[idx]), _read_only(signs[idx])) for idx in shards]
+
+
+def _as_slice(cols):
+    """``cols`` as the equal slice when they are consecutive, else unchanged."""
+    if len(cols) and np.array_equal(cols, np.arange(cols[0], cols[0] + len(cols))):
+        return slice(int(cols[0]), int(cols[0]) + len(cols))
+    return cols
 
 
 def _haar_rotation(dim, rng) -> np.ndarray:

@@ -81,6 +81,12 @@ class TestConfigSchema:
         cfg = parse_config(quad_config(indicator=[[1, 1], [0, 1]]))
         assert cfg.indicator.owner_sets == ((0, 1), (1,))
 
+    @pytest.mark.parametrize("key", ["S", "M", "d"])
+    def test_nonpositive_dimension_names_the_key(self, key):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(quad_config(**{key: 0}))
+        assert exc.value.path == key and str(exc.value) == f"{key}: must be >= 1, got 0"
+
     def test_wrong_scalar_type_reported(self):
         with pytest.raises(ConfigError, match="K"):
             parse_config(quad_config(K="three"))
@@ -410,6 +416,18 @@ class TestSweepCommand:
         hits = [m["thresholds"]["delta_Q"]["0.001"] for m in summary["members"]]
         assert all(h is not None for h in hits)
         assert hits[0] > hits[1] > hits[2]  # more local steps, fewer rounds
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
+        spath = tmp_path / "sweep.yaml"
+        spath.write_text(yaml.safe_dump({"base": quad_config(), "axis": "K", "values": [1, 2]}))
+        out = tmp_path / "sw"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(spath), "--out", str(out), "--jobs", jobs])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --jobs: expected an integer >= 1, got '{jobs}'" in err
+        assert not out.exists()
 
     def test_member_failure_is_recorded_and_sweep_continues(self, tmp_path):
         base = quad_config(T=40)

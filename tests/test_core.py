@@ -50,6 +50,16 @@ class TestOwnerSets:
         with pytest.raises(ConfigError, match="0 or 1"):
             derive_owner_sets([[1, 2], [1, 0]])
 
+    @pytest.mark.parametrize("entries", [[[0.5, 1], [1, 1.7]], [[np.nan, 1], [1, 1]]])
+    def test_fractional_or_nan_entries_rejected_not_truncated(self, entries):
+        with pytest.raises(ConfigError, match="indicator: entries must be 0 or 1"):
+            IndicatorMatrix(entries)
+
+    def test_exact_float_entries_accepted(self):
+        a = IndicatorMatrix([[0.0, 1.0], [1.0, 1.0]])
+        assert a.entries.dtype == np.int64 and a.entries.tolist() == [[0, 1], [1, 1]]
+        assert a.owner_sets == ((1,), (0, 1))
+
     def test_indicator_matrix_is_immutable(self):
         a = IndicatorMatrix.identity(2)
         with pytest.raises(ValueError):

@@ -29,6 +29,108 @@ def test_section_keys_are_the_builder_keywords(kind):
     assert sorted(types) == sorted(keywords)
 
 
+def quadratic_reference(prob, s, i, x, indices=None):
+    """Loss and gradient of shard (s, i) read from the quadratic suite's public arrays."""
+    diff = x - prob.client_centers[s, i]
+    loss = 0.5 * prob.client_curv[s, i] * (float(diff @ diff) + prob._anchor_const[s, i])
+    if indices is None or len(indices) >= prob.n_per_client:
+        center = prob.client_centers[s, i]
+    else:
+        center = prob.anchors[s, i, indices].mean(axis=0)
+    return loss, prob.client_curv[s, i] * (x - center)
+
+
+def tanh_reference(prob, s, i, x, indices=None):
+    """Loss and gradient of shard (s, i) read from the tanh suite's public arrays."""
+    th = np.tanh(prob.term_weights[s] @ x + prob.client_offsets[s, i])
+    loss = float(prob.client_amps[s, i] @ th) + 0.5 * prob.ridge * float(x @ x)
+    amp = prob.client_amps[s, i]
+    if indices is not None and len(indices) < prob.n_per_client:
+        amp = amp * (1.0 + np.add.reduce(prob.amp_eps[s, i, indices]) / len(indices))
+    return loss, prob.term_weights[s].T @ (amp * (1.0 - th * th)) + prob.ridge * x
+
+
+def logistic_reference(prob, s, i, x, indices=None):
+    """Loss and gradient gathered from task s's full design matrix, rebuilt from raw."""
+    h = prob.n_shared
+    view = np.hstack([prob.raw[:, :h], prob.raw[:, h:] @ prob.rotations[s].T,
+                      np.ones((len(prob.raw), 1))])
+    idx = prob.shards[i]
+    if indices is not None and len(indices) < len(idx):
+        idx = idx[np.asarray(indices)]
+    cols = prob.task_cols[s]
+    m = prob.task_signs[s, idx] * (view[idx] @ x[cols])
+    loss = float(np.logaddexp(0.0, -m).mean()) + 0.5 * prob.ridge * float(x[cols] @ x[cols])
+    g = np.zeros_like(x)
+    coef = -prob.task_signs[s, idx] / (1.0 + np.exp(m))
+    g[cols] = view[idx].T @ coef / len(idx) + prob.ridge * x[cols]
+    return loss, g
+
+
+def random_indicator(seed, S=3, M=5):
+    """A random routing with every row and column owned and at least one zero entry."""
+    rng = np.random.default_rng(seed)
+    while True:
+        a = rng.integers(0, 2, (S, M))
+        if a.any(axis=0).all() and a.any(axis=1).all() and not a.all():
+            return IndicatorMatrix(a)
+
+
+# suite name -> (builder on an indicator, shard oracle written from the public arrays)
+ORACLES = {
+    "quadratic": (lambda A: quadratic_suite(7, A, heterogeneity=0.4, curvature_spread=0.3,
+                                            n_per_client=12, seed=21), quadratic_reference),
+    "tanh": (lambda A: toy_nonconvex_suite(6, A, n_terms=5, ridge=0.1, heterogeneity=0.3,
+                                           amp_noise=0.4, n_per_client=12, seed=22),
+             tanh_reference),
+    "logistic": (lambda A: synthetic_classification_suite(14, A, n_per_client=12, seed=23),
+                 logistic_reference),
+    "logistic-overlap": (lambda A: synthetic_classification_suite(
+        14, A, n_per_client=12, task_overlap=0.3, seed=24), logistic_reference),
+}
+
+
+class TestOperandTables:
+    """Every suite reads per-shard operand tables; its shard surface must equal the
+    formula written against the public arrays, bit for bit."""
+
+    @pytest.mark.parametrize("suite", sorted(ORACLES))
+    @pytest.mark.parametrize("routing", [0, 1, 2])
+    def test_shard_surface_matches_the_public_array_formula(self, suite, routing):
+        build, reference = ORACLES[suite]
+        A = random_indicator(routing)
+        prob = build(A)
+        rng = np.random.default_rng(100 + routing)
+        for s in range(A.n_objectives):
+            for i in range(A.n_clients):
+                x = rng.standard_normal(prob.d)
+                n = prob.shard_size(i)
+                mini = rng.integers(0, n, 5)
+                batches = [None, rng.permutation(n), rng.permutation(n).tolist(), mini,
+                           mini.tolist(), rng.integers(0, n, 1)]
+                loss, exact = reference(prob, s, i, x)
+                assert np.float64(prob.loss(s, i, x)).tobytes() == np.float64(loss).tobytes()
+                assert prob.grad(s, i, x).tobytes() == exact.tobytes()
+                for batch in batches:
+                    _, want = reference(prob, s, i, x, batch)
+                    assert prob.stoch_grad(s, i, x, batch).tobytes() == want.tobytes()
+
+    def test_overlapping_tasks_read_columns_that_are_not_contiguous(self):
+        prob = ORACLES["logistic-overlap"][0](random_indicator(0))
+        gaps = [np.any(np.diff(cols) != 1) for cols in prob.task_cols]
+        assert not gaps[0] and all(gaps[1:])
+
+    @pytest.mark.parametrize("suite", ["quadratic", "tanh"])
+    def test_table_operands_are_read_only(self, suite):
+        prob = ORACLES[suite][0](random_indicator(0))
+        for row in prob._operands:
+            for entry in row:
+                for operand in entry:
+                    if isinstance(operand, np.ndarray):
+                        with pytest.raises(ValueError, match="read-only"):
+                            operand[...] = 0.0
+
+
 @pytest.fixture
 def quad():
     A = IndicatorMatrix.all_ones(2, 3)
@@ -185,23 +287,6 @@ class TestClassificationSuite:
         n = prob.shard_size(0)
         assert np.array_equal(prob.stoch_grad(0, 0, x, np.arange(n)), prob.grad(0, 0, x))
 
-    @staticmethod
-    def _reference(prob, s, i, x, indices=None):
-        """Loss and gradient gathered from task s's full design matrix, rebuilt from raw."""
-        h = prob.n_shared
-        view = np.hstack([prob.raw[:, :h], prob.raw[:, h:] @ prob.rotations[s].T,
-                          np.ones((len(prob.raw), 1))])
-        idx = prob.shards[i]
-        if indices is not None and len(indices) < len(idx):
-            idx = idx[np.asarray(indices)]
-        cols = prob.task_cols[s]
-        m = prob.task_signs[s, idx] * (view[idx] @ x[cols])
-        loss = float(np.logaddexp(0.0, -m).mean()) + 0.5 * prob.ridge * float(x[cols] @ x[cols])
-        g = np.zeros_like(x)
-        coef = -prob.task_signs[s, idx] / (1.0 + np.exp(m))
-        g[cols] = view[idx].T @ coef / len(idx) + prob.ridge * x[cols]
-        return loss, g
-
     @pytest.mark.parametrize("partition", ["iid", "label_skew"])
     @pytest.mark.parametrize("as_list", [False, True])
     def test_shard_blocks_match_gathers_from_the_full_view_bit_for_bit(self, partition,
@@ -212,12 +297,12 @@ class TestClassificationSuite:
             for i in range(5):
                 x = rng.standard_normal(12)
                 n = prob.shard_size(i)
-                loss, grad = self._reference(prob, s, i, x)
+                loss, grad = logistic_reference(prob, s, i, x)
                 assert prob.loss(s, i, x) == loss
                 assert np.array_equal(prob.grad(s, i, x), grad)
                 batch = rng.integers(0, n, 7)
                 batch = batch.tolist() if as_list else batch
-                _, mini = self._reference(prob, s, i, x, batch)
+                _, mini = logistic_reference(prob, s, i, x, batch)
                 assert np.array_equal(prob.stoch_grad(s, i, x, batch), mini)
                 full = rng.permutation(n)
                 full = full.tolist() if as_list else full
