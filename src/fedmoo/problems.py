@@ -62,9 +62,8 @@ class Problem:
     bit-identical values.  A subclass may override ``global_loss`` and
     ``global_grad`` with closed forms, but never ``losses`` or
     ``gradient_matrix``: the benchmark counts calls to those two on this
-    class, and an override would hide them.  Each built-in suite builds one
-    read-only table of per-shard operands at construction, so ``stoch_grad``
-    reads one entry instead of indexing the suite's arrays on every call.
+    class, and an override would hide them.  A suite's public arrays are
+    fixed after construction.
     """
 
     name = "problem"
@@ -143,6 +142,9 @@ class QuadraticProblem(Problem):
         S, M, n, d = anchors.shape
         super().__init__(indicator, d)
         self.centers = centers
+        # read-only: the operand table below copies the curvatures and views the centers
+        client_centers.setflags(write=False)
+        client_curv.setflags(write=False)
         self.client_centers = client_centers
         self.client_curv = client_curv
         self.anchors = anchors
@@ -167,10 +169,11 @@ class QuadraticProblem(Problem):
         self.degenerate_pareto = bool(np.ptp(centers, axis=0).max() == 0.0)
         self.f_min = np.array([self.global_loss(s, self.eff_centers[s])
                                for s in range(self.S)])
-        # _operands[s][i] = (q_si, c_si): the shard's curvature and a read-only center row.
-        # Built last: built before ``dev``, the rows' small allocations can split the heap
-        # hole that ``dev`` reuses, and the heap grows by one more anchor-sized array.
-        self._operands = [[(float(client_curv[s, i]), _read_only(client_centers[s, i]))
+        # _operands[s][i] = (q_si, c_si): the shard's curvature and center row, so that
+        # stoch_grad reads one entry.  Built last: built before ``dev``, the rows' small
+        # allocations can split the heap hole that ``dev`` reuses, and the heap grows by
+        # one more anchor-sized array.
+        self._operands = [[(float(client_curv[s, i]), client_centers[s, i])
                            for i in range(M)] for s in range(S)]
 
     def loss(self, s, i, x):
@@ -262,10 +265,6 @@ class TanhRidgeProblem(Problem):
         self.amp_eps = amp_eps               # (S, M, n, J), column-centered
         self.ridge = float(ridge)
         self.n_per_client = amp_eps.shape[2]
-        # _operands[s][i] = (W_s, W_s.T, amp_si, offset_si, eps_si), read-only views
-        self._operands = [[tuple(map(_read_only, (weights[s], weights[s].T, amps[s, i],
-                                                  offsets[s, i], amp_eps[s, i])))
-                           for i in range(self.M)] for s in range(self.S)]
 
         row_norms = np.linalg.norm(weights, axis=2)            # (S, J)
         owners = indicator.owner_sets
@@ -284,17 +283,19 @@ class TanhRidgeProblem(Problem):
         self.stoch_grad_bound = d_bound if ridge == 0.0 else None
         self.lower_bound = -float(np.abs(amps).sum(axis=2).max()) if ridge == 0.0 else None
 
+    def _tanh(self, s, i, x):
+        return np.tanh(self.term_weights[s] @ x + self.client_offsets[s, i])
+
     def loss(self, s, i, x):
-        W, _, amp, offset, _ = self._operands[s][i]
-        val = float(amp @ np.tanh(W @ x + offset))
+        val = float(self.client_amps[s, i] @ self._tanh(s, i, x))
         return val + 0.5 * self.ridge * float(x @ x)
 
     def stoch_grad(self, s, i, x, indices):
-        W, WT, amp, offset, eps = self._operands[s][i]
+        amp = self.client_amps[s, i]
         if indices is not None and len(indices) < self.n_per_client:
-            amp = amp * (1.0 + np.add.reduce(eps[indices]) / len(indices))
-        th = np.tanh(W @ x + offset)
-        return WT @ (amp * (1.0 - th * th)) + self.ridge * x
+            amp = amp * (1.0 + np.add.reduce(self.amp_eps[s, i, indices]) / len(indices))
+        th = self._tanh(s, i, x)
+        return self.term_weights[s].T @ (amp * (1.0 - th * th)) + self.ridge * x
 
     def shard_size(self, i):
         return self.n_per_client
@@ -364,8 +365,6 @@ class LogisticTasksProblem(Problem):
         ones = np.ones((raw.shape[0], 1))
         self._blocks = [_shard_blocks(np.hstack([raw[:, :h], raw[:, h:] @ rotations[s].T, ones]),
                                       task_signs[s], self.shards) for s in range(self.S)]
-        # each task's model columns, as a slice when they are contiguous
-        self._cols = [_as_slice(cols) for cols in task_cols]
 
         l_bound = 0.0
         for s in range(self.S):
@@ -378,7 +377,7 @@ class LogisticTasksProblem(Problem):
 
     def loss(self, s, i, x):
         Z, y = self._blocks[s][i]
-        xv = x[self._cols[s]]
+        xv = x[self.task_cols[s]]
         m = y * (Z @ xv)
         return float(np.logaddexp(0.0, -m).mean()) + 0.5 * self.ridge * float(xv @ xv)
 
@@ -387,7 +386,7 @@ class LogisticTasksProblem(Problem):
         if indices is not None and len(indices) < len(y):
             idx = np.asarray(indices)
             Z, y = Z[idx], y[idx]
-        cols = self._cols[s]
+        cols = self.task_cols[s]
         xv = x[cols]
         coef = -y / (1.0 + np.exp(y * (Z @ xv)))
         g = np.zeros_like(x)
@@ -404,21 +403,13 @@ class LogisticTasksProblem(Problem):
         return float(res.fun)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 def _shard_blocks(view, signs, shards) -> list:
     """Each shard's rows of one task's design matrix and signs, as read-only copies."""
-    return [(_read_only(view[idx]), _read_only(signs[idx])) for idx in shards]
-
-
-def _as_slice(cols):
-    """``cols`` as the equal slice when they are consecutive, else unchanged."""
-    if len(cols) and np.array_equal(cols, np.arange(cols[0], cols[0] + len(cols))):
-        return slice(int(cols[0]), int(cols[0]) + len(cols))
-    return cols
+    blocks = [(view[idx], signs[idx]) for idx in shards]
+    for Z, y in blocks:
+        Z.setflags(write=False)
+        y.setflags(write=False)
+    return blocks
 
 
 def _haar_rotation(dim, rng) -> np.ndarray:
