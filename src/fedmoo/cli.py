@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -146,6 +147,26 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY
 
 
+def _read_f_min(path: str, n_objectives: int) -> list | None:
+    """A run summary's ``f_min``: null or one finite number per objective."""
+    with open(path) as fh:
+        summary = json.load(fh)
+    if not isinstance(summary, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(summary).__name__}")
+    f_min = summary.get("f_min")
+    if f_min is None:
+        return None
+    try:
+        valid = (isinstance(f_min, list) and len(f_min) == n_objectives
+                 and all(type(v) in (int, float) and math.isfinite(v) for v in f_min))
+    except OverflowError:  # an integer beyond the float range
+        valid = False
+    if not valid:
+        raise ValueError(f"{path}: f_min must be null or {n_objectives} finite numbers, "
+                         f"got {f_min!r}")
+    return f_min
+
+
 def cmd_report(args) -> int:
     # per round: the per-objective columns interleaved by objective, then the rest
     wide = [(key, stem) for key, stem in COLUMNS.items() if stem]
@@ -157,9 +178,8 @@ def cmd_report(args) -> int:
         run_id = os.path.basename(os.path.normpath(run_dir))
         try:
             cols = read_rounds_csv(os.path.join(run_dir, "rounds.csv"))
-            with open(os.path.join(run_dir, "summary.json")) as fh:
-                f_min = json.load(fh).get("f_min")
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+            f_min = _read_f_min(os.path.join(run_dir, "summary.json"), cols["lambda"].shape[1])
+        except (OSError, ValueError) as exc:
             print(f"skipping {run_dir}: {exc}", file=sys.stderr)
             failures += 1
             continue

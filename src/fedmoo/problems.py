@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import ConfigError, ExperimentConfig, IndicatorMatrix
 
@@ -149,9 +148,12 @@ class QuadraticProblem(Problem):
         self.client_curv = client_curv
         self.anchors = anchors
         self.n_per_client = n
-        # mean_j ||a_j - c||^2 completes the closed-form shard loss
-        dev = anchors - client_centers[:, :, None, :]
-        self._anchor_const = np.einsum("smjd,smjd->sm", dev, dev) / n
+        # mean_j ||a_j - c||^2 completes the closed-form shard loss; one objective at a
+        # time, so the deviations never take a second (S, M, n, d) array
+        self._anchor_const = np.empty((S, M))
+        for s in range(S):
+            dev = anchors[s] - client_centers[s, :, None, :]
+            self._anchor_const[s] = np.einsum("mjd,mjd->m", dev, dev) / n
 
         owners = indicator.owner_sets
         self._owners = [np.asarray(owners[s], dtype=np.int64) for s in range(self.S)]
@@ -170,9 +172,7 @@ class QuadraticProblem(Problem):
         self.f_min = np.array([self.global_loss(s, self.eff_centers[s])
                                for s in range(self.S)])
         # _operands[s][i] = (q_si, c_si): the shard's curvature and center row, so that
-        # stoch_grad reads one entry.  Built last: built before ``dev``, the rows' small
-        # allocations can split the heap hole that ``dev`` reuses, and the heap grows by
-        # one more anchor-sized array.
+        # stoch_grad reads one entry.
         self._operands = [[(float(client_curv[s, i]), client_centers[s, i])
                            for i in range(M)] for s in range(S)]
 
@@ -214,7 +214,9 @@ def quadratic_suite(d, A: IndicatorMatrix, *, centers="auto", curvature=1.0,
     biased and so gives the local-step error floor something to show;
     ``n_per_client`` anchor points per shard lie ``data_spread`` around the
     client center.  With ``heterogeneity`` and ``curvature_spread`` at zero
-    all shards of an objective are identical.
+    all shards of an objective are identical.  The build holds one
+    anchor-sized (S, M, n_per_client, d) array: the anchors are drawn, scaled
+    and shifted in place.
     """
     S, M = A.n_objectives, A.n_clients
     _check_shard_size(n_per_client)
@@ -240,8 +242,9 @@ def quadratic_suite(d, A: IndicatorMatrix, *, centers="auto", curvature=1.0,
     if curvature_spread == 0.0:
         client_curv[:] = curvature
 
-    anchors = client_centers[:, :, None, :] + data_spread * rng.standard_normal(
-        (S, M, n_per_client, d))
+    anchors = rng.standard_normal((S, M, n_per_client, d))
+    anchors *= data_spread
+    anchors += client_centers[:, :, None, :]
     anchors -= anchors.mean(axis=2, keepdims=True) - client_centers[:, :, None, :]
     return QuadraticProblem(A, centers, client_centers, client_curv, anchors)
 
@@ -397,6 +400,9 @@ class LogisticTasksProblem(Problem):
         return len(self.shards[i])
 
     def _solve_task_min(self, s):
+        # imported here, so the quadratic and tanh suites never load scipy.optimize
+        from scipy.optimize import minimize
+
         res = minimize(lambda x: (self.global_loss(s, x), self.global_grad(s, x)),
                        np.zeros(self.d), jac=True, method="L-BFGS-B",
                        options={"gtol": 1e-12, "maxiter": 5000})

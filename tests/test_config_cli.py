@@ -598,6 +598,30 @@ class TestReportCommand:
         assert main(["report", *dirs, "--out", str(tmp_path)]) == 2
         assert "unrecognized rounds.csv header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("summary, why", [
+        ([], "expected a JSON object, got list"),
+        ({"f_min": [0.0, 0.0, 0.0]}, "f_min must be null or 2 finite numbers"),
+        ({"f_min": [0.0, "0.0"]}, "f_min must be null or 2 finite numbers"),
+        ({"f_min": [0.0, True]}, "f_min must be null or 2 finite numbers"),
+        ({"f_min": 0.0}, "f_min must be null or 2 finite numbers"),
+    ])
+    def test_malformed_summary_skipped_with_exit_2(self, tmp_path, capsys, summary, why):
+        dirs = self._run_pair(tmp_path)
+        (Path(dirs[1]) / "summary.json").write_text(json.dumps(summary))
+        assert main(["report", *dirs, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"skipping {dirs[1]}: {dirs[1]}/summary.json: {why}" in err
+        assert "Traceback" not in err
+        assert {ln.split(",")[0] for ln in (tmp_path / "report.csv").read_text()
+                .strip().splitlines()[1:]} == {"a"}
+
+    @pytest.mark.parametrize("value", ["Infinity", "NaN", "1e400", "1" + "0" * 400])
+    def test_non_finite_f_min_skipped_with_exit_2(self, tmp_path, capsys, value):
+        dirs = self._run_pair(tmp_path)
+        (Path(dirs[1]) / "summary.json").write_text('{"f_min": [0.0, %s]}' % value)
+        assert main(["report", *dirs, "--out", str(tmp_path)]) == 2
+        assert "f_min must be null or 2 finite numbers" in capsys.readouterr().err
+
     def test_report_reproduces_summary_numbers_exactly(self, tmp_path):
         run_dir = self._run_pair(tmp_path)[0]
         with open(run_dir + "/summary.json") as fh:

@@ -28,3 +28,22 @@ def test_demo_config_runs(config, tmp_path):
     path = DEMOS / "configs" / config
     command = "sweep" if "axis" in yaml.safe_load(path.read_text()) else "run"
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_parallel_classification_sweep_in_a_fresh_process(tmp_path):
+    """The members of a fresh ``sweep --jobs 2`` first load scipy.optimize in their
+    threads; the tree they write is the serial one."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    trees = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        proc = subprocess.run([sys.executable, "-m", "fedmoo.cli", "sweep", "--config",
+                               str(DEMOS / "configs" / "k_sweep.yaml"), "--out", str(out),
+                               "--jobs", jobs], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        trees.append({str(p.relative_to(out)): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    assert len(trees[0]) == 7
+    assert trees[1] == trees[0]

@@ -1,15 +1,23 @@
 """Problem suites: gradients, certificates, partitions."""
 
 import inspect
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from fedmoo import problems
 from fedmoo.core import IndicatorMatrix
 from fedmoo.minnorm import solve_min_norm
 from fedmoo.problems import (SUITES, PartitionPlan, partition, quadratic_suite,
                              synthetic_classification_suite, toy_nonconvex_suite)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def fd_gradient(fn, x, h=1e-6):
@@ -135,6 +143,86 @@ def quad():
     centers = np.array([[1.0, 0.0], [0.0, 1.0]])
     return quadratic_suite(2, A, centers=centers, heterogeneity=0.4, curvature_spread=0.3,
                            n_per_client=20, seed=3)
+
+
+def out_of_place_quadratic_build(prob, A, *, heterogeneity, n_per_client, data_spread, seed):
+    """``anchors``, ``_anchor_const`` and ``f_min`` of ``prob`` by the out-of-place
+    expressions: ``quadratic_suite``'s draws replayed, the anchors as ``c + spread * z``
+    and one (S, M, n, d) deviation array."""
+    S, M, d = A.n_objectives, A.n_clients, prob.d
+    rng = problems._rng(seed, problems._TAG_QUAD)
+    centers = np.broadcast_to(prob.centers[:, None, :], (S, M, d)).copy()
+    for s, owners in enumerate(A.owner_sets):
+        if len(owners) > 1 and heterogeneity > 0:
+            offs = heterogeneity * rng.standard_normal((len(owners), d))
+            offs -= offs.mean(axis=0)
+            centers[s, list(owners)] += offs
+    rng.uniform(-1.0, 1.0, (S, M))  # the curvature draw
+    assert centers.tobytes() == prob.client_centers.tobytes()
+
+    anchors = centers[:, :, None, :] + data_spread * rng.standard_normal((S, M, n_per_client, d))
+    anchors -= anchors.mean(axis=2, keepdims=True) - centers[:, :, None, :]
+    dev = anchors - centers[:, :, None, :]
+    const = np.einsum("smjd,smjd->sm", dev, dev) / n_per_client
+    f_min = []
+    for s in range(S):
+        owners = np.asarray(A.owner_sets[s])
+        diff = prob.eff_centers[s] - centers[s, owners]
+        sq = np.einsum("id,id->i", diff, diff) + const[s, owners]
+        f_min.append(float((0.5 * prob.client_curv[s, owners] * sq).mean()))
+    return anchors, const, np.array(f_min)
+
+
+class TestQuadraticBuild:
+    @pytest.mark.parametrize("case", range(30))
+    def test_in_place_build_matches_the_out_of_place_expressions(self, case):
+        rng = np.random.default_rng(900 + case)
+        S = 1 if case < 4 else int(rng.integers(1, 5))
+        M = int(rng.integers(1, 7))
+        A = (random_indicator(case, S, M) if S > 1 and M > 1 and case % 3
+             else IndicatorMatrix.all_ones(S, M))
+        keys = {"heterogeneity": 0.0 if case % 5 == 0 else float(rng.uniform(0.0, 2.0)),
+                "n_per_client": int(rng.integers(1, 21)),
+                "data_spread": float(10.0 ** rng.uniform(-3.0, 3.0)),
+                "seed": case}
+        prob = quadratic_suite(int(rng.integers(1, 13)), A,
+                               curvature_spread=float(rng.uniform(0.0, 0.9)), **keys)
+        anchors, const, f_min = out_of_place_quadratic_build(prob, A, **keys)
+        assert prob.anchors.tobytes() == anchors.tobytes()
+        assert prob._anchor_const.tobytes() == const.tobytes()
+        assert prob.f_min.tobytes() == f_min.tobytes()
+
+    def test_the_build_holds_one_anchor_sized_array(self):
+        A = IndicatorMatrix.all_ones(8, 16)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            prob = quadratic_suite(64, A, heterogeneity=0.5, curvature_spread=0.3,
+                                   n_per_client=16, seed=3)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - kept < prob.anchors.nbytes / 2
+
+
+def test_only_the_classification_suite_loads_scipy_optimize(tmp_path):
+    golden = ROOT / "tests" / "golden"
+    script = f"""
+import sys
+import fedmoo
+from fedmoo.cli import main
+for case in ("quad_stoch", "tanh_stoch"):
+    assert main(["run", "--config", r"{golden}/" + case + ".yaml", "--out", case]) == 0
+print("scipy.optimize" in sys.modules)
+fedmoo.build_problem(fedmoo.load_config(r"{golden}/cls_full.yaml")[0])
+print("scipy.optimize" in sys.modules)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["False", "True"]
 
 
 class TestQuadraticSuite:
