@@ -76,14 +76,24 @@ def _duality_gap(g, lam):
     return u, norm_sq, 2.0 * (norm_sq - low), 2.0 * (norm_sq + abs(low))
 
 
-def _affine_min(Q, support) -> np.ndarray:
+def _affine_min(Q, support, rows=None) -> np.ndarray:
     """Weights of the min-norm point in the affine hull of the supported vertices.
 
     Solves the KKT system of min a^T Q_P a subject to sum(a) = 1; two
     vertices use the segment closed form.  A singular system (duplicate or
     affinely dependent vertices) falls back to least squares, which still
     returns a minimizer because the system is consistent.
+
+    Given the direction vectors ``rows``, solves instead the least-squares
+    problem min ||G_0 + b^T (G_P - G_0)|| on the vertices themselves, whose
+    conditioning is that of the vertex set rather than its square, for
+    nearly affinely dependent vertices whose Gram entries lose the descent
+    to roundoff.
     """
+    if rows is not None:
+        base = rows[support[0]]
+        b = np.linalg.lstsq((rows[support[1:]] - base).T, -base, rcond=None)[0]
+        return np.concatenate([[1.0 - b.sum()], b])
     if len(support) == 2:
         i, j = support
         denom = Q[i, i] - 2.0 * Q[i, j] + Q[j, j]
@@ -152,6 +162,7 @@ def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     lam = np.zeros(n)
     lam[first] = 1.0
     support = [first]
+    rows = None
     iterations = 0
     while True:
         scores = Q @ lam
@@ -170,7 +181,11 @@ def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None,
             break
         support.append(j)
         iterations += 1
-        alpha = _affine_min(Q, support)
+        alpha = _affine_min(Q, support, rows)
+        if alpha[-1] <= 0.0 and rows is None:
+            # Gram roundoff hid the entering weight: solve from G for the rest of the run
+            rows = g
+            alpha = _affine_min(Q, support, rows)
         if alpha[-1] <= 0.0:  # in exact arithmetic the entering vertex gets positive weight
             termination = "stalled"
             break
@@ -185,7 +200,7 @@ def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None,
             lam[support] = np.where(keep, step, 0.0)
             support = [s for s, k in zip(support, keep) if k]
             iterations += 1
-            alpha = _affine_min(Q, support)
+            alpha = _affine_min(Q, support, rows)
         if (alpha > 0.0).all():
             lam[support] = alpha
 

@@ -101,6 +101,20 @@ class TestSolverProperties:
             sol = solve_min_norm(np.vstack([g1, g2, g3]), tol=1e-10)
             assert sol.norm_sq <= 1e-10
 
+    def test_nearly_collinear_vertices_converge(self):
+        # all seven rows sit within ~1e-9 of the line through (0.25, t, 0, ...); the
+        # Gram matrix rounds away the entering vertex's weight, the rows do not
+        tail = np.ones(5)
+        p = np.concatenate([[0.2500000012500001, 0.5000000012500001], 1.5e-09 * tail])
+        b = np.concatenate([[0.2500000015000001, 0.5000000015], 1.75e-09 * tail])
+        c = np.concatenate([[0.2500000012500001, 1.5e-09], 1.5e-09 * tail])
+        e = np.concatenate([[0.2500000010000001, -0.49999999849999993], 1.25e-09 * tail])
+        G = np.vstack([p, b, c, b, b, e, b])
+        sol = solve_min_norm(G)
+        assert sol.converged and sol.termination == "gap_tol"
+        assert sol.fw_gap <= 1e-10
+        assert sol.norm_sq < float(c @ c)  # strictly below the shortest vertex it started at
+
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(37)
         G = rng.standard_normal((3, 4))
