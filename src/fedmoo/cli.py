@@ -19,14 +19,12 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
 from .config import load_config, load_sweep, member_dir
 from .core import ConfigError
 from .federation import run_experiment
 from .problems import build_problem
-from .reporting import (COLUMNS, build_summary, read_rounds_csv, summarize_columns,
-                        write_rounds_csv, write_summary_json)
+from .reporting import (COLUMNS, build_summary, format_cell, read_rounds_csv,
+                        summarize_columns, write_rounds_csv, write_summary_json)
 from .verify import run_battery
 
 EXIT_OK = 0
@@ -196,8 +194,7 @@ def cmd_report(args) -> int:
     with open(csv_path, "w", newline="") as fh:
         fh.write("run_id,t,metric,value\n")
         for run_id, t, metric, value in rows:
-            cell = "" if np.isnan(value) else repr(float(value))
-            fh.write(f"{run_id},{t},{metric},{cell}\n")
+            fh.write(f"{run_id},{t},{metric},{format_cell(value)}\n")
 
     for run_id, derived in tables:
         print(f"== {run_id} ({derived['rounds']} rounds)")

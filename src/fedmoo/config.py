@@ -150,7 +150,7 @@ def parse_config(mapping: dict) -> ExperimentConfig:
 
     kwargs = {key: _check_type(mapping[key], kind, key)
               for key, kind in _SCALARS.items() if key in mapping}
-    for key in ("S", "M", "d"):
+    for key in ("S", "M"):
         if kwargs[key] < 1:
             raise ConfigError(key, f"must be >= 1, got {kwargs[key]}")
     kwargs["indicator"] = _parse_indicator(mapping["indicator"], kwargs["S"], kwargs["M"])

@@ -248,6 +248,8 @@ class ExperimentConfig:
         if self.indicator.n_objectives != self.S or self.indicator.n_clients != self.M:
             raise ConfigError("indicator", f"shape {self.indicator.entries.shape} does not match "
                                            f"S={self.S}, M={self.M}")
+        if self.d < 1:
+            raise ConfigError("d", f"must be >= 1, got {self.d}")
         if self.K < 1:
             raise ConfigError("K", f"must be >= 1, got {self.K}")
         if self.T < 1:

@@ -137,8 +137,8 @@ def client_update_stochastic(x_t, client, owned, K, eta_local, batch, problem, s
     operations in the same order as a loop over single objectives, so the
     updates are bit-identical to it.  Non-finite values are absorbing, so
     the block is checked once after its K steps; a failed check replays the
-    first non-finite objective (in owned order) to locate its first
-    non-finite step.
+    first non-finite objective (in owned order) through the same step loop,
+    as a one-row block, to locate its first non-finite step.
     """
     n_shard = problem.shard_size(client)
     if batch is not None and batch < 1:
@@ -160,41 +160,43 @@ def client_update_stochastic(x_t, client, owned, K, eta_local, batch, problem, s
     else:
         batches = [draw(s) for s in owned]
 
-    X = np.empty((len(owned), x_t.shape[0]))
-    X[:] = x_t
-    acc = np.zeros_like(X)
-    G = np.empty_like(X)
-    # per owned objective: its iterate and gradient rows (views into X and G) and batches
-    rows = [(s, X[r], G[r], batches[r]) for r, s in enumerate(owned)]
-    stoch_grad = problem.stoch_grad
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        for k in range(K):
-            for s, x_row, g_row, row_batches in rows:
-                g_row[...] = stoch_grad(s, client, x_row, row_batches[k])
-            acc += G
-            X -= eta_local * G  # in place, so the row views stay the iterates
+        for acc, X in _local_steps(x_t, client, owned, batches, K, eta_local,
+                                   problem.stoch_grad):
+            pass  # the K steps update acc and X in place
         if not (np.isfinite(acc).all() and np.isfinite(X).all()):
             r = int(np.argmin(np.isfinite(acc).all(axis=1) & np.isfinite(X).all(axis=1)))
-            _locate_divergence(x_t, client, owned[r], batches[r], eta_local, problem,
-                               round_index)
+            replay = _local_steps(x_t, client, owned[r:r + 1], batches[r:r + 1], K, eta_local,
+                                  problem.stoch_grad)
+            for k, (row_acc, row_X) in enumerate(replay):
+                if not (np.isfinite(row_acc).all() and np.isfinite(row_X).all()):
+                    raise DivergenceError(round_index, client, owned[r], k)
+            raise RuntimeError(f"objective {owned[r]} of client {client} did not diverge on "
+                               "replay; its gradients are not a function of their inputs")
         # np.linalg.norm(X - x_t, axis=1) without its wrapper: the same reduction
         X -= x_t
         drift = np.sqrt(np.add.reduce(X * X, axis=1))
     return ClientRoundOutput(client, tuple(owned), acc, drift)
 
 
-def _locate_divergence(x_t, client, s, batches, eta_local, problem, round_index):
-    """Replay one objective's local steps and raise at its first non-finite step."""
-    x_loc = x_t
-    acc = np.zeros_like(x_t)
-    for k, idx in enumerate(batches):
-        g = problem.stoch_grad(s, client, x_loc, idx)
-        acc += g
-        x_loc = x_loc - eta_local * g
-        if not (np.isfinite(acc).all() and np.isfinite(x_loc).all()):
-            raise DivergenceError(round_index, client, s, k)
-    raise RuntimeError(f"objective {s} of client {client} did not diverge on replay; "
-                       "its gradients are not a function of their inputs")
+def _local_steps(x_t, client, owned, batches, K, eta_local, stoch_grad):
+    """Step the owned objectives' iterates together from ``x_t``, one step at a time.
+
+    Yields the (|owned|, d) accumulator and iterate blocks after each step;
+    both are updated in place, so every step yields the same two arrays.
+    """
+    X = np.empty((len(owned), x_t.shape[0]))
+    X[:] = x_t
+    acc = np.zeros_like(X)
+    G = np.empty_like(X)
+    # per owned objective: its iterate and gradient rows (views into X and G) and batches
+    rows = [(s, X[r], G[r], batches[r]) for r, s in enumerate(owned)]
+    for k in range(K):
+        for s, x_row, g_row, row_batches in rows:
+            g_row[...] = stoch_grad(s, client, x_row, row_batches[k])
+        acc += G
+        X -= eta_local * G  # in place, so the row views stay the iterates
+        yield acc, X
 
 
 def server_aggregate(outputs, indicator: IndicatorMatrix, K: int,

@@ -24,6 +24,7 @@ __all__ = [
     "FORMAT_VERSION",
     "DEFAULT_EPS",
     "COLUMNS",
+    "format_cell",
     "rounds_header",
     "round_columns",
     "write_rounds_csv",
@@ -43,7 +44,8 @@ COLUMNS = {"t": None, "lambda": "lambda", "d_norm_sq": None, "dbar_norm_sq": Non
            "lambda_drift": None}
 
 
-def _fmt(value) -> str:
+def format_cell(value) -> str:
+    """A CSV cell: the shortest repr that round-trips, empty for NaN."""
     return "" if np.isnan(value) else repr(float(value))
 
 
@@ -82,7 +84,7 @@ def write_rounds_csv(path, traj: TrajectoryLog) -> None:
     cols = round_columns(traj)
     cells = np.column_stack([cols[key] for key in COLUMNS if key != "t"])
     lines = [rounds_header(cols["lambda"].shape[1])]
-    lines += [",".join([str(t), *map(_fmt, row)]) for t, row in zip(cols["t"], cells)]
+    lines += [",".join([str(t), *map(format_cell, row)]) for t, row in zip(cols["t"], cells)]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -140,7 +140,7 @@ class TestExperimentConfig:
         return ExperimentConfig(**args)
 
     @pytest.mark.parametrize("field,value", [
-        ("K", 0), ("T", 0), ("eta_global", 0.0), ("eta_local", -0.1),
+        ("d", 0), ("K", 0), ("T", 0), ("eta_global", 0.0), ("eta_local", -0.1),
         ("mode", "warp"), ("sample_sharing", "sometimes"),
     ])
     def test_invalid_fields_rejected(self, field, value):

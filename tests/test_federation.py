@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fmgda_reference as reference
 from fedmoo.core import ExperimentConfig, IndicatorMatrix, RoundRecord
 from fedmoo.federation import (ClientRoundOutput, DivergenceError, TrajectoryLog,
                                client_update_full, client_update_stochastic,
@@ -182,7 +183,9 @@ class TestServerAggregate:
         A, outputs, weights = draw_round(data, M, S, d, weighted)
         agg = server_aggregate(outputs, A, K=3, normalize_delta_by_K=by_K,
                                client_weights=weights)
-        ref = per_objective_average(outputs, A, 3, by_K, weights)
+        deltas = {(out.client, s): out.deltas[r]
+                  for out in outputs for r, s in enumerate(out.objectives)}
+        ref = reference.average(deltas, A.owner_sets, 3, by_K, weights)
         assert agg.tobytes() == ref.tobytes()
 
 
@@ -204,26 +207,6 @@ def draw_round(data, M, S, d, weighted):
     if weighted:
         weights = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=M, max_size=M)))
     return A, outputs, weights
-
-
-def per_objective_average(outputs, A, K, normalize_delta_by_K, client_weights):
-    """The plain reading of the server average: one objective at a time, clients ascending."""
-    deltas = {(out.client, s): out.deltas[r]
-              for out in outputs for r, s in enumerate(out.objectives)}
-    agg = np.zeros((A.n_objectives, outputs[0].deltas.shape[1]))
-    for s, owners in enumerate(A.owner_sets):
-        if client_weights is None:
-            for i in owners:
-                agg[s] += deltas[i, s]
-            agg[s] /= len(owners)
-        else:
-            w = np.array([client_weights[i] for i in owners])
-            w /= w.sum()
-            for pos, i in enumerate(owners):
-                agg[s] += w[pos] * deltas[i, s]
-    if normalize_delta_by_K:
-        agg /= K
-    return agg
 
 
 def base_config(prob, A, **kw):
@@ -250,19 +233,10 @@ class TestRunRound:
         x = np.array([0.1, 0.2, 0.3])
         x_next, rec = run_round(1, x, cfg, prob)
         assert np.array_equal(rec.weights, [1.0])
-        # hand-rolled FedAvg-style reference: K local GD steps per client
-        acc = np.zeros(3)
-        for i in range(2):
-            x_loc = x.copy()
-            delta = np.zeros(3)
-            for _ in range(4):
-                g = prob.grad(0, i, x_loc)
-                delta += g
-                x_loc = x_loc - 0.05 * g
-            acc += delta
-        acc /= 2
-        acc /= 4
-        assert np.array_equal(x_next, x - 0.7 * acc)
+        # one objective: the server step is FedAvg's, along the averaged local updates
+        deltas = {(i, 0): reference.local_update(x, i, 0, cfg, prob, 1)[0] for i in range(2)}
+        assert np.array_equal(x_next, x - 0.7 * reference.average(deltas, A.owner_sets, 4,
+                                                                   True, None)[0])
 
     def test_overflowing_average_raises_with_round_and_row_and_no_warning(self):
         # objective 0 has one owner; objective 1 sums two finite updates near 1e308

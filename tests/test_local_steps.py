@@ -1,13 +1,23 @@
-"""Block local steps: bit identity with a per-pair loop, and divergence coordinates."""
+"""The round engine against the literal FMGDA/FSMGDA reference in ``fmgda_reference``.
+
+Hypothesis draws configs from the whole config space (indicators, suites,
+modes, batches, sample sharing, client weights, K normalization, K and T)
+and checks whole runs, single client updates and injected divergences bit
+for bit against the reference.  The fixed cases below document how a
+divergence is reported.
+"""
 
 import json
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fmgda_reference as reference
 from fedmoo import cli
-from fedmoo.core import ExperimentConfig, IndicatorMatrix, client_stream
+from fedmoo.core import ExperimentConfig, IndicatorMatrix
 from fedmoo.federation import client_update_stochastic, run_experiment
 from fedmoo.problems import (Problem, quadratic_suite, synthetic_classification_suite,
                              toy_nonconvex_suite)
@@ -15,64 +25,76 @@ from fedmoo.problems import (Problem, quadratic_suite, synthetic_classification_
 # clients own different subsets; client 1 owns all three objectives
 A = IndicatorMatrix(np.array([[1, 1, 0, 1], [0, 1, 1, 1], [1, 1, 1, 0]]))
 
-
-def reference_update(x_t, client, owned, K, eta_local, batch, problem, seed, round_index,
-                     sample_sharing):
-    """One objective at a time, one step at a time: the plain reading of the local update.
-
-    Returns each objective's accumulated update and its final local iterate.
-    """
-    n_shard = problem.shard_size(client)
-    size = batch if (batch is not None and batch < n_shard) else None
-    deltas, final = {}, {}
-    for s in owned:
-        x = x_t
-        acc = np.zeros_like(x_t)
-        for k in range(K):
-            idx = None
-            if size is not None:
-                key = None if sample_sharing == "per_client" else s
-                idx = client_stream(seed, client, round_index, k, objective=key).integers(
-                    0, n_shard, size)
-            g = problem.stoch_grad(s, client, x, idx)
-            acc += g
-            x = x - eta_local * g
-        deltas[s] = acc
-        final[s] = x
-    return deltas, final
-
-
+# suite -> builder of a small instance on (indicator, samples per client, seed)
 SUITES = {
-    "quadratic": lambda: quadratic_suite(6, A, centers=np.eye(3, 6), heterogeneity=0.4,
-                                         curvature_spread=0.3, n_per_client=20, seed=3),
-    "tanh": lambda: toy_nonconvex_suite(5, A, n_terms=6, heterogeneity=0.3, n_per_client=24,
-                                        seed=4),
-    "logistic": lambda: synthetic_classification_suite(12, A, n_per_client=30,
-                                                       partition="label_skew", labels_per_client=4,
-                                                       n_components=6, seed=5),
+    "quadratic": lambda ind, n, seed: quadratic_suite(3, ind, heterogeneity=0.4,
+                                                      curvature_spread=0.3, n_per_client=n,
+                                                      seed=seed),
+    "tanh": lambda ind, n, seed: toy_nonconvex_suite(3, ind, n_terms=4, heterogeneity=0.3,
+                                                     n_per_client=n, seed=seed),
+    "logistic": lambda ind, n, seed: synthetic_classification_suite(
+        2 * ind.n_objectives, ind, n_per_client=n, partition="iid", n_components=4, seed=seed),
 }
 
 
-class TestBlockMatchesPerPairLoop:
-    @pytest.mark.parametrize("suite", sorted(SUITES))
-    @pytest.mark.parametrize("sharing", ["per_client", "per_objective"])
-    @pytest.mark.parametrize("batch", [None, 5])
-    @pytest.mark.parametrize("K", [1, 3])
-    def test_deltas_bit_identical(self, suite, sharing, batch, K):
-        problem = SUITES[suite]()
-        x_t = np.random.default_rng(11).standard_normal(problem.d)
-        for client in range(A.n_clients):
-            owned = A.client_objectives[client]
-            out = client_update_stochastic(x_t, client, owned, K, 0.07, batch, problem, 19,
-                                           round_index=2, sample_sharing=sharing)
-            deltas, final = reference_update(x_t, client, owned, K, 0.07, batch, problem, 19,
-                                             2, sharing)
-            assert out.objectives == owned
-            assert out.deltas.shape == (len(owned), problem.d) and out.drift.shape == (len(owned),)
-            for r, s in enumerate(owned):
-                assert out.deltas[r].tobytes() == deltas[s].tobytes()
-            drift = np.linalg.norm(np.vstack([final[s] for s in owned]) - x_t, axis=1)
-            assert out.drift.tobytes() == drift.tobytes()
+@st.composite
+def configs(draw, suites=tuple(SUITES)):
+    """A config drawn from the whole config space, with the problem it runs on."""
+    S, M = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    mask = np.array(draw(st.lists(st.lists(st.booleans(), min_size=M, max_size=M),
+                                  min_size=S, max_size=S)), dtype=int)
+    mask[np.arange(S), np.arange(S) % M] = 1  # every objective has an owner
+    mask[np.arange(M) % S, np.arange(M)] = 1  # every client owns an objective
+    indicator = IndicatorMatrix(mask)
+    n = draw(st.integers(2, 6))
+    problem = SUITES[draw(st.sampled_from(suites))](indicator, n, draw(st.integers(0, 99)))
+    config = ExperimentConfig(
+        M=M, S=S, indicator=indicator, d=problem.d,
+        K=draw(st.integers(1, 4)), T=draw(st.integers(1, 4)),
+        eta_global=draw(st.floats(0.05, 1.0)), eta_local=draw(st.floats(0.0, 0.3)),
+        mode=draw(st.sampled_from(["full_gradient", "stochastic"])),
+        batch_size=draw(st.integers(1, n)), seed=draw(st.integers(0, 2**32 - 1)),
+        sample_sharing=draw(st.sampled_from(["per_client", "per_objective"])),
+        normalize_delta_by_K=draw(st.booleans()),
+        client_weights=draw(st.none() | st.lists(st.floats(0.1, 10.0), min_size=M, max_size=M)),
+        init=draw(st.lists(st.floats(-2.0, 2.0), min_size=problem.d, max_size=problem.d)))
+    return config, problem
+
+
+def same_bytes(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=configs())
+def test_run_matches_reference_bit_for_bit(case):
+    config, problem = case
+    traj = run_experiment(config, problem)
+    rounds, final, termination = reference.run(config, problem)
+    assert len(traj.records) == len(rounds)
+    for rec, (x_t, weights, norm_sq) in zip(traj.records, rounds):
+        assert same_bytes(rec.x_snapshot, x_t)
+        assert same_bytes(rec.weights, weights)
+        assert same_bytes(rec.d_norm_sq, norm_sq)
+    assert same_bytes(traj.final_point, final)
+    assert traj.termination == termination
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=configs(), t=st.integers(1, 4))
+def test_client_updates_match_reference_bit_for_bit(case, t):
+    config, problem = case
+    x_t = config.initial_point()
+    batch = config.batch_size if config.mode == "stochastic" else None
+    for client, owned in enumerate(config.indicator.client_objectives):
+        out = client_update_stochastic(x_t, client, owned, config.K, config.eta_local, batch,
+                                       problem, config.seed, t, config.sample_sharing)
+        ref = [reference.local_update(x_t, client, s, config, problem, t) for s in owned]
+        assert out.objectives == owned
+        assert out.deltas.shape == (len(owned), problem.d)
+        assert same_bytes(out.deltas, np.vstack([acc for acc, _ in ref]))
+        drift = np.linalg.norm(np.vstack([x for _, x in ref]) - x_t, axis=1)
+        assert same_bytes(out.drift, drift)
 
 
 class FaultyQuadratic(Problem):
@@ -113,6 +135,30 @@ class FaultyQuadratic(Problem):
                 g = np.full_like(g, np.nan)
             self._seen[key] = g
         return self._seen[key].copy()
+
+
+def fault_at(config):
+    """(round, client, objective, step) coordinates of one injected fault."""
+    return st.integers(0, config.M - 1).flatmap(lambda i: st.tuples(
+        st.integers(1, config.T), st.just(i),
+        st.sampled_from(config.indicator.client_objectives[i]), st.integers(0, config.K - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_divergence_reported_where_the_reference_fails(data):
+    config, base = data.draw(configs(suites=("quadratic",)))
+    # faults sharing one (round, client), so their order decides which is reported,
+    # and faults anywhere
+    t, i = data.draw(st.integers(1, config.T)), data.draw(st.integers(0, config.M - 1))
+    owned = config.indicator.client_objectives[i]
+    faults = [(t, i, s, k) for s, k in data.draw(st.lists(
+        st.tuples(st.sampled_from(owned), st.integers(0, config.K - 1)), min_size=1, max_size=3))]
+    faults += data.draw(st.lists(fault_at(config), max_size=2))
+    traj = run_experiment(config, FaultyQuadratic(base, config.K, faults))
+    rounds, _, termination = reference.run(config, FaultyQuadratic(base, config.K, faults))
+    assert traj.termination == termination
+    assert len(traj.records) == len(rounds)
 
 
 def faulty_run(faults, mode="full_gradient", sharing="per_client", K=3):
@@ -161,3 +207,20 @@ class TestFaultInjection:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["termination"].endswith("round 3, client 2, objective 1, local step 2")
         assert "partial log" in capsys.readouterr().err
+
+    def test_gradient_that_is_not_a_function_of_its_inputs_is_reported(self):
+        # NaN on the first call only: the block fails, but its replay does not
+        prob = quadratic_suite(2, IndicatorMatrix.all_ones(1, 1), seed=0)
+        exact, calls = prob.stoch_grad, []
+
+        def nan_once(s, i, x, indices):
+            calls.append(s)
+            g = exact(s, i, x, indices)
+            return np.full_like(g, np.nan) if len(calls) == 1 else g
+
+        prob.stoch_grad = nan_once
+        with pytest.raises(RuntimeError) as err:
+            client_update_stochastic(np.zeros(2), 0, (0,), 2, 0.1, None, prob, seed=0)
+        assert type(err.value) is RuntimeError
+        assert str(err.value) == ("objective 0 of client 0 did not diverge on replay; "
+                                  "its gradients are not a function of their inputs")
