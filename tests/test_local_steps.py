@@ -3,7 +3,8 @@
 Hypothesis draws configs from the whole config space (indicators, suites,
 modes, batches, sample sharing, client weights, K normalization, K and T)
 and checks whole runs, single client updates and injected divergences bit
-for bit against the reference.  The fixed cases below document how a
+for bit against the reference.  A fixed grid checks client updates on larger
+shards and a label-skewed partition, and fixed fault cases document how a
 divergence is reported.
 """
 
@@ -95,6 +96,41 @@ def test_client_updates_match_reference_bit_for_bit(case, t):
         assert same_bytes(out.deltas, np.vstack([acc for acc, _ in ref]))
         drift = np.linalg.norm(np.vstack([x for _, x in ref]) - x_t, axis=1)
         assert same_bytes(out.drift, drift)
+
+
+# larger shards than the drawn configs, and a label-skewed partition
+FIXED_SUITES = {
+    "quadratic": lambda: quadratic_suite(6, A, centers=np.eye(3, 6), heterogeneity=0.4,
+                                         curvature_spread=0.3, n_per_client=20, seed=3),
+    "tanh": lambda: toy_nonconvex_suite(5, A, n_terms=6, heterogeneity=0.3, n_per_client=24,
+                                        seed=4),
+    "logistic": lambda: synthetic_classification_suite(12, A, n_per_client=30,
+                                                       partition="label_skew", labels_per_client=4,
+                                                       n_components=6, seed=5),
+}
+
+
+class TestBlockMatchesPerPairLoop:
+    @pytest.mark.parametrize("suite", sorted(FIXED_SUITES))
+    @pytest.mark.parametrize("sharing", ["per_client", "per_objective"])
+    @pytest.mark.parametrize("batch", [None, 5])
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_deltas_bit_identical(self, suite, sharing, batch, K):
+        problem = FIXED_SUITES[suite]()
+        config = ExperimentConfig(M=A.n_clients, S=A.n_objectives, indicator=A, d=problem.d,
+                                  K=K, T=2, eta_global=0.1, eta_local=0.07,
+                                  mode="full_gradient" if batch is None else "stochastic",
+                                  batch_size=batch, seed=19, sample_sharing=sharing)
+        x_t = np.random.default_rng(11).standard_normal(problem.d)
+        for client, owned in enumerate(A.client_objectives):
+            out = client_update_stochastic(x_t, client, owned, K, 0.07, batch, problem, 19,
+                                           round_index=2, sample_sharing=sharing)
+            ref = [reference.local_update(x_t, client, s, config, problem, 2) for s in owned]
+            assert out.objectives == owned
+            assert out.deltas.shape == (len(owned), problem.d) and out.drift.shape == (len(owned),)
+            assert same_bytes(out.deltas, np.vstack([acc for acc, _ in ref]))
+            drift = np.linalg.norm(np.vstack([x for _, x in ref]) - x_t, axis=1)
+            assert same_bytes(out.drift, drift)
 
 
 class FaultyQuadratic(Problem):
