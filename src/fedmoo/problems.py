@@ -133,12 +133,14 @@ class QuadraticProblem(Problem):
     the homogeneous suite.  Every shard holds ``n_per_client`` anchor points
     whose mean is exactly the client center; a minibatch gradient replaces the
     center by the sampled anchors' mean, giving an exactly unbiased estimate.
+    ``anchors`` is a list of S (M, n, d) arrays, one per objective.
     """
 
     name = "quadratic"
 
     def __init__(self, indicator, centers, client_centers, client_curv, anchors):
-        S, M, n, d = anchors.shape
+        S = len(anchors)
+        M, n, d = anchors[0].shape
         super().__init__(indicator, d)
         self.centers = centers
         # read-only: the operand table below copies the curvatures and views the centers
@@ -148,8 +150,7 @@ class QuadraticProblem(Problem):
         self.client_curv = client_curv
         self.anchors = anchors
         self.n_per_client = n
-        # mean_j ||a_j - c||^2 completes the closed-form shard loss; one objective at a
-        # time, so the deviations never take a second (S, M, n, d) array
+        # mean_j ||a_j - c||^2 completes the closed-form shard loss, one objective at a time
         self._anchor_const = np.empty((S, M))
         for s in range(S):
             dev = anchors[s] - client_centers[s, :, None, :]
@@ -183,7 +184,7 @@ class QuadraticProblem(Problem):
     def stoch_grad(self, s, i, x, indices):
         curv, center = self._operands[s][i]
         if indices is not None and len(indices) < self.n_per_client:
-            center = self.anchors[s, i, indices].mean(axis=0)
+            center = self.anchors[s][i, indices].mean(axis=0)
         return curv * (x - center)
 
     def global_loss(self, s, x):
@@ -214,9 +215,11 @@ def quadratic_suite(d, A: IndicatorMatrix, *, centers="auto", curvature=1.0,
     biased and so gives the local-step error floor something to show;
     ``n_per_client`` anchor points per shard lie ``data_spread`` around the
     client center.  With ``heterogeneity`` and ``curvature_spread`` at zero
-    all shards of an objective are identical.  The build holds one
-    anchor-sized (S, M, n_per_client, d) array: the anchors are drawn, scaled
-    and shifted in place.
+    all shards of an objective are identical.  Each objective's (M,
+    n_per_client, d) anchors are drawn, scaled and shifted in place as their
+    own array, the same draws as one (S, M, n_per_client, d) array: no block
+    spans all objectives, so rebuilding a problem reuses the freed heap in
+    blocks 1/S that size instead of needing one anchor-sized hole.
     """
     S, M = A.n_objectives, A.n_clients
     _check_shard_size(n_per_client)
@@ -242,10 +245,13 @@ def quadratic_suite(d, A: IndicatorMatrix, *, centers="auto", curvature=1.0,
     if curvature_spread == 0.0:
         client_curv[:] = curvature
 
-    anchors = rng.standard_normal((S, M, n_per_client, d))
-    anchors *= data_spread
-    anchors += client_centers[:, :, None, :]
-    anchors -= anchors.mean(axis=2, keepdims=True) - client_centers[:, :, None, :]
+    anchors = []
+    for s in range(S):
+        a = rng.standard_normal((M, n_per_client, d))
+        a *= data_spread
+        a += client_centers[s, :, None, :]
+        a -= a.mean(axis=1, keepdims=True) - client_centers[s, :, None, :]
+        anchors.append(a)
     return QuadraticProblem(A, centers, client_centers, client_curv, anchors)
 
 
