@@ -4,11 +4,12 @@ One round runs K local gradient steps per (objective, client) pair from the
 synchronized global point, ships the accumulated per-objective updates back,
 averages them over each objective's owner set, solves the min-norm weighting,
 and moves the global model along the combined direction.  FMGDA and FSMGDA
-share one client-update path that differs only in the gradient oracle.
-Each client steps all of its owned objectives together as one block of
-local iterates, one local step at a time.  Clients run serially; each update
-is a pure function of the round inputs and counter-based streams, so the
-result does not depend on client order.
+share one local-step loop that differs only in the gradient oracle.  A round
+steps all of its owned pairs together as one (P, d) block of local iterates,
+one local step at a time, in client-major order; a single client's update
+(:func:`client_update_stochastic`) runs the same loop on that client's pairs.
+Each pair's rows are a pure function of the round inputs and counter-based
+streams, so the result does not depend on client order.
 """
 
 from __future__ import annotations
@@ -69,12 +70,13 @@ class DivergenceError(RuntimeError):
 class ClientRoundOutput:
     """One client's round: row r of the (|owned|, d) ``deltas`` block is the
     accumulated update for ``objectives[r]``, and ``drift[r]`` is how far that
-    objective's local iterate moved from the synchronized point."""
+    objective's local iterate moved from the synchronized point.  The round
+    engine records no drift, so its outputs carry ``drift=None``."""
 
     client: int
     objectives: tuple
     deltas: np.ndarray
-    drift: np.ndarray
+    drift: np.ndarray | None = None
 
 
 @dataclass
@@ -103,8 +105,8 @@ def strongly_convex_step_limit(smoothness: float, mu: float) -> float:
     return min(descent_step_limit(smoothness), 1.0 / (2.0 * smoothness + mu))
 
 
-# The benchmark traces this entry point by name; it goes once the whole round
-# runs as one vectorized block and the benchmark's traced entry points change.
+# Nothing in the engine calls this: the round steps every client's pairs in one
+# block.  It stays for the benchmark, which traces this entry point by name.
 def client_update_full(x_t, client, owned, K, eta_local, problem, round_index=0):
     """K full-gradient local steps per owned objective from the synced point.
 
@@ -131,14 +133,26 @@ def client_update_stochastic(x_t, client, owned, K, eta_local, batch, problem, s
     independently.  ``batch=None`` or a batch covering the shard uses the
     exact shard gradient.
 
-    The owned iterates form one (|owned|, d) block that steps all objectives
-    together: per step, one gradient per row, then one block update of the
-    accumulators and the iterates.  Each row sees the same element-wise
-    operations in the same order as a loop over single objectives, so the
-    updates are bit-identical to it.  Non-finite values are absorbing, so
-    the block is checked once after its K steps; a failed check replays the
-    first non-finite objective (in owned order) through the same step loop,
-    as a one-row block, to locate its first non-finite step.
+    This is the client's slice of the round's block (:func:`run_round`): the
+    same step loop on this client's (objective, client) pairs only, so its
+    deltas are bit-identical to the round's rows for this client.
+    """
+    pairs = [(s, client) for s in owned]
+    batches = _draw_batches(client, owned, K, batch, problem, seed, round_index, sample_sharing)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        acc, X = _step_pairs(x_t, pairs, batches, K, eta_local, problem.stoch_grad, round_index)
+        # np.linalg.norm(X - x_t, axis=1) without its wrapper: the same reduction
+        X -= x_t
+        drift = np.sqrt(np.add.reduce(X * X, axis=1))
+    return ClientRoundOutput(client, tuple(owned), acc, drift)
+
+
+def _draw_batches(client, owned, K, batch, problem, seed, round_index, sample_sharing):
+    """Per owned objective, the K batch index arrays of its local steps.
+
+    ``None`` stands for the exact shard gradient: no batch, or a batch that
+    covers the shard.  Under ``per_client`` sharing every objective gets the
+    same list.
     """
     n_shard = problem.shard_size(client)
     if batch is not None and batch < 1:
@@ -146,56 +160,62 @@ def client_update_stochastic(x_t, client, owned, K, eta_local, batch, problem, s
     if batch is not None and batch > n_shard:
         raise ValueError(f"client {client} shard has {n_shard} samples, "
                          f"smaller than batch {batch}")
-    # batch None or covering the shard: exact gradient, no draws
-    batch_size = batch if (batch is not None and batch < n_shard) else None
+    if batch is None or batch == n_shard:  # exact gradient, no draws
+        return [[None] * K] * len(owned)
 
     def draw(objective=None):
         return [client_stream(seed, client, round_index, k, objective=objective)
-                .integers(0, n_shard, batch_size) for k in range(K)]
+                .integers(0, n_shard, batch) for k in range(K)]
 
-    if batch_size is None:
-        batches = [[None] * K] * len(owned)
-    elif sample_sharing == "per_client":
-        batches = [draw()] * len(owned)
-    else:
-        batches = [draw(s) for s in owned]
-
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        for acc, X in _local_steps(x_t, client, owned, batches, K, eta_local,
-                                   problem.stoch_grad):
-            pass  # the K steps update acc and X in place
-        if not (np.isfinite(acc).all() and np.isfinite(X).all()):
-            r = int(np.argmin(np.isfinite(acc).all(axis=1) & np.isfinite(X).all(axis=1)))
-            replay = _local_steps(x_t, client, owned[r:r + 1], batches[r:r + 1], K, eta_local,
-                                  problem.stoch_grad)
-            for k, (row_acc, row_X) in enumerate(replay):
-                if not (np.isfinite(row_acc).all() and np.isfinite(row_X).all()):
-                    raise DivergenceError(round_index, client, owned[r], k)
-            raise RuntimeError(f"objective {owned[r]} of client {client} did not diverge on "
-                               "replay; its gradients are not a function of their inputs")
-        # np.linalg.norm(X - x_t, axis=1) without its wrapper: the same reduction
-        X -= x_t
-        drift = np.sqrt(np.add.reduce(X * X, axis=1))
-    return ClientRoundOutput(client, tuple(owned), acc, drift)
+    if sample_sharing == "per_client":
+        return [draw()] * len(owned)
+    return [draw(s) for s in owned]
 
 
-def _local_steps(x_t, client, owned, batches, K, eta_local, stoch_grad):
-    """Step the owned objectives' iterates together from ``x_t``, one step at a time.
+def _step_pairs(x_t, pairs, batches, K, eta_local, stoch_grad, round_index):
+    """K local steps on every (objective, client) pair; the (P, d) accumulator and iterates.
 
-    Yields the (|owned|, d) accumulator and iterate blocks after each step;
-    both are updated in place, so every step yields the same two arrays.
+    Each row sees the same element-wise operations in the same order as a
+    loop over single pairs, so the rows are bit-identical to it.  Non-finite
+    values are absorbing, so the block is checked once after its K steps.  A
+    failed check replays the first non-finite row in pair order through the
+    same step loop, as a one-row block, and raises :class:`DivergenceError`
+    at its first non-finite step.  Call under ``np.errstate(over="ignore",
+    invalid="ignore")``.
     """
-    X = np.empty((len(owned), x_t.shape[0]))
+    for acc, X in _local_steps(x_t, pairs, batches, K, eta_local, stoch_grad):
+        pass  # the K steps update acc and X in place
+    if not (np.isfinite(acc).all() and np.isfinite(X).all()):
+        r = int(np.argmin(np.isfinite(acc).all(axis=1) & np.isfinite(X).all(axis=1)))
+        s, client = pairs[r]
+        replay = _local_steps(x_t, pairs[r:r + 1], batches[r:r + 1], K, eta_local, stoch_grad)
+        for k, (row_acc, row_X) in enumerate(replay):
+            if not (np.isfinite(row_acc).all() and np.isfinite(row_X).all()):
+                raise DivergenceError(round_index, client, s, k)
+        raise RuntimeError(f"objective {s} of client {client} did not diverge on "
+                           "replay; its gradients are not a function of their inputs")
+    return acc, X
+
+
+def _local_steps(x_t, pairs, batches, K, eta_local, stoch_grad):
+    """Step the (objective, client) pairs' iterates together from ``x_t``, one step at a time.
+
+    Yields the (P, d) accumulator and iterate blocks after each step; both
+    are updated in place, so every step yields the same two arrays.
+    """
+    X = np.empty((len(pairs), x_t.shape[0]))
     X[:] = x_t
     acc = np.zeros_like(X)
     G = np.empty_like(X)
-    # per owned objective: its iterate and gradient rows (views into X and G) and batches
-    rows = [(s, X[r], G[r], batches[r]) for r, s in enumerate(owned)]
+    # per pair: its objective, client, iterate and gradient rows (views into X and G),
+    # and batches
+    rows = [(s, i, X[r], G[r], batches[r]) for r, (s, i) in enumerate(pairs)]
     for k in range(K):
-        for s, x_row, g_row, row_batches in rows:
-            g_row[...] = stoch_grad(s, client, x_row, row_batches[k])
+        for s, i, x_row, g_row, row_batches in rows:
+            g_row[...] = stoch_grad(s, i, x_row, row_batches[k])
         acc += G
-        X -= eta_local * G  # in place, so the row views stay the iterates
+        G *= eta_local  # the bits of X -= eta_local * G, without its temporary
+        X -= G
         yield acc, X
 
 
@@ -229,8 +249,9 @@ def server_aggregate(outputs, indicator: IndicatorMatrix, K: int,
     agg = np.zeros((indicator.n_objectives, by_client[0].deltas.shape[1]))
     for i in range(indicator.n_clients):
         out = by_client[i]
-        for s, delta in zip(out.objectives, out.deltas):
-            agg[s] += delta if scale is None else scale[s, i] * delta
+        # a client's objectives are distinct, so one indexed add is the per-row loop
+        objs = list(out.objectives)
+        agg[objs] += out.deltas if scale is None else scale[objs, i][:, None] * out.deltas
     if scale is None:
         agg /= np.array([len(owners) for owners in indicator.owner_sets])[:, None]
     if normalize_delta_by_K:
@@ -241,22 +262,33 @@ def server_aggregate(outputs, indicator: IndicatorMatrix, K: int,
 def run_round(round_index, x_t, config, problem, *, log_lambda_drift=True):
     """One communication round; returns (next point, round record).
 
-    Clients update serially in ascending order; each update is a pure
-    function of the round inputs, so the order does not affect the result.
-    Metrics in the record refer to the round's start point: the losses, the
+    Every owned (objective, client) pair takes its K local steps in one
+    block, ascending client then owned order; each row is a pure function of
+    the round inputs, so the order does not affect the result.  Metrics in
+    the record refer to the round's start point: the losses, the
     true-gradient stationarity measure under the round's weights, and the
     optimality gap when the problem has a scalarization reference.  A
     non-finite client update, averaged block or min-norm solve raises
-    :class:`DivergenceError` before any metric is computed.
+    :class:`DivergenceError` before any metric is computed; a local one
+    names the lowest failing client's first failing objective (in owned
+    order) and that pair's first non-finite step.
     """
+    A = config.indicator
     batch = config.batch_size if config.mode == "stochastic" else None
-    outputs = [client_update_stochastic(x_t, i, config.indicator.client_objectives[i],
-                                        config.K, config.eta_local, batch, problem,
-                                        config.seed, round_index, config.sample_sharing)
-               for i in range(config.M)]
+    pairs, batches = [], []  # client-major: ascending client, then owned order
+    for i, owned in enumerate(A.client_objectives):
+        pairs += [(s, i) for s in owned]
+        batches += _draw_batches(i, owned, config.K, batch, problem, config.seed, round_index,
+                                 config.sample_sharing)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        delta = server_aggregate(outputs, config.indicator, config.K,
-                                 config.normalize_delta_by_K, config.client_weights)
+        acc, _ = _step_pairs(x_t, pairs, batches, config.K, config.eta_local,
+                             problem.stoch_grad, round_index)
+        outputs, lo = [], 0
+        for i, owned in enumerate(A.client_objectives):
+            outputs.append(ClientRoundOutput(i, owned, acc[lo:lo + len(owned)]))
+            lo += len(owned)
+        delta = server_aggregate(outputs, A, config.K, config.normalize_delta_by_K,
+                                 config.client_weights)
         finite = np.isfinite(delta).all(axis=1)
         if not finite.all():
             raise DivergenceError(round_index, None, int(np.argmin(finite)), None)
@@ -301,8 +333,8 @@ def pick_weighted_output(traj: TrajectoryLog, mu, eta, stream) -> np.ndarray:
 def run_experiment(config: ExperimentConfig, problem, *, log_lambda_drift=True) -> TrajectoryLog:
     """Run T rounds from the configured initial point.
 
-    Deterministic given the config seed.  Client updates run serially, and
-    the result does not depend on the order in which clients are computed.
+    Deterministic given the config seed.  Each round steps all clients' pairs
+    in one block, and the result does not depend on the order of the pairs.
     Divergence (a non-finite local update, iterate, averaged block or
     min-norm solve, or a global point beyond the norm guard) stops the run
     early; the partial log is returned with ``termination`` flagging the

@@ -14,6 +14,7 @@ number of distinct labels).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,14 +134,18 @@ class QuadraticProblem(Problem):
     the homogeneous suite.  Every shard holds ``n_per_client`` anchor points
     whose mean is exactly the client center; a minibatch gradient replaces the
     center by the sampled anchors' mean, giving an exactly unbiased estimate.
-    ``anchors`` is a list of S (M, n, d) arrays, one per objective.
+
+    ``draw_anchors()`` yields the S (M, n, d) anchor arrays in objective order,
+    the same values on every call.  The constructor draws them one at a time,
+    keeps only the closed-form loss constants and frees each one, so exact
+    gradients never hold anchors.  ``anchors`` draws them again on first use.
     """
 
     name = "quadratic"
 
-    def __init__(self, indicator, centers, client_centers, client_curv, anchors):
-        S = len(anchors)
-        M, n, d = anchors[0].shape
+    def __init__(self, indicator, centers, client_centers, client_curv, n_per_client,
+                 draw_anchors):
+        S, M, d = client_centers.shape
         super().__init__(indicator, d)
         self.centers = centers
         # read-only: the operand table below copies the curvatures and views the centers
@@ -148,13 +153,18 @@ class QuadraticProblem(Problem):
         client_curv.setflags(write=False)
         self.client_centers = client_centers
         self.client_curv = client_curv
-        self.anchors = anchors
-        self.n_per_client = n
+        self.n_per_client = n_per_client
+        self._draw_anchors = draw_anchors
+        self._anchors = None
+        self._anchors_lock = threading.Lock()
         # mean_j ||a_j - c||^2 completes the closed-form shard loss, one objective at a time
         self._anchor_const = np.empty((S, M))
-        for s in range(S):
-            dev = anchors[s] - client_centers[s, :, None, :]
-            self._anchor_const[s] = np.einsum("mjd,mjd->m", dev, dev) / n
+        draws = draw_anchors()
+        for s in range(S):  # not enumerate: its cached tuple would keep the last objective
+            dev = next(draws)
+            dev -= client_centers[s, :, None, :]  # the freshly drawn anchors become deviations
+            self._anchor_const[s] = np.einsum("mjd,mjd->m", dev, dev) / n_per_client
+            del dev  # free it before the next objective is drawn
 
         owners = indicator.owner_sets
         self._owners = [np.asarray(owners[s], dtype=np.int64) for s in range(self.S)]
@@ -176,6 +186,19 @@ class QuadraticProblem(Problem):
         # stoch_grad reads one entry.
         self._operands = [[(float(client_curv[s, i]), client_centers[s, i])
                            for i in range(M)] for s in range(S)]
+
+    @property
+    def anchors(self) -> list:
+        """The S (M, n, d) anchor arrays, one per objective.
+
+        Drawn on first use, once per problem even when several threads ask
+        at once, and kept: every later read returns the same list.
+        """
+        if self._anchors is None:
+            with self._anchors_lock:
+                if self._anchors is None:
+                    self._anchors = list(self._draw_anchors())
+        return self._anchors
 
     def loss(self, s, i, x):
         diff = x - self.client_centers[s, i]
@@ -217,9 +240,11 @@ def quadratic_suite(d, A: IndicatorMatrix, *, centers="auto", curvature=1.0,
     client center.  With ``heterogeneity`` and ``curvature_spread`` at zero
     all shards of an objective are identical.  Each objective's (M,
     n_per_client, d) anchors are drawn, scaled and shifted in place as their
-    own array, the same draws as one (S, M, n_per_client, d) array: no block
-    spans all objectives, so rebuilding a problem reuses the freed heap in
-    blocks 1/S that size instead of needing one anchor-sized hole.
+    own array, the same draws as one (S, M, n_per_client, d) array.  The
+    anchors are the last draws, so the generator state before them replays
+    them: the build draws each objective only for its loss constants and
+    frees it, and the problem draws all of them again, from the same state,
+    on the first minibatch gradient.  A full-gradient run never holds them.
     """
     S, M = A.n_objectives, A.n_clients
     _check_shard_size(n_per_client)
@@ -245,14 +270,20 @@ def quadratic_suite(d, A: IndicatorMatrix, *, centers="auto", curvature=1.0,
     if curvature_spread == 0.0:
         client_curv[:] = curvature
 
-    anchors = []
-    for s in range(S):
-        a = rng.standard_normal((M, n_per_client, d))
-        a *= data_spread
-        a += client_centers[s, :, None, :]
-        a -= a.mean(axis=1, keepdims=True) - client_centers[s, :, None, :]
-        anchors.append(a)
-    return QuadraticProblem(A, centers, client_centers, client_curv, anchors)
+    state = rng.bit_generator.state
+
+    def draw_anchors():
+        replay = _rng(seed, _TAG_QUAD)
+        replay.bit_generator.state = state
+        for s in range(S):
+            a = replay.standard_normal((M, n_per_client, d))
+            a *= data_spread
+            a += client_centers[s, :, None, :]
+            a -= a.mean(axis=1, keepdims=True) - client_centers[s, :, None, :]
+            yield a
+            del a  # so that the next draw never keeps two objectives alive
+
+    return QuadraticProblem(A, centers, client_centers, client_curv, n_per_client, draw_anchors)
 
 
 class TanhRidgeProblem(Problem):
@@ -557,7 +588,7 @@ def partition(labels, n_clients, skew, seed=0) -> PartitionPlan:
             idx = np.flatnonzero(labels == lab)
             holders = users[label_pos]
             if len(idx) < len(holders):
-                raise ValueError(f"label {lab!r} has {len(idx)} samples for "
+                raise ValueError(f"label {lab} has {len(idx)} samples for "
                                  f"{len(holders)} clients")
             idx = rng.permutation(idx)
             for holder, chunk in zip(holders, np.array_split(idx, len(holders))):

@@ -347,6 +347,19 @@ class TestRunCommand:
         assert "problem: labels_per_client" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_label_with_too_few_samples_exits_2_naming_the_plain_label(self, tmp_path, capsys):
+        cfg = yaml.safe_load((GOLDEN / "cls_full.yaml").read_text())
+        cfg.update({"M": 5, "S": 1, "d": 2, "seed": 0})
+        cfg["problem"].update({"n_per_client": 2, "labels_per_client": 2})
+        message = "problem: label 3 has 1 samples for 2 clients"
+        with pytest.raises(ConfigError) as exc:
+            build_problem(parse_config(cfg))
+        assert str(exc.value) == message
+        out = tmp_path / "o"
+        assert main(["run", "--config", self._write(tmp_path, cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("golden", ["quad_full", "tanh_stoch", "cls_full"])
     def test_empty_shards_exit_2_naming_n_per_client(self, tmp_path, capsys, golden):

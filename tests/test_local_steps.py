@@ -197,13 +197,16 @@ def test_divergence_reported_where_the_reference_fails(data):
     assert len(traj.records) == len(rounds)
 
 
-def faulty_run(faults, mode="full_gradient", sharing="per_client", K=3):
-    base = quadratic_suite(4, A, centers=np.eye(3, 4), heterogeneity=0.3, curvature_spread=0.2,
+def faulty_base():
+    return quadratic_suite(4, A, centers=np.eye(3, 4), heterogeneity=0.3, curvature_spread=0.2,
                            n_per_client=12, seed=1)
+
+
+def faulty_run(faults, mode="full_gradient", sharing="per_client", K=3):
     config = ExperimentConfig(M=4, S=3, indicator=A, d=4, K=K, T=6, eta_global=0.2,
                               eta_local=0.05, mode=mode, batch_size=5, seed=8,
                               sample_sharing=sharing)
-    return run_experiment(config, FaultyQuadratic(base, K, faults))
+    return run_experiment(config, FaultyQuadratic(faulty_base(), K, faults))
 
 
 class TestFaultInjection:
@@ -220,6 +223,9 @@ class TestFaultInjection:
         ([(4, 3, 0, 0), (4, 0, 0, 1)], (4, 0, 0, 1)),
         # a fault in the first round
         ([(1, 1, 1, 0)], (1, 1, 1, 0)),
+        # two clients fail in one round, the higher one at the earliest step: the
+        # lower client is reported, at its first failing objective in owned order
+        ([(3, 2, 1, 0), (3, 1, 2, 0), (3, 1, 1, 2)], (3, 1, 1, 2)),
     ])
     def test_divergence_reports_the_fault(self, faults, where, mode, sharing):
         traj = faulty_run(faults, mode, sharing)
@@ -227,6 +233,9 @@ class TestFaultInjection:
         assert traj.termination == (f"diverged: non-finite local update at round {r}, "
                                     f"client {c}, objective {s}, local step {k}")
         assert [rec.t for rec in traj.records] == list(range(1, r))
+        _, _, termination = reference.run(traj.config,
+                                          FaultyQuadratic(faulty_base(), traj.config.K, faults))
+        assert traj.termination == termination
 
     def test_cli_exits_3_with_partial_log(self, tmp_path, monkeypatch, capsys):
         config = {"name": "faulty", "M": 4, "S": 3, "d": 4,

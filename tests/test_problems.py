@@ -1,9 +1,13 @@
 """Problem suites: gradients, certificates, partitions."""
 
+import dataclasses
+import functools
 import inspect
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +16,8 @@ import pytest
 from scipy.stats import chisquare
 
 from fedmoo import problems
-from fedmoo.core import IndicatorMatrix
+from fedmoo.core import ExperimentConfig, IndicatorMatrix
+from fedmoo.federation import run_experiment
 from fedmoo.minnorm import solve_min_norm
 from fedmoo.problems import (SUITES, PartitionPlan, partition, quadratic_suite,
                              synthetic_classification_suite, toy_nonconvex_suite)
@@ -193,16 +198,62 @@ class TestQuadraticBuild:
         assert prob.f_min.tobytes() == f_min.tobytes()
 
     def test_the_build_holds_one_anchor_sized_array(self):
+        # one objective's anchors at a time while building, and none once built
         A = IndicatorMatrix.all_ones(8, 16)
+        build = functools.partial(quadratic_suite, 64, A, heterogeneity=0.5,
+                                  curvature_spread=0.3, n_per_client=16, seed=3)
+        build()  # first-use imports and caches are not the build's
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            prob = quadratic_suite(64, A, heterogeneity=0.5, curvature_spread=0.3,
-                                   n_per_client=16, seed=3)
+            prob = build()
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - kept < sum(a.nbytes for a in prob.anchors) / 2
+        one_objective = prob.anchors[0].nbytes
+        assert kept < one_objective
+        assert peak - kept < 2 * one_objective
+
+    def test_only_a_minibatch_gradient_draws_the_anchors(self):
+        A = IndicatorMatrix.all_ones(2, 3)
+        prob = quadratic_suite(3, A, heterogeneity=0.4, n_per_client=8, seed=2)
+        draw, draws = prob._draw_anchors, []
+        prob._draw_anchors = lambda: draws.append(1) or draw()
+        config = ExperimentConfig(M=3, S=2, indicator=A, d=3, K=2, T=5, eta_global=0.2,
+                                  eta_local=0.05, mode="full_gradient", seed=1)
+        run_experiment(config, prob)
+        assert draws == []
+        for _ in range(2):  # drawn on the first minibatch gradient, then kept
+            run_experiment(dataclasses.replace(config, mode="stochastic", batch_size=4), prob)
+        assert draws == [1]
+
+    def test_threads_reading_the_anchors_at_once_share_one_draw(self):
+        A = random_indicator(4, S=3, M=4)
+        keys = {"heterogeneity": 0.4, "n_per_client": 6, "data_spread": 2.0, "seed": 5}
+        prob = quadratic_suite(5, A, curvature_spread=0.3, **keys)
+        draw, draws = prob._draw_anchors, []
+
+        def slow_draw():
+            draws.append(1)
+            time.sleep(0.05)  # holds the door open for a second draw
+            yield from draw()
+
+        prob._draw_anchors = slow_draw
+        start, got = threading.Barrier(4), [None] * 4
+
+        def read(j):
+            start.wait()
+            got[j] = prob.anchors
+
+        threads = [threading.Thread(target=read, args=(j,)) for j in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+        assert draws == [1]
+        assert all(anchors is got[0] for anchors in got)
+        anchors, _, _ = out_of_place_quadratic_build(prob, A, **keys)
+        assert np.stack(got[0]).tobytes() == anchors.tobytes()
 
 
 def test_only_the_classification_suite_loads_scipy_optimize(tmp_path):
