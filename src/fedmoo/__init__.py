@@ -14,10 +14,10 @@ from .core import (ConfigError, ExperimentConfig, IndicatorMatrix, ProblemConfig
 from .minnorm import MinNormSolution, closed_form_two, fw_gap, grid_oracle, solve_min_norm
 from .problems import (PartitionPlan, Problem, build_problem, partition, quadratic_suite,
                        synthetic_classification_suite, toy_nonconvex_suite)
-from .federation import (ClientRoundOutput, DivergenceError, TrajectoryLog,
-                         client_update_full, client_update_stochastic,
-                         descent_step_limit, pick_weighted_output, run_experiment,
-                         run_round, server_aggregate, strongly_convex_step_limit)
+from .federation import (DivergenceError, TrajectoryLog, client_update_full,
+                         client_update_stochastic, descent_step_limit, pick_weighted_output,
+                         run_experiment, run_round, server_aggregate,
+                         strongly_convex_step_limit)
 from .metrics import (RateFit, dbar_norm_sq, delta_q, fit_rate, lambda_drift,
                       rounds_to_threshold, running_min)
 from .config import SweepSpec, load_config, load_sweep, parse_config
@@ -29,7 +29,7 @@ __all__ = [
     "MinNormSolution", "closed_form_two", "fw_gap", "grid_oracle", "solve_min_norm",
     "PartitionPlan", "Problem", "build_problem", "partition", "quadratic_suite",
     "synthetic_classification_suite", "toy_nonconvex_suite",
-    "ClientRoundOutput", "DivergenceError", "TrajectoryLog", "client_update_full",
+    "DivergenceError", "TrajectoryLog", "client_update_full",
     "client_update_stochastic", "descent_step_limit", "pick_weighted_output",
     "run_experiment", "run_round", "server_aggregate",
     "strongly_convex_step_limit",

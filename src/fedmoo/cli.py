@@ -44,13 +44,21 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _not_a_directory(out_dir: str) -> str | None:
+    """Why ``out_dir`` cannot be made: it, or its nearest existing parent, is a file."""
+    probe = os.path.abspath(out_dir)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    return None if os.path.isdir(probe) else f"{out_dir}: {probe} is not a directory"
+
+
 def _refusal(out_dir: str, force: bool) -> str | None:
-    """Why ``out_dir`` may not be written: existing outputs are kept without force."""
+    """Why ``out_dir`` may not be written: outputs kept without force, or not a directory."""
     existing = [f for f in ("rounds.csv", "summary.json", "sweep_summary.json")
                 if os.path.exists(os.path.join(out_dir, f))]
     if existing and not force:
         return f"{out_dir} already contains {existing[0]}; pass --force to overwrite"
-    return None
+    return _not_a_directory(out_dir)
 
 
 def _execute_run(config, raw, out_dir: str) -> tuple[int, dict]:
@@ -169,11 +177,20 @@ def cmd_report(args) -> int:
     # per round: the per-objective columns interleaved by objective, then the rest
     wide = [(key, stem) for key, stem in COLUMNS.items() if stem]
     scalars = [key for key, stem in COLUMNS.items() if not stem and key != "t"]
+    err = _not_a_directory(args.out)
+    if err is not None:
+        return _fail(err, EXIT_USAGE)
+    dirs = {}  # run id (the directory's name) -> directory
+    for run_dir in args.runs:
+        run_id = os.path.basename(os.path.normpath(run_dir))
+        if run_id in dirs:
+            return _fail(f"runs {dirs[run_id]} and {run_dir} share the run id {run_id!r}",
+                         EXIT_USAGE)
+        dirs[run_id] = run_dir
     rows = []
     tables = []
     failures = 0
-    for run_dir in args.runs:
-        run_id = os.path.basename(os.path.normpath(run_dir))
+    for run_id, run_dir in dirs.items():
         try:
             cols = read_rounds_csv(os.path.join(run_dir, "rounds.csv"))
             f_min = _read_f_min(os.path.join(run_dir, "summary.json"), cols["lambda"].shape[1])

@@ -1,12 +1,12 @@
 """The communication-round engine: local steps, aggregation, and the global step.
 
 One round runs K local gradient steps per (objective, client) pair from the
-synchronized global point, ships the accumulated per-objective updates back,
-averages them over each objective's owner set, solves the min-norm weighting,
-and moves the global model along the combined direction.  FMGDA and FSMGDA
-share one local-step loop that differs only in the gradient oracle.  A round
-steps all of its owned pairs together as one (P, d) block of local iterates,
-one local step at a time, in client-major order; a single client's update
+synchronized global point, averages the accumulated per-objective updates over
+each objective's owner set, solves the min-norm weighting, and moves the
+global model along the combined direction.  FMGDA and FSMGDA share one
+local-step loop that differs only in the gradient oracle.  A round steps all
+of its owned pairs as one client-major (P, d) block, one local step at a time,
+and the server averages that block as it lies; a single client's update
 (:func:`client_update_stochastic`) runs the same loop on that client's pairs.
 Each pair's rows are a pure function of the round inputs and counter-based
 streams, so the result does not depend on client order.
@@ -24,7 +24,6 @@ from .core import (ExperimentConfig, IndicatorMatrix, RoundRecord, client_stream
 from .minnorm import solve_min_norm
 
 __all__ = [
-    "ClientRoundOutput",
     "TrajectoryLog",
     "DivergenceError",
     "client_update_full",
@@ -64,19 +63,6 @@ class DivergenceError(RuntimeError):
         else:
             super().__init__(f"non-finite local update at round {round_index}, client {client}, "
                              f"objective {objective}, local step {step}")
-
-
-@dataclass(frozen=True)
-class ClientRoundOutput:
-    """One client's round: row r of the (|owned|, d) ``deltas`` block is the
-    accumulated update for ``objectives[r]``, and ``drift[r]`` is how far that
-    objective's local iterate moved from the synchronized point.  The round
-    engine records no drift, so its outputs carry ``drift=None``."""
-
-    client: int
-    objectives: tuple
-    deltas: np.ndarray
-    drift: np.ndarray | None = None
 
 
 @dataclass
@@ -133,9 +119,11 @@ def client_update_stochastic(x_t, client, owned, K, eta_local, batch, problem, s
     independently.  ``batch=None`` or a batch covering the shard uses the
     exact shard gradient.
 
-    This is the client's slice of the round's block (:func:`run_round`): the
-    same step loop on this client's (objective, client) pairs only, so its
-    deltas are bit-identical to the round's rows for this client.
+    Returns ``(deltas, drift)``: row r is ``owned[r]``'s accumulated update
+    and how far its local iterate moved from ``x_t``.  This is the client's
+    slice of the round's block (:func:`run_round`): the same step loop on
+    this client's pairs only, so ``deltas`` is bit-identical to the round's
+    rows for this client.
     """
     pairs = [(s, client) for s in owned]
     batches = _draw_batches(client, owned, K, batch, problem, seed, round_index, sample_sharing)
@@ -144,7 +132,7 @@ def client_update_stochastic(x_t, client, owned, K, eta_local, batch, problem, s
         # np.linalg.norm(X - x_t, axis=1) without its wrapper: the same reduction
         X -= x_t
         drift = np.sqrt(np.add.reduce(X * X, axis=1))
-    return ClientRoundOutput(client, tuple(owned), acc, drift)
+    return acc, drift
 
 
 def _draw_batches(client, owned, K, batch, problem, seed, round_index, sample_sharing):
@@ -219,39 +207,33 @@ def _local_steps(x_t, pairs, batches, K, eta_local, stoch_grad):
         yield acc, X
 
 
-def server_aggregate(outputs, indicator: IndicatorMatrix, K: int,
+def server_aggregate(deltas, indicator: IndicatorMatrix, K: int,
                      normalize_delta_by_K: bool = True, client_weights=None) -> np.ndarray:
-    """Average accumulated updates over each objective's owner set.
+    """Average the round's client-major (P, d) block over each objective's owner set.
 
-    Each client reports the rows of its ``indicator.client_objectives``, and
-    its block is added into those rows in ascending client order.  The
-    balanced average sums first and divides by |R_s| after; ``client_weights``
-    switches to a weighted average proportional to the given per-client
-    weights (normalized within each owner set), for imbalanced shard sizes.
-    With ``normalize_delta_by_K`` the result is further divided by K.
+    The rows of ``deltas`` are ``indicator.client_objectives[0]``'s, then
+    ``[1]``'s, and so on; each client's rows are added in ascending client
+    order.  The balanced average sums first and divides by |R_s| after;
+    ``client_weights`` switches to a weighted average proportional to the
+    given per-client weights (normalized within each owner set), for
+    imbalanced shard sizes.  With ``normalize_delta_by_K`` the result is
+    further divided by K.
     """
-    by_client = {out.client: out for out in outputs}
-    if len(by_client) != len(outputs):
-        raise ValueError("duplicate client outputs")
-    for i in range(indicator.n_clients):
-        if i not in by_client:
-            raise ValueError(f"missing output for client {i}")
-        got, expected = tuple(by_client[i].objectives), indicator.client_objectives[i]
-        if got != expected:
-            raise ValueError(f"client {i} returned objectives {got}, expected {expected}")
-
+    n_rows = sum(map(len, indicator.client_objectives))
+    if len(deltas) != n_rows:
+        raise ValueError(f"expected {n_rows} rows, one per owned pair, got {len(deltas)}")
     scale = None
     if client_weights is not None:
         w = np.asarray(client_weights, dtype=np.float64)
         scale = np.zeros(indicator.entries.shape)
         for s, owners in enumerate(map(list, indicator.owner_sets)):
             scale[s, owners] = w[owners] / w[owners].sum()
-    agg = np.zeros((indicator.n_objectives, by_client[0].deltas.shape[1]))
-    for i in range(indicator.n_clients):
-        out = by_client[i]
+    agg = np.zeros((indicator.n_objectives, deltas.shape[1]))
+    lo = 0
+    for i, objs in enumerate(map(list, indicator.client_objectives)):
         # a client's objectives are distinct, so one indexed add is the per-row loop
-        objs = list(out.objectives)
-        agg[objs] += out.deltas if scale is None else scale[objs, i][:, None] * out.deltas
+        rows, lo = deltas[lo:lo + len(objs)], lo + len(objs)
+        agg[objs] += rows if scale is None else scale[objs, i][:, None] * rows
     if scale is None:
         agg /= np.array([len(owners) for owners in indicator.owner_sets])[:, None]
     if normalize_delta_by_K:
@@ -283,11 +265,7 @@ def run_round(round_index, x_t, config, problem, *, log_lambda_drift=True):
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         acc, _ = _step_pairs(x_t, pairs, batches, config.K, config.eta_local,
                              problem.stoch_grad, round_index)
-        outputs, lo = [], 0
-        for i, owned in enumerate(A.client_objectives):
-            outputs.append(ClientRoundOutput(i, owned, acc[lo:lo + len(owned)]))
-            lo += len(owned)
-        delta = server_aggregate(outputs, A, config.K, config.normalize_delta_by_K,
+        delta = server_aggregate(acc, A, config.K, config.normalize_delta_by_K,
                                  config.client_weights)
         finite = np.isfinite(delta).all(axis=1)
         if not finite.all():

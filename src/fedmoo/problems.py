@@ -46,9 +46,10 @@ def _rng(seed, tag: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) & (2**64 - 1), tag])
 
 
-def _check_shard_size(n_per_client):
-    if n_per_client < 1:
-        raise ValueError(f"n_per_client must be >= 1, got {n_per_client}")
+def _check_counts(**counts):
+    for key, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{key} must be >= 1, got {value}")
 
 
 class Problem:
@@ -247,7 +248,7 @@ def quadratic_suite(d, A: IndicatorMatrix, *, centers="auto", curvature=1.0,
     on the first minibatch gradient.  A full-gradient run never holds them.
     """
     S, M = A.n_objectives, A.n_clients
-    _check_shard_size(n_per_client)
+    _check_counts(n_per_client=n_per_client)
     if not curvature > 0:
         raise ValueError(f"curvature must be > 0, got {curvature}")
     if not 0 <= curvature_spread < 1:
@@ -352,7 +353,7 @@ def toy_nonconvex_suite(d, A: IndicatorMatrix, *, n_terms=6, ridge=0.0, heteroge
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    _check_shard_size(n_per_client)
+    _check_counts(n_terms=n_terms, n_per_client=n_per_client)
     S, M = A.n_objectives, A.n_clients
     rng = _rng(seed, _TAG_TANH)
 
@@ -485,7 +486,7 @@ def synthetic_classification_suite(d, A: IndicatorMatrix, *, n_per_client=64, pa
     label skew only) of them.
     """
     S, M = A.n_objectives, A.n_clients
-    _check_shard_size(n_per_client)
+    _check_counts(n_per_client=n_per_client, n_components=n_components)
     skew = partition
     if partition == "label_skew":
         skew = ("label_skew", 2 if labels_per_client is None else labels_per_client)

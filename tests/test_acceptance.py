@@ -260,18 +260,19 @@ def test_12_determinism_serial_vs_parallel(tmp_path):
         blobs.append(path.read_bytes())
 
     # Replay the run with each round's clients computed on 4 threads in
-    # reversed client order, then aggregate, solve and step as the server does.
+    # reversed client order, stack their updates in client order, then
+    # aggregate, solve and step as the server does.
     def client(x, i, t):
         return client_update_stochastic(x, i, A.client_objectives[i], cfg.K, cfg.eta_local,
-                                        cfg.batch_size, prob, cfg.seed, t, cfg.sample_sharing)
+                                        cfg.batch_size, prob, cfg.seed, t, cfg.sample_sharing)[0]
 
     x = cfg.initial_point()
     points_equal = True
     with ThreadPoolExecutor(max_workers=4) as pool:
         for rec in traj.records:
             points_equal &= np.array_equal(x, rec.x_snapshot)
-            outputs = list(pool.map(lambda i: client(x, i, rec.t), reversed(range(cfg.M))))
-            delta = server_aggregate(outputs, A, cfg.K, cfg.normalize_delta_by_K)
+            deltas = list(pool.map(lambda i: client(x, i, rec.t), reversed(range(cfg.M))))
+            delta = server_aggregate(np.vstack(deltas[::-1]), A, cfg.K, cfg.normalize_delta_by_K)
             x = x - cfg.eta_global * solve_min_norm(delta, tol=1e-10).direction
     points_equal &= np.array_equal(x, traj.final_point)
     ok = blobs[0] == blobs[1] and points_equal

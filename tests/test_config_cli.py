@@ -370,6 +370,18 @@ class TestRunCommand:
         assert "problem: n_per_client must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("golden, key, value", [("cls_full", "n_components", 0),
+                                                    ("tanh_stoch", "n_terms", 0),
+                                                    ("tanh_stoch", "n_terms", -1)])
+    def test_count_below_one_exits_2_naming_it(self, tmp_path, capsys, golden, key, value):
+        cfg = yaml.safe_load((GOLDEN / f"{golden}.yaml").read_text())
+        cfg["problem"][key] = value
+        out = tmp_path / "o"
+        assert main(["run", "--config", self._write(tmp_path, cfg), "--out", str(out)]) == 2
+        assert f"problem: {key} must be >= 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_problem_seed_fixes_the_quadratic_instance(self):
         cfg = yaml.safe_load((GOLDEN / "quad_full.yaml").read_text())
         cfg["problem"]["seed"] = 5
@@ -635,6 +647,18 @@ class TestReportCommand:
         assert main(["report", *dirs, "--out", str(tmp_path)]) == 2
         assert "f_min must be null or 2 finite numbers" in capsys.readouterr().err
 
+    def test_runs_sharing_a_directory_name_exit_2_naming_both(self, tmp_path, capsys):
+        dirs = []
+        for parent, seed in (("x", 1), ("y", 2)):  # two different runs, both named K=1
+            cfg_path = tmp_path / f"{parent}.yaml"
+            cfg_path.write_text(yaml.safe_dump(quad_config(seed=seed)))
+            dirs.append(str(tmp_path / parent / "K=1"))
+            assert main(["run", "--config", str(cfg_path), "--out", dirs[-1]]) == 0
+        out = tmp_path / "report"
+        assert main(["report", *dirs, "--out", str(out)]) == 2
+        assert f"runs {dirs[0]} and {dirs[1]} share the run id 'K=1'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_reproduces_summary_numbers_exactly(self, tmp_path):
         run_dir = self._run_pair(tmp_path)[0]
         with open(run_dir + "/summary.json") as fh:
@@ -646,3 +670,22 @@ class TestReportCommand:
             stored = summary["rate_fits"][name]
             assert fit["slope"] == stored["slope"]
             assert fit["residual"] == stored["residual"]
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+@pytest.mark.parametrize("command", ["run", "sweep", "report"])
+def test_out_through_a_file_exits_2_naming_it(tmp_path, capsys, command, out):
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(yaml.safe_dump(quad_config()))
+    run_dir = tmp_path / "r"
+    assert main(["run", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
+    sweep_path = tmp_path / "sweep.yaml"
+    sweep_path.write_text(yaml.safe_dump({"base": quad_config(), "axis": "K", "values": [1, 2]}))
+    (tmp_path / "taken").write_text("a file")
+    args = {"run": ["--config", str(cfg_path)], "sweep": ["--config", str(sweep_path)],
+            "report": [str(run_dir)]}[command]
+    capsys.readouterr()
+    assert main([command, *args, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {tmp_path / out}: {tmp_path / 'taken'} is not a directory" in err
+    assert (tmp_path / "taken").read_text() == "a file"

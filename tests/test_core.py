@@ -1,10 +1,14 @@
-"""Domain types, owner sets, and counter-based random streams."""
+"""Domain types, owner sets, counter-based random streams, and the export lists."""
+
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fedmoo
 from fedmoo.core import (ConfigError, ExperimentConfig, IndicatorMatrix, RoundRecord,
                          client_stream, derive_owner_sets, output_stream, validate_simplex)
 
@@ -155,3 +159,11 @@ class TestExperimentConfig:
         assert np.array_equal(self._base().initial_point(), np.zeros(3))
         cfg = self._base(init=[1.0, 2.0, 3.0])
         assert np.array_equal(cfg.initial_point(), [1.0, 2.0, 3.0])
+
+
+def test_every_exported_name_resolves():
+    modules = [fedmoo] + [importlib.import_module(f"fedmoo.{info.name}")
+                          for info in pkgutil.iter_modules(fedmoo.__path__)]
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names {missing}"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import fmgda_reference as reference
 from fedmoo.core import ExperimentConfig, IndicatorMatrix, RoundRecord
-from fedmoo.federation import (ClientRoundOutput, DivergenceError, TrajectoryLog,
+from fedmoo.federation import (DivergenceError, TrajectoryLog,
                                client_update_full, client_update_stochastic,
                                descent_step_limit, pick_weighted_output, run_experiment,
                                run_round, server_aggregate)
@@ -31,25 +31,25 @@ class TestClientUpdateFull:
     def test_single_step_returns_synchronized_gradient(self):
         _, prob = symmetric_quadratic()
         x = np.array([0.2, -0.1])
-        out = client_update_full(x, 0, (0, 1), K=1, eta_local=0.5, problem=prob)
-        assert out.objectives == (0, 1) and out.deltas.shape == (2, 2)
-        for r, s in enumerate(out.objectives):
-            assert np.array_equal(out.deltas[r], prob.grad(s, 0, x))
+        deltas, _ = client_update_full(x, 0, (0, 1), K=1, eta_local=0.5, problem=prob)
+        assert deltas.shape == (2, 2)
+        for r, s in enumerate((0, 1)):
+            assert np.array_equal(deltas[r], prob.grad(s, 0, x))
 
     def test_zero_local_rate_accumulates_k_copies(self):
         _, prob = symmetric_quadratic()
         x = np.array([0.4, 0.4])
-        out = client_update_full(x, 0, (0,), K=7, eta_local=0.0, problem=prob)
-        assert np.allclose(out.deltas[0], 7 * prob.grad(0, 0, x), atol=1e-14)
-        assert out.drift[0] == 0.0
+        deltas, drift = client_update_full(x, 0, (0,), K=7, eta_local=0.0, problem=prob)
+        assert np.allclose(deltas[0], 7 * prob.grad(0, 0, x), atol=1e-14)
+        assert drift[0] == 0.0
 
     def test_two_step_hand_recursion(self):
         # f = 1/2 ||x - c||^2 from x=0 with eta_local=0.1: gradients -c, -0.9c
         A = IndicatorMatrix.all_ones(1, 1)
         c = np.array([2.0, -1.0])
         prob = quadratic_suite(2, A, centers=c[None, :], seed=0)
-        out = client_update_full(np.zeros(2), 0, (0,), K=2, eta_local=0.1, problem=prob)
-        assert np.allclose(out.deltas[0], -1.9 * c, atol=1e-15)
+        deltas, _ = client_update_full(np.zeros(2), 0, (0,), K=2, eta_local=0.1, problem=prob)
+        assert np.allclose(deltas[0], -1.9 * c, atol=1e-15)
 
     def test_divergence_carries_context(self):
         _, prob = symmetric_quadratic()
@@ -79,23 +79,23 @@ class TestClientUpdateStochastic:
             exact = prob.grad(s, 1, x)
             assert prob.stoch_grad(s, 1, x, None).tobytes() == exact.tobytes()
             assert prob.stoch_grad(s, 1, x, np.arange(n)).tobytes() == exact.tobytes()
-        full = client_update_full(x, 1, (0, 1), K=3, eta_local=0.1, problem=prob)
-        stoch = client_update_stochastic(x, 1, (0, 1), K=3, eta_local=0.1,
-                                         batch=n, problem=prob, seed=5)
-        assert full.deltas.tobytes() == stoch.deltas.tobytes()
+        full, _ = client_update_full(x, 1, (0, 1), K=3, eta_local=0.1, problem=prob)
+        stoch, _ = client_update_stochastic(x, 1, (0, 1), K=3, eta_local=0.1,
+                                            batch=n, problem=prob, seed=5)
+        assert full.tobytes() == stoch.tobytes()
 
     def test_same_seed_same_output(self):
         _, prob = symmetric_quadratic(n_per_client=16, data_spread=2.0)
         x = np.array([1.0, -1.0])
-        a = client_update_stochastic(x, 0, (0, 1), 4, 0.05, 4, prob, seed=9, round_index=2)
-        b = client_update_stochastic(x, 0, (0, 1), 4, 0.05, 4, prob, seed=9, round_index=2)
-        assert np.array_equal(a.deltas, b.deltas)
+        a, _ = client_update_stochastic(x, 0, (0, 1), 4, 0.05, 4, prob, seed=9, round_index=2)
+        b, _ = client_update_stochastic(x, 0, (0, 1), 4, 0.05, 4, prob, seed=9, round_index=2)
+        assert np.array_equal(a, b)
 
     def test_single_step_expectation_matches_gradient(self):
         _, prob = symmetric_quadratic(n_per_client=16, data_spread=2.0)
         x = np.array([0.5, 0.5])
         draws = np.array([
-            client_update_stochastic(x, 0, (0,), 1, 0.1, 4, prob, seed=s).deltas[0]
+            client_update_stochastic(x, 0, (0,), 1, 0.1, 4, prob, seed=s)[0][0]
             for s in range(10_000)])
         se = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
         assert (np.abs(draws.mean(axis=0) - prob.grad(0, 0, x)) <= 3 * se + 1e-12).all()
@@ -107,12 +107,12 @@ class TestClientUpdateStochastic:
         prob = quadratic_suite(2, A, centers=centers, data_spread=2.0, seed=3)
         prob.anchors[1] = prob.anchors[0]  # force equal shards across objectives
         x = np.array([3.0, -2.0])
-        shared = client_update_stochastic(x, 0, (0, 1), 1, 0.0, 4, prob, seed=1,
-                                          sample_sharing="per_client")
-        assert np.array_equal(shared.deltas[0], shared.deltas[1])
-        split = client_update_stochastic(x, 0, (0, 1), 1, 0.0, 4, prob, seed=1,
-                                         sample_sharing="per_objective")
-        assert not np.array_equal(split.deltas[0], split.deltas[1])
+        shared, _ = client_update_stochastic(x, 0, (0, 1), 1, 0.0, 4, prob, seed=1,
+                                             sample_sharing="per_client")
+        assert np.array_equal(shared[0], shared[1])
+        split, _ = client_update_stochastic(x, 0, (0, 1), 1, 0.0, 4, prob, seed=1,
+                                            sample_sharing="per_objective")
+        assert not np.array_equal(split[0], split[1])
 
     def test_oversized_batch_rejected(self):
         _, prob = symmetric_quadratic(n_per_client=8)
@@ -120,93 +120,76 @@ class TestClientUpdateStochastic:
             client_update_stochastic(np.zeros(2), 0, (0,), 1, 0.1, 9, prob, seed=0)
 
 
+def client_block(x, clients, owned, K, eta_local, problem):
+    """The client-major (P, d) block of full-gradient updates of ``clients``."""
+    return np.vstack([client_update_full(x, i, owned, K, eta_local, problem)[0]
+                      for i in clients])
+
+
 class TestServerAggregate:
     def test_singleton_average_divides_by_k(self):
         _, prob = symmetric_quadratic()
         x = np.array([0.1, 0.7])
-        out = client_update_full(x, 0, (0, 1), K=4, eta_local=0.0, problem=prob)
-        agg = server_aggregate([out], prob.indicator, K=4)
+        deltas, _ = client_update_full(x, 0, (0, 1), K=4, eta_local=0.0, problem=prob)
+        agg = server_aggregate(deltas, prob.indicator, K=4)
         assert np.allclose(agg[0], prob.grad(0, 0, x), atol=1e-15)
-        raw = server_aggregate([out], prob.indicator, K=4, normalize_delta_by_K=False)
-        assert np.array_equal(raw[0], out.deltas[0])
+        raw = server_aggregate(deltas, prob.indicator, K=4, normalize_delta_by_K=False)
+        assert np.array_equal(raw[0], deltas[0])
 
     def test_identical_clients_average_to_any_single_delta(self):
         A, prob = symmetric_quadratic(M=4, heterogeneity=0.0)
         x = np.array([-0.5, 0.25])
-        outs = [client_update_full(x, i, (0, 1), 2, 0.1, prob) for i in range(4)]
-        agg = server_aggregate(outs, A, K=2)
-        assert np.array_equal(agg[0], outs[0].deltas[0] / 2.0)
+        block = client_block(x, range(4), (0, 1), 2, 0.1, prob)
+        agg = server_aggregate(block, A, K=2)
+        assert np.array_equal(agg[0], block[0] / 2.0)
 
     def test_k1_normalized_full_gradient_recovers_global_gradient(self):
         A, prob = symmetric_quadratic(M=4, heterogeneity=0.6, seed=8)
         x = np.array([0.2, 0.2])
-        outs = [client_update_full(x, i, (0, 1), 1, 0.3, prob) for i in range(4)]
-        agg = server_aggregate(outs, A, K=1)
+        agg = server_aggregate(client_block(x, range(4), (0, 1), 1, 0.3, prob), A, K=1)
         for s in (0, 1):
             assert np.array_equal(agg[s], prob.global_grad(s, x))
 
-    def test_missing_client_rejected(self):
+    def test_wrong_row_count_rejected(self):
         A, prob = symmetric_quadratic(M=2)
-        out = client_update_full(np.zeros(2), 0, (0, 1), 1, 0.0, prob)
-        with pytest.raises(ValueError, match="missing output for client 1"):
-            server_aggregate([out], A, K=1)
-
-    def test_wrong_objectives_rejected(self):
-        A = IndicatorMatrix(np.array([[1, 0], [1, 1]]))
-        prob = quadratic_suite(2, A, centers=np.eye(2), seed=0)
-        ok = client_update_full(np.zeros(2), 0, (0, 1), 1, 0.0, prob)
-        bad = client_update_full(np.zeros(2), 1, (0,), 1, 0.0, prob)  # owns only (1,)
-        with pytest.raises(ValueError, match="client 1"):
-            server_aggregate([ok, bad], A, K=1)
+        deltas, _ = client_update_full(np.zeros(2), 0, (0, 1), 1, 0.0, prob)
+        with pytest.raises(ValueError, match="expected 4 rows"):
+            server_aggregate(deltas, A, K=1)
 
     def test_client_weights_give_weighted_average(self):
         A, prob = symmetric_quadratic(M=2, heterogeneity=0.5, seed=4)
         x = np.array([0.6, -0.6])
-        outs = [client_update_full(x, i, (0, 1), 1, 0.0, prob) for i in range(2)]
-        agg = server_aggregate(outs, A, K=1, client_weights=np.array([3.0, 1.0]))
-        expected = 0.75 * outs[0].deltas[0] + 0.25 * outs[1].deltas[0]
+        block = client_block(x, range(2), (0, 1), 1, 0.0, prob)  # objective 0 in rows 0 and 2
+        agg = server_aggregate(block, A, K=1, client_weights=np.array([3.0, 1.0]))
+        expected = 0.75 * block[0] + 0.25 * block[2]
         assert np.allclose(agg[0], expected, atol=1e-15)
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), M=st.integers(1, 5), S=st.integers(1, 3),
-           d=st.integers(1, 4), weighted=st.booleans())
-    def test_order_of_client_outputs_does_not_matter(self, data, M, S, d, weighted):
-        A, outputs, weights = draw_round(data, M, S, d, weighted)
-        shuffled = data.draw(st.permutations(outputs))
-        ref = server_aggregate(outputs, A, K=3, client_weights=weights)
-        assert np.array_equal(server_aggregate(shuffled, A, K=3, client_weights=weights), ref)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), M=st.integers(1, 7), S=st.integers(1, 4),
            d=st.integers(1, 4), weighted=st.booleans(), by_K=st.booleans())
     def test_equals_per_objective_loop_bit_for_bit(self, data, M, S, d, weighted, by_K):
-        A, outputs, weights = draw_round(data, M, S, d, weighted)
-        agg = server_aggregate(outputs, A, K=3, normalize_delta_by_K=by_K,
+        A, block, weights = draw_round(data, M, S, d, weighted)
+        agg = server_aggregate(block, A, K=3, normalize_delta_by_K=by_K,
                                client_weights=weights)
-        deltas = {(out.client, s): out.deltas[r]
-                  for out in outputs for r, s in enumerate(out.objectives)}
-        ref = reference.average(deltas, A.owner_sets, 3, by_K, weights)
+        pairs = [(i, s) for i, owned in enumerate(A.client_objectives) for s in owned]
+        ref = reference.average(dict(zip(pairs, block)), A.owner_sets, 3, by_K, weights)
         assert agg.tobytes() == ref.tobytes()
 
 
 def draw_round(data, M, S, d, weighted):
-    """A random indicator, one random output per client, and optional client weights."""
+    """A random indicator, a random client-major block of its pairs, and optional weights."""
     mask = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=M, max_size=M),
                                        min_size=S, max_size=S)), dtype=int)
     mask[np.arange(S), np.arange(S) % M] = 1  # every objective has an owner
     mask[np.arange(M) % S, np.arange(M)] = 1  # every client owns an objective
     A = IndicatorMatrix(mask)
+    P = sum(map(len, A.client_objectives))
     finite = st.floats(-1e6, 1e6, allow_nan=False)
-    outputs = []
-    for i in range(M):
-        owned = A.client_objectives[i]
-        rows = data.draw(st.lists(finite, min_size=len(owned) * d, max_size=len(owned) * d))
-        outputs.append(ClientRoundOutput(i, owned, np.array(rows).reshape(len(owned), d),
-                                         np.zeros(len(owned))))
+    block = np.array(data.draw(st.lists(finite, min_size=P * d, max_size=P * d))).reshape(P, d)
     weights = None
     if weighted:
         weights = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=M, max_size=M)))
-    return A, outputs, weights
+    return A, block, weights
 
 
 def base_config(prob, A, **kw):

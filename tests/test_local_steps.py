@@ -88,14 +88,14 @@ def test_client_updates_match_reference_bit_for_bit(case, t):
     x_t = config.initial_point()
     batch = config.batch_size if config.mode == "stochastic" else None
     for client, owned in enumerate(config.indicator.client_objectives):
-        out = client_update_stochastic(x_t, client, owned, config.K, config.eta_local, batch,
-                                       problem, config.seed, t, config.sample_sharing)
+        deltas, drift = client_update_stochastic(x_t, client, owned, config.K,
+                                                 config.eta_local, batch, problem, config.seed,
+                                                 t, config.sample_sharing)
         ref = [reference.local_update(x_t, client, s, config, problem, t) for s in owned]
-        assert out.objectives == owned
-        assert out.deltas.shape == (len(owned), problem.d)
-        assert same_bytes(out.deltas, np.vstack([acc for acc, _ in ref]))
-        drift = np.linalg.norm(np.vstack([x for _, x in ref]) - x_t, axis=1)
-        assert same_bytes(out.drift, drift)
+        assert deltas.shape == (len(owned), problem.d)
+        assert same_bytes(deltas, np.vstack([acc for acc, _ in ref]))
+        ref_drift = np.linalg.norm(np.vstack([x for _, x in ref]) - x_t, axis=1)
+        assert same_bytes(drift, ref_drift)
 
 
 # larger shards than the drawn configs, and a label-skewed partition
@@ -123,14 +123,13 @@ class TestBlockMatchesPerPairLoop:
                                   batch_size=batch, seed=19, sample_sharing=sharing)
         x_t = np.random.default_rng(11).standard_normal(problem.d)
         for client, owned in enumerate(A.client_objectives):
-            out = client_update_stochastic(x_t, client, owned, K, 0.07, batch, problem, 19,
-                                           round_index=2, sample_sharing=sharing)
+            deltas, drift = client_update_stochastic(x_t, client, owned, K, 0.07, batch, problem,
+                                                     19, round_index=2, sample_sharing=sharing)
             ref = [reference.local_update(x_t, client, s, config, problem, 2) for s in owned]
-            assert out.objectives == owned
-            assert out.deltas.shape == (len(owned), problem.d) and out.drift.shape == (len(owned),)
-            assert same_bytes(out.deltas, np.vstack([acc for acc, _ in ref]))
-            drift = np.linalg.norm(np.vstack([x for _, x in ref]) - x_t, axis=1)
-            assert same_bytes(out.drift, drift)
+            assert deltas.shape == (len(owned), problem.d) and drift.shape == (len(owned),)
+            assert same_bytes(deltas, np.vstack([acc for acc, _ in ref]))
+            ref_drift = np.linalg.norm(np.vstack([x for _, x in ref]) - x_t, axis=1)
+            assert same_bytes(drift, ref_drift)
 
 
 class FaultyQuadratic(Problem):
