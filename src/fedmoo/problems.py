@@ -346,7 +346,8 @@ def toy_nonconvex_suite(d, A: IndicatorMatrix, *, n_terms=6, ridge=0.0, heteroge
                         amp_noise=0.3, n_per_client=64, seed=0) -> TanhRidgeProblem:
     """Build the non-convex tanh-mixture suite with reported G and L constants.
 
-    Keys: each objective sums ``n_terms`` tanh terms plus ``ridge``/2 ||x||^2;
+    Keys: each objective sums ``n_terms`` tanh terms plus ``ridge``/2 ||x||^2
+    (``ridge >= 0``; a negative one would leave the objective unbounded below);
     ``heterogeneity`` perturbs each client's amplitudes and offsets around the
     objective's; each shard holds ``n_per_client`` samples whose amplitude
     factors have spread ``amp_noise``; ``seed`` fixes the instance.
@@ -354,6 +355,8 @@ def toy_nonconvex_suite(d, A: IndicatorMatrix, *, n_terms=6, ridge=0.0, heteroge
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     _check_counts(n_terms=n_terms, n_per_client=n_per_client)
+    if not ridge >= 0:
+        raise ValueError(f"ridge must be >= 0, got {ridge}")
     S, M = A.n_objectives, A.n_clients
     rng = _rng(seed, _TAG_TANH)
 
@@ -380,8 +383,9 @@ class LogisticTasksProblem(Problem):
     reachable; rotated views of one labeling additionally keep the tasks
     matched in difficulty, which keeps the min-norm weights balanced instead
     of starving whichever task converges last.  ``f_min`` holds each task's
-    global minimum (solved numerically at build time) so the loss-gap series
-    is available.
+    global minimum, solved at build time by damped Newton on the task's own
+    columns (its loss is strongly convex there), so the loss-gap series is
+    available.
     """
 
     name = "logistic_tasks"
@@ -438,13 +442,36 @@ class LogisticTasksProblem(Problem):
         return len(self.shards[i])
 
     def _solve_task_min(self, s):
-        # imported here, so the quadratic and tanh suites never load scipy.optimize
-        from scipy.optimize import minimize
-
-        res = minimize(lambda x: (self.global_loss(s, x), self.global_grad(s, x)),
-                       np.zeros(self.d), jac=True, method="L-BFGS-B",
-                       options={"gtol": 1e-12, "maxiter": 5000})
-        return float(res.fun)
+        # damped Newton on task s's columns from 0 (Boyd & Vandenberghe, Convex
+        # Optimization, 9.5); ridge > 0 makes f_s strongly convex there.  Each step
+        # is halved until the loss drops, and the solve ends once the predicted
+        # drop (half the Newton decrement) is below the rounding of f_s
+        cols = self.task_cols[s]
+        owners = self.indicator.owner_sets[s]
+        x = np.zeros(self.d)
+        f = self.global_loss(s, x)
+        for _ in range(50):
+            xv = x[cols]
+            hess = self.ridge * np.eye(len(cols))
+            for i in owners:
+                Z = self._blocks[s][i][0]
+                e = np.exp(-np.abs(Z @ xv))  # p (1 - p) = e / (1 + e)^2 at either sign
+                hess += (Z.T * (e / (1.0 + e) ** 2)) @ Z / (len(Z) * len(owners))
+            grad = self.global_grad(s, x)[cols]
+            step = np.linalg.solve(hess, -grad)
+            if -0.5 * (grad @ step) <= np.finfo(float).eps * f:
+                break
+            for _ in range(50):
+                trial = x.copy()
+                trial[cols] += step
+                f_trial = self.global_loss(s, trial)
+                if f_trial < f:
+                    break
+                step /= 2.0
+            else:
+                break
+            x, f = trial, f_trial
+        return f
 
 
 def _shard_blocks(view, signs, shards) -> list:
@@ -469,8 +496,9 @@ def synthetic_classification_suite(d, A: IndicatorMatrix, *, n_per_client=64, pa
     """Build the multi-task logistic suite on Gaussian-mixture samples.
 
     Keys: each client holds ``n_per_client`` samples of a mixture of
-    ``n_components`` Gaussians with means of scale ``feature_scale`` and
-    standard deviation ``noise``; ``ridge`` regularizes each task.  The d
+    ``n_components >= 2`` Gaussians with means of scale ``feature_scale``
+    and standard deviation ``noise``; ``ridge > 0`` regularizes each task,
+    so each task has a unique minimum.  The d
     model coordinates split into a shared block of ``round(task_overlap *
     d)`` coordinates plus one equal block per task (each ending in that
     task's bias); task s reads the shared block and its own orthogonal
@@ -487,6 +515,10 @@ def synthetic_classification_suite(d, A: IndicatorMatrix, *, n_per_client=64, pa
     """
     S, M = A.n_objectives, A.n_clients
     _check_counts(n_per_client=n_per_client, n_components=n_components)
+    if n_components < 2:
+        raise ValueError(f"n_components must be >= 2, got {n_components}")
+    if not ridge > 0:
+        raise ValueError(f"ridge must be > 0, got {ridge}")
     skew = partition
     if partition == "label_skew":
         skew = ("label_skew", 2 if labels_per_client is None else labels_per_client)

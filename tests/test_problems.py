@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.stats import chisquare
 
 from fedmoo import problems
@@ -256,24 +257,21 @@ class TestQuadraticBuild:
         assert np.stack(got[0]).tobytes() == anchors.tobytes()
 
 
-def test_only_the_classification_suite_loads_scipy_optimize(tmp_path):
+def test_no_run_loads_scipy(tmp_path):
     golden = ROOT / "tests" / "golden"
     script = f"""
 import sys
-import fedmoo
 from fedmoo.cli import main
-for case in ("quad_stoch", "tanh_stoch"):
+for case in ("quad_stoch", "tanh_stoch", "cls_full"):
     assert main(["run", "--config", r"{golden}/" + case + ".yaml", "--out", case]) == 0
-print("scipy.optimize" in sys.modules)
-fedmoo.build_problem(fedmoo.load_config(r"{golden}/cls_full.yaml")[0])
-print("scipy.optimize" in sys.modules)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-2:] == ["False", "True"]
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestQuadraticSuite:
@@ -487,13 +485,30 @@ class TestClassificationSuite:
         g0 = prob.grad(0, 0, x)
         assert np.all(g0[prob.task_cols[1]] == 0.0)
 
-    def test_f_min_is_attainable_lower_bound(self):
-        prob = self._suite()
+    def _independent_labels_suite(self):
+        return synthetic_classification_suite(12, IndicatorMatrix.all_ones(3, 4),
+                                              n_per_client=30, independent_labels=True, seed=8)
+
+    def test_independent_labels_split_each_task_differently(self):
+        prob = self._independent_labels_suite()
+        for signs in prob.task_signs:
+            assert set(np.unique(signs)) == {-1.0, 1.0}
+        assert len({signs.tobytes() for signs in prob.task_signs}) == 3
+
+    @pytest.mark.parametrize("suite", ["_suite", "_independent_labels_suite"])
+    def test_f_min_is_attainable_lower_bound(self, suite):
+        prob = getattr(self, suite)()
         rng = np.random.default_rng(91)
         for _ in range(20):
             x = rng.standard_normal(12)
-            for s in range(2):
+            for s in range(prob.S):
                 assert prob.global_loss(s, x) >= prob.f_min[s] - 1e-9
+        for s in range(prob.S):
+            # independent oracle: L-BFGS-B run until the gradient, not the loss, stalls
+            res = minimize(lambda x: (prob.global_loss(s, x), prob.global_grad(s, x)),
+                           np.zeros(12), jac=True, method="L-BFGS-B",
+                           options={"ftol": 0.0, "gtol": 1e-12, "maxiter": 5000})
+            assert abs(prob.f_min[s] - res.fun) <= 1e-12
 
 
 class TestPartition:
