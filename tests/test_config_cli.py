@@ -339,25 +339,18 @@ class TestRunCommand:
                      "--out", str(tmp_path / "o")]) == 2
         assert "problem: curvature_spread" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("golden, value, message", [
-        ("cls_full", 0.0, "ridge must be > 0, got 0.0"),
-        ("cls_full", -0.5, "ridge must be > 0, got -0.5"),
-        ("tanh_stoch", -0.5, "ridge must be >= 0, got -0.5")])
-    def test_ridge_out_of_range_exits_2_naming_it(self, tmp_path, capsys, golden, value,
-                                                   message):
+    @pytest.mark.parametrize("golden, key, value, message", [
+        ("cls_full", "ridge", 0.0, "ridge must be > 0, got 0.0"),
+        ("cls_full", "ridge", -0.5, "ridge must be > 0, got -0.5"),
+        ("tanh_stoch", "ridge", -0.5, "ridge must be >= 0, got -0.5"),
+        ("cls_full", "n_components", 1, "n_components must be >= 2, got 1")])
+    def test_out_of_range_suite_value_exits_2_naming_it(self, tmp_path, capsys, golden, key,
+                                                        value, message):
         cfg = yaml.safe_load((GOLDEN / f"{golden}.yaml").read_text())
-        cfg["problem"]["ridge"] = value
+        cfg["problem"][key] = value
         out = tmp_path / "o"
         assert main(["run", "--config", self._write(tmp_path, cfg), "--out", str(out)]) == 2
         assert f"problem: {message}" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_single_mixture_component_exits_2_naming_it(self, tmp_path, capsys):
-        cfg = yaml.safe_load((GOLDEN / "cls_full.yaml").read_text())
-        cfg["problem"]["n_components"] = 1  # every label would be -1
-        out = tmp_path / "o"
-        assert main(["run", "--config", self._write(tmp_path, cfg), "--out", str(out)]) == 2
-        assert "problem: n_components must be >= 2, got 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_labels_per_client_under_iid_exits_2_naming_it(self, tmp_path, capsys):

@@ -31,9 +31,8 @@ def test_demo_config_runs(config, tmp_path):
 
 
 def test_parallel_classification_sweep_in_a_fresh_process(tmp_path):
-    """A fresh ``sweep --jobs 2`` writes the serial tree.  Its members used to import
-    scipy.optimize in their threads; no run loads scipy now, so this no longer
-    guards an import race."""
+    """A fresh ``sweep --jobs 2`` writes the serial tree.  No run loads scipy, so this
+    guards no import race inside the member threads."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     trees = []
