@@ -24,7 +24,7 @@ for batch in (4, 16, 64):
     config = ExperimentConfig(M=3, S=2, indicator=A, d=5, K=3, T=600,
                               eta_global=0.1, eta_local=0.02,
                               mode="stochastic", batch_size=batch, seed=1)
-    traj = run_experiment(config, problem, log_lambda_drift=False)
+    traj = run_experiment(config, problem)
     series = traj.series("dbar_norm_sq")
     label = batch if batch < 64 else "full"
     print(f"{label!s:>6} {series[-100:].mean():>14.3e} {running_min(series)[-1]:>12.3e}")
@@ -34,8 +34,8 @@ stoch = ExperimentConfig(M=3, S=2, indicator=A, d=5, K=3, T=50, eta_global=0.1,
                          eta_local=0.02, mode="stochastic", batch_size=64, seed=2)
 full = ExperimentConfig(M=3, S=2, indicator=A, d=5, K=3, T=50, eta_global=0.1,
                         eta_local=0.02, mode="full_gradient", seed=2)
-a = run_experiment(stoch, problem, log_lambda_drift=False).final_point
-b = run_experiment(full, problem, log_lambda_drift=False).final_point
+a = run_experiment(stoch, problem).final_point
+b = run_experiment(full, problem).final_point
 print(f"  final points identical: {np.array_equal(a, b)}")
 
 print("\nsample-sharing modes (same seed, different stream keys):")
@@ -43,7 +43,7 @@ for sharing in ("per_client", "per_objective"):
     config = ExperimentConfig(M=3, S=2, indicator=A, d=5, K=3, T=100,
                               eta_global=0.1, eta_local=0.02, mode="stochastic",
                               batch_size=8, seed=3, sample_sharing=sharing)
-    traj = run_experiment(config, problem, log_lambda_drift=False)
+    traj = run_experiment(config, problem)
     print(f"  {sharing:>14}: final |dbar|^2 = {traj.records[-1].dbar_norm_sq:.3e}")
 
 print("\nvariance floor on the quadratic suite (delta_Q plateau, last 20%):")
@@ -56,6 +56,6 @@ for batch in (16, 64, None):
     config = ExperimentConfig(M=4, S=2, indicator=A4, d=6, K=5, T=300,
                               eta_global=0.3, eta_local=1e-2,
                               mode="stochastic", batch_size=batch, seed=4)
-    traj = run_experiment(config, quad, log_lambda_drift=False)
+    traj = run_experiment(config, quad)
     plateau = traj.series("delta_q")[-60:].mean()
     print(f"  batch {batch if batch else 'full':>4}: plateau = {plateau:.3e}")

@@ -31,7 +31,7 @@ for seed in (300, 301, 302):
         config = ExperimentConfig(M=5, S=2, indicator=A, d=12, K=K, T=200,
                                   eta_global=0.5, eta_local=0.05,
                                   normalize_delta_by_K=False, seed=seed)
-        traj = run_experiment(config, problem, log_lambda_drift=False)
+        traj = run_experiment(config, problem)
         losses = np.vstack([r.losses for r in traj.records])
         gap = (losses - problem.f_min[None, :]).max(axis=1)
         hit = rounds_to_threshold(gap, EPS)

@@ -24,9 +24,9 @@ for name, ind in (("identity (one objective per client)", IndicatorMatrix.identi
 print("\n=== iid vs label-skew partitions ===")
 rng = np.random.default_rng(1)
 labels = rng.integers(0, 10, 400)
-for skew in ("iid", ("label_skew", 2)):
-    plan = partition(labels, 5, skew, seed=3)
-    print(f"\nskew = {plan.skew}")
+for title, labels_per_client in (("iid", None), ("label skew, 2 labels per client", 2)):
+    plan = partition(labels, 5, labels_per_client=labels_per_client, seed=3)
+    print(f"\n{title}:")
     for i, idx in enumerate(plan.assignment):
         hist = np.bincount(labels[idx], minlength=10)
         print(f"  client {i} ({len(idx):3d} samples) label histogram {hist}")

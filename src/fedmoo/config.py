@@ -12,7 +12,8 @@ randomness derives from the ``seed`` field.
 
 Top-level keys::
 
-    name                 optional run name (default "run")
+    name                 optional run name (default "run"): one path component, the
+                         run's directory under the output root
     M, S, d              client count, objective count, model dimension
     indicator            "identity" | "all_ones" | explicit S x M 0/1 rows
     K, T                 local steps per round, communication rounds
@@ -21,7 +22,7 @@ Top-level keys::
     mode                 "full_gradient" | "stochastic"
     batch_size           int or "full"; stochastic mode only
     seed                 64-bit integer
-    sample_sharing       "per_client" (default) | "per_objective"
+    sample_sharing       "per_client" (default) | "per_objective"; stochastic mode only
     normalize_delta_by_K bool, default true
     init                 "zeros" (default) or explicit d-vector
     client_weights       optional M positive weights for imbalanced averaging
@@ -137,6 +138,12 @@ def _parse_indicator(value, S, M):
     raise ConfigError("indicator", f"expected 'identity', 'all_ones' or a matrix, got {value!r}")
 
 
+def _check_name(name):
+    """A run name is one path component, so its run directory stays under the output root."""
+    if name in ("", ".", "..") or any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
+        raise ConfigError("name", f"must be one path component, got {name!r}")
+
+
 def parse_config(mapping: dict) -> ExperimentConfig:
     """Validate a loaded key-value tree and build the experiment config.
 
@@ -154,8 +161,12 @@ def parse_config(mapping: dict) -> ExperimentConfig:
         if kwargs[key] < 1:
             raise ConfigError(key, f"must be >= 1, got {kwargs[key]}")
     kwargs["indicator"] = _parse_indicator(mapping["indicator"], kwargs["S"], kwargs["M"])
-    if "mode" in kwargs:
-        kwargs["mode"] = kwargs["mode"].replace("-", "_")
+    if "name" in kwargs:
+        _check_name(kwargs["name"])
+    if kwargs.get("mode", ExperimentConfig.mode) == "full_gradient":
+        for key in ("batch_size", "sample_sharing"):
+            if key in mapping:
+                raise ConfigError(key, "applies only to mode 'stochastic'")
     batch = mapping.get("batch_size")
     if batch not in (None, "full"):
         if isinstance(batch, bool) or not isinstance(batch, int):

@@ -241,7 +241,7 @@ def server_aggregate(deltas, indicator: IndicatorMatrix, K: int,
     return agg
 
 
-def run_round(round_index, x_t, config, problem, *, log_lambda_drift=True):
+def run_round(round_index, x_t, config, problem):
     """One communication round; returns (next point, round record).
 
     Every owned (objective, client) pair takes its K local steps in one
@@ -277,7 +277,7 @@ def run_round(round_index, x_t, config, problem, *, log_lambda_drift=True):
     dbar = metrics.dbar_norm_sq(sol.weights, x_t, problem)
     losses = problem.losses(x_t)
     dq = metrics.delta_q(sol.weights, x_t, problem) if problem.has_pareto_reference else None
-    drift = metrics.lambda_drift(sol.weights, x_t, problem) if log_lambda_drift else None
+    drift = metrics.lambda_drift(sol.weights, x_t, problem)
     record = RoundRecord(t=round_index, weights=sol.weights, d_norm_sq=sol.norm_sq,
                          dbar_norm_sq=dbar, losses=losses, delta_q=dq,
                          fw_gap=sol.fw_gap, lambda_drift=drift, x_snapshot=x_t.copy())
@@ -308,7 +308,7 @@ def pick_weighted_output(traj: TrajectoryLog, mu, eta, stream) -> np.ndarray:
     return pick.copy()
 
 
-def run_experiment(config: ExperimentConfig, problem, *, log_lambda_drift=True) -> TrajectoryLog:
+def run_experiment(config: ExperimentConfig, problem) -> TrajectoryLog:
     """Run T rounds from the configured initial point.
 
     Deterministic given the config seed.  Each round steps all clients' pairs
@@ -323,7 +323,7 @@ def run_experiment(config: ExperimentConfig, problem, *, log_lambda_drift=True) 
     traj = TrajectoryLog(config=config)
     for t in range(1, config.T + 1):
         try:
-            x_next, record = run_round(t, x, config, problem, log_lambda_drift=log_lambda_drift)
+            x_next, record = run_round(t, x, config, problem)
         except DivergenceError as exc:
             traj.termination = f"diverged: {exc}"
             break

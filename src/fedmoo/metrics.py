@@ -40,7 +40,6 @@ class RateFit:
     values were clamped before taking logs.
     """
 
-    series: str
     model: str
     slope: float
     residual: float
@@ -90,7 +89,7 @@ def lambda_drift(weights, x, problem) -> float:
     return float(np.abs(w - ref.weights).sum())
 
 
-def fit_rate(series, window, model: str = "power", name: str = "series") -> RateFit:
+def fit_rate(series, window, model: str = "power") -> RateFit:
     """Fit a decay rate to per-round scalars on the inclusive round window.
 
     ``series[i]`` is the value at round t = i + 1.  Windows shorter than 5
@@ -112,7 +111,7 @@ def fit_rate(series, window, model: str = "power", name: str = "series") -> Rate
     xs = np.log(t) if model == "power" else t
     slope, intercept = np.polyfit(xs, logy, 1)
     resid = logy - (slope * xs + intercept)
-    return RateFit(name, model, float(slope), float(np.sqrt(np.mean(resid ** 2))),
+    return RateFit(model, float(slope), float(np.sqrt(np.mean(resid ** 2))),
                    (t_lo, t_hi), clipped)
 
 

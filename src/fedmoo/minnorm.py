@@ -24,7 +24,6 @@ __all__ = [
     "closed_form_two",
     "grid_oracle",
     "fw_gap",
-    "default_max_iter",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -46,11 +45,6 @@ class MinNormSolution:
     iterations: int
     converged: bool
     termination: str
-    degenerate: bool = False
-
-
-def default_max_iter(n_objectives: int, dim: int) -> int:
-    return 10 * n_objectives * dim + 1000
 
 
 def fw_gap(G, weights) -> float:
@@ -145,7 +139,7 @@ def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if max_iter is None:
-        max_iter = default_max_iter(n, g.shape[1])
+        max_iter = 10 * n * g.shape[1] + 1000
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
@@ -219,9 +213,8 @@ def closed_form_two(g1, g2) -> MinNormSolution:
     """Exact min-norm point for two direction vectors.
 
     The minimizer over the segment between g1 and g2 puts weight
-    ``clip(<g1 - g2, g1> / ||g1 - g2||^2, 0, 1)`` on g2.  Equal vectors get
-    the symmetric tie-break (0.5, 0.5); two zero vectors additionally set the
-    ``degenerate`` flag.
+    ``clip(<g1 - g2, g1> / ||g1 - g2||^2, 0, 1)`` on g2.  Equal vectors,
+    two zero vectors included, get the symmetric tie-break (0.5, 0.5).
     """
     a = np.asarray(g1, dtype=np.float64)
     b = np.asarray(g2, dtype=np.float64)
@@ -231,18 +224,12 @@ def closed_form_two(g1, g2) -> MinNormSolution:
         raise ValueError("non-finite direction entries")
     diff = a - b
     denom = float(diff @ diff)
-    degenerate = False
-    if denom == 0.0:
-        lam2 = 0.5
-        degenerate = not a.any() and not b.any()
-    else:
-        lam2 = min(1.0, max(0.0, float(diff @ a) / denom))
+    lam2 = 0.5 if denom == 0.0 else min(1.0, max(0.0, float(diff @ a) / denom))
     lam = np.array([1.0 - lam2, lam2])
     lam /= lam.sum()
     u = lam @ np.vstack([a, b])
     gap = fw_gap(np.vstack([a, b]), lam)
-    return MinNormSolution(lam, u, float(u @ u), gap, 0, True, "closed_form",
-                           degenerate=degenerate)
+    return MinNormSolution(lam, u, float(u @ u), gap, 0, True, "closed_form")
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:

@@ -180,7 +180,6 @@ class QuadraticProblem(Problem):
         self.mu = float(self.mean_curv.min())
         self.smoothness = float(max(client_curv[s, i] for s in range(self.S)
                                     for i in owners[s]))
-        self.degenerate_pareto = bool(np.ptp(centers, axis=0).max() == 0.0)
         self.f_min = np.array([self.global_loss(s, self.eff_centers[s])
                                for s in range(self.S)])
         # _operands[s][i] = (q_si, c_si): the shard's curvature and center row, so that
@@ -268,8 +267,6 @@ def quadratic_suite(d, A: IndicatorMatrix, *, centers="auto", curvature=1.0,
             offs -= offs.mean(axis=0)
             client_centers[s, list(owners)] += offs
     client_curv = curvature * (1.0 + curvature_spread * rng.uniform(-1.0, 1.0, (S, M)))
-    if curvature_spread == 0.0:
-        client_curv[:] = curvature
 
     state = rng.bit_generator.state
 
@@ -519,12 +516,12 @@ def synthetic_classification_suite(d, A: IndicatorMatrix, *, n_per_client=64, pa
         raise ValueError(f"n_components must be >= 2, got {n_components}")
     if not ridge > 0:
         raise ValueError(f"ridge must be > 0, got {ridge}")
-    skew = partition
     if partition == "label_skew":
-        skew = ("label_skew", 2 if labels_per_client is None else labels_per_client)
+        labels_per_client = 2 if labels_per_client is None else labels_per_client
+    elif partition != "iid":
+        raise ValueError(f"partition must be 'iid' or 'label_skew', got {partition!r}")
     elif labels_per_client is not None:
-        raise ValueError(f"labels_per_client applies to partition 'label_skew', "
-                         f"not {partition!r}")
+        raise ValueError("labels_per_client applies to partition 'label_skew', not 'iid'")
     if not 0 <= task_overlap < 1:
         raise ValueError(f"task_overlap must be in [0, 1), got {task_overlap}")
     n_shared = round(task_overlap * d)
@@ -553,18 +550,16 @@ def synthetic_classification_suite(d, A: IndicatorMatrix, *, n_per_client=64, pa
             positive = rng.choice(n_components, n_components // 2, replace=False)
         task_signs[s] = np.where(np.isin(components, positive), 1.0, -1.0)
 
-    plan = _partition(components, M, skew, seed=seed)
+    plan = _partition(components, M, labels_per_client=labels_per_client, seed=seed)
     return LogisticTasksProblem(A, d, raw, components, task_signs, task_cols,
                                 n_shared, rotations, plan, ridge)
 
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    """Assignment of sample indices to clients plus the skew that produced it."""
+    """Assignment of sample indices to clients: disjoint shards covering every sample."""
 
     assignment: tuple
-    skew: str
-    labels_per_client: int | None = None
 
     def __post_init__(self):
         shards = tuple(np.asarray(a, dtype=np.int64) for a in self.assignment)
@@ -580,15 +575,16 @@ class PartitionPlan:
         return [np.unique(labels[idx]) for idx in self.assignment]
 
 
-def partition(labels, n_clients, skew, seed=0) -> PartitionPlan:
+def partition(labels, n_clients, labels_per_client=None, seed=0) -> PartitionPlan:
     """Deterministically split sample indices across clients.
 
-    ``skew="iid"`` shuffles and splits as evenly as possible.  With
-    ``("label_skew", k)`` every client receives samples from at most k
-    distinct labels: client j is assigned the label set
-    {(j*k + r) mod C : r < k} and each label's samples are divided evenly
-    among the clients holding it.  Raises when the requested skew cannot
-    cover every label (M*k < C) or a label has fewer samples than users.
+    ``labels_per_client=None`` is the iid split: shuffle, then split as
+    evenly as possible.  With ``labels_per_client=k`` (label skew) every
+    client receives samples from at most k distinct labels: client j is
+    assigned the label set {(j*k + r) mod C : r < k} and each label's
+    samples are divided evenly among the clients holding it.  Raises when
+    the requested skew cannot cover every label (M*k < C) or a label has
+    fewer samples than users.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
@@ -596,40 +592,34 @@ def partition(labels, n_clients, skew, seed=0) -> PartitionPlan:
         raise ValueError(f"n_clients must be >= 1, got {n_clients}")
     rng = _rng(seed, _TAG_PART)
 
-    if skew == "iid":
+    if labels_per_client is None:
         perm = rng.permutation(n)
-        shards = [np.sort(part) for part in np.array_split(perm, n_clients)]
-        return PartitionPlan(tuple(shards), "iid")
+        return PartitionPlan(tuple(np.sort(part) for part in np.array_split(perm, n_clients)))
 
-    if isinstance(skew, (tuple, list)) and len(skew) == 2 and skew[0] == "label_skew":
-        k = int(skew[1])
-        if k < 1:
-            raise ValueError(f"labels_per_client must be >= 1, got {k}")
-        uniq = np.unique(labels)
-        C = len(uniq)
-        k_eff = min(k, C)
-        if n_clients * k_eff < C:
-            raise ValueError(
-                f"label skew infeasible: {n_clients} clients x {k_eff} labels "
-                f"= {n_clients * k_eff} slots cannot cover {C} labels")
-        users: list[list[int]] = [[] for _ in range(C)]
-        for j in range(n_clients):
-            for r in range(k_eff):
-                users[(j * k_eff + r) % C].append(j)
-        shards: list[list[np.ndarray]] = [[] for _ in range(n_clients)]
-        for label_pos, lab in enumerate(uniq):
-            idx = np.flatnonzero(labels == lab)
-            holders = users[label_pos]
-            if len(idx) < len(holders):
-                raise ValueError(f"label {lab} has {len(idx)} samples for "
-                                 f"{len(holders)} clients")
-            idx = rng.permutation(idx)
-            for holder, chunk in zip(holders, np.array_split(idx, len(holders))):
-                shards[holder].append(chunk)
-        merged = tuple(np.sort(np.concatenate(parts)) for parts in shards)
-        return PartitionPlan(merged, f"label_skew({k})", labels_per_client=k)
-
-    raise ValueError(f"unknown skew descriptor {skew!r}")
+    if labels_per_client < 1:
+        raise ValueError(f"labels_per_client must be >= 1, got {labels_per_client}")
+    uniq = np.unique(labels)
+    C = len(uniq)
+    k_eff = min(labels_per_client, C)
+    if n_clients * k_eff < C:
+        raise ValueError(
+            f"label skew infeasible: {n_clients} clients x {k_eff} labels "
+            f"= {n_clients * k_eff} slots cannot cover {C} labels")
+    users: list[list[int]] = [[] for _ in range(C)]
+    for j in range(n_clients):
+        for r in range(k_eff):
+            users[(j * k_eff + r) % C].append(j)
+    shards: list[list[np.ndarray]] = [[] for _ in range(n_clients)]
+    for label_pos, lab in enumerate(uniq):
+        idx = np.flatnonzero(labels == lab)
+        holders = users[label_pos]
+        if len(idx) < len(holders):
+            raise ValueError(f"label {lab} has {len(idx)} samples for "
+                             f"{len(holders)} clients")
+        idx = rng.permutation(idx)
+        for holder, chunk in zip(holders, np.array_split(idx, len(holders))):
+            shards[holder].append(chunk)
+    return PartitionPlan(tuple(np.sort(np.concatenate(parts)) for parts in shards))
 
 
 # the classification builder's ``partition`` key shadows the function's name

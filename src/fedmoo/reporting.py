@@ -4,8 +4,8 @@ The rounds.csv schema is :data:`COLUMNS`, fixed and versioned: one header
 plus one row per round, ``t, lambda_1..lambda_S, d_norm_sq, dbar_norm_sq,
 running_min_dbar, loss_1..loss_S, delta_Q, fw_gap, lambda_drift``.  The
 writer, the reader and the summaries all work from the column arrays of
-:func:`round_columns`.  Metrics that are absent for a run (no optimality-gap
-reference, drift logging off) are NaN there and empty fields in the file, so
+:func:`round_columns`.  The one metric a run can lack, ``delta_Q`` (no
+optimality-gap reference), is NaN there and an empty field in the file, so
 the column set never varies.  Numbers are written in shortest round-trip
 form, so reading a file back gives exactly the arrays it was written from.
 """
@@ -146,7 +146,7 @@ def summarize_columns(cols: dict, f_min=None) -> dict:
         out["thresholds"][name] = {repr(float(eps)): rounds_to_threshold(values, eps)
                                    for eps in DEFAULT_EPS}
         if window[1] - window[0] + 1 >= 5:
-            fit = fit_rate(values, window, model=_FIT_MODEL[name], name=name)
+            fit = fit_rate(values, window, model=_FIT_MODEL[name])
             out["rate_fits"][name] = {
                 "model": fit.model,
                 "slope": fit.slope,
@@ -157,30 +157,23 @@ def summarize_columns(cols: dict, f_min=None) -> dict:
     return out
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def build_summary(traj: TrajectoryLog, raw_config: dict, problem) -> dict:
-    """Run summary; ``final`` is None when the run diverged before completing a round."""
+    """Run summary; ``final`` is None when the run diverged before completing a round.
+
+    ``raw_config``, the mapping the config parser accepted, holds only YAML
+    values and is echoed as given.
+    """
     cols = round_columns(traj)
     f_min = None if problem.f_min is None else np.asarray(problem.f_min)
     summary = {
         "version": __version__,
         "format_version": FORMAT_VERSION,
-        "config": _jsonable(raw_config),
+        "config": raw_config,
         "termination": traj.termination,
         "final": None,
-        "f_min": _jsonable(f_min),
-        "weighted_output": _jsonable(traj.weighted_output),
+        "f_min": None if f_min is None else f_min.tolist(),
+        "weighted_output": (None if traj.weighted_output is None
+                            else traj.weighted_output.tolist()),
     }
     if traj.records:
         last = traj.records[-1]
@@ -190,10 +183,10 @@ def build_summary(traj: TrajectoryLog, raw_config: dict, problem) -> dict:
             "dbar_norm_sq": last.dbar_norm_sq,
             "running_min_dbar": float(cols["running_min_dbar"][-1]),
             "delta_Q": last.delta_q,
-            "losses": _jsonable(last.losses),
-            "point": _jsonable(traj.final_point),
+            "losses": last.losses.tolist(),
+            "point": traj.final_point.tolist(),
         }
-    summary.update(_jsonable(summarize_columns(cols, f_min=f_min)))
+    summary.update(summarize_columns(cols, f_min=f_min))
     return summary
 
 

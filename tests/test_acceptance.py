@@ -145,7 +145,7 @@ def test_07_nonconvex_sublinear_trend():
         eta = descent_step_limit(prob.smoothness)
         cfg = ExperimentConfig(M=3, S=2, indicator=A, d=6, K=5, T=T,
                                eta_global=eta, eta_local=0.05 / np.sqrt(T), seed=3)
-        traj = run_experiment(cfg, prob, log_lambda_drift=False)
+        traj = run_experiment(cfg, prob)
         avgs[T] = float(traj.series("dbar_norm_sq").mean())
     ratio = avgs[250] / avgs[1000]
     ok = ratio >= 2.5
@@ -165,7 +165,7 @@ def test_08_stochastic_trend():
                                    eta_global=min(cap, 2.0 / np.sqrt(T)),
                                    eta_local=0.3 / T ** 0.25,
                                    mode="stochastic", batch_size=16, seed=seed)
-            traj = run_experiment(cfg, prob, log_lambda_drift=False)
+            traj = run_experiment(cfg, prob)
             mins[T].append(float(running_min(traj.series("dbar_norm_sq"))[-1]))
     m_short, m_long = np.mean(mins[400]), np.mean(mins[6400])
     ratio = m_short / m_long
@@ -185,7 +185,7 @@ def test_09_local_step_speedup():
             cfg = ExperimentConfig(M=5, S=2, indicator=A, d=12, K=K, T=200,
                                    eta_global=0.5, eta_local=0.05,
                                    normalize_delta_by_K=False, seed=seed)
-            traj = run_experiment(cfg, prob, log_lambda_drift=False)
+            traj = run_experiment(cfg, prob)
             losses = np.vstack([r.losses for r in traj.records])
             gap = (losses - prob.f_min[None, :]).max(axis=1)
             rounds[K].append(rounds_to_threshold(gap, 1e-2))
@@ -211,7 +211,7 @@ def test_10_batch_size_ordering():
                                    eta_global=0.3, eta_local=1e-2, mode="stochastic",
                                    batch_size=None if batch == "full" else batch,
                                    seed=seed)
-            traj = run_experiment(cfg, prob, log_lambda_drift=False)
+            traj = run_experiment(cfg, prob)
             plateaus[batch].append(float(traj.series("delta_q")[-60:].mean()))
     p16, p64, pf = (float(np.mean(plateaus[b])) for b in (16, 64, "full"))
     ok = p64 <= 2.0 * p16 and pf <= 2.0 * p64

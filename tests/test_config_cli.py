@@ -74,8 +74,10 @@ class TestConfigSchema:
         cfg = parse_config(quad_config(mode="stochastic", batch_size="full"))
         assert cfg.batch_size is None
 
-    def test_hyphenated_mode_accepted(self):
-        assert parse_config(quad_config(mode="full-gradient")).mode == "full_gradient"
+    def test_hyphenated_mode_rejected_naming_mode(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(quad_config(mode="full-gradient"))
+        assert exc.value.path == "mode"
 
     def test_explicit_indicator_matrix(self):
         cfg = parse_config(quad_config(indicator=[[1, 1], [0, 1]]))
@@ -440,6 +442,24 @@ class TestRunCommand:
         assert main(["run", "--config", cfg_path]) == 0
         assert (tmp_path / "root" / "quad-mini" / "rounds.csv").exists()
 
+    @pytest.mark.parametrize("name", ["", ".", "..", "../up", "/escaped"])
+    def test_name_outside_one_path_component_exits_2_naming_it(self, tmp_path, monkeypatch,
+                                                                capsys, name):
+        monkeypatch.setenv("FEDMOO_OUT", str(tmp_path / "root" / "out"))
+        cfg_path = self._write(tmp_path, quad_config(
+            name=str(tmp_path / "escaped") if name == "/escaped" else name))
+        assert main(["run", "--config", cfg_path]) == 2
+        assert "error: name: must be one path component" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml"]
+
+    def test_identity_indicator_config_runs(self, tmp_path):
+        cfg_path = self._write(tmp_path, quad_config(indicator="identity", M=2, S=2))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["indicator"] == "identity"
+        assert summary["termination"] == "completed"
+
 
 class TestSweepCommand:
     def test_k_sweep_structure_and_decreasing_thresholds(self, tmp_path):
@@ -684,6 +704,57 @@ class TestReportCommand:
             stored = summary["rate_fits"][name]
             assert fit["slope"] == stored["slope"]
             assert fit["residual"] == stored["residual"]
+
+
+def _sweep_doc(**changes):
+    """A two-member K sweep over ``quad_config()``; a change to None deletes the key."""
+    doc = {"base": quad_config(), "axis": "K", "values": [1, 2], **changes}
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+def _default_mode(doc):
+    """``doc`` without its ``mode`` key, so it runs in the default full-gradient mode."""
+    return {key: value for key, value in doc.items() if key != "mode"}
+
+
+def _cls_doc(**problem):
+    doc = yaml.safe_load((GOLDEN / "cls_full.yaml").read_text())
+    doc["problem"].update(problem)
+    return doc
+
+
+@pytest.mark.parametrize("command, document, message", [
+    ("run", quad_config(init=3), "init: expected a list of numbers, got 3"),
+    ("run", quad_config(indicator=3),
+     "indicator: expected 'identity', 'all_ones' or a matrix, got 3"),
+    ("run", quad_config(mode="stochastic", batch_size=4.5),
+     "batch_size: expected an integer or 'full', got 4.5"),
+    ("run", quad_config(problem=3), "problem: expected a mapping"),
+    ("run", quad_config(problem={"curvature": 1.0}), "problem.kind: required key is missing"),
+    ("run", quad_config(problem={"kind": "cubic"}), "problem.kind: unknown problem kind 'cubic'"),
+    ("run", [quad_config()], "<root>: {path}: expected a key-value mapping"),
+    ("run", quad_config(batch_size=4), "batch_size: applies only to mode 'stochastic'"),
+    ("run", quad_config(batch_size="full"), "batch_size: applies only to mode 'stochastic'"),
+    ("run", _default_mode(quad_config(batch_size=4)),
+     "batch_size: applies only to mode 'stochastic'"),
+    ("run", quad_config(sample_sharing="per_client"),
+     "sample_sharing: applies only to mode 'stochastic'"),
+    ("run", _default_mode(quad_config(sample_sharing="per_objective")),
+     "sample_sharing: applies only to mode 'stochastic'"),
+    ("run", _cls_doc(partition="dirichlet"),
+     "problem: partition must be 'iid' or 'label_skew', got 'dirichlet'"),
+    ("sweep", [_sweep_doc()], "<root>: expected a mapping, got list"),
+    ("sweep", _sweep_doc(axis=None), "axis: required key is missing"),
+    ("sweep", _sweep_doc(base=3), "base: expected an inline config mapping or a path"),
+    ("sweep", _sweep_doc(values=[]), "values: expected a nonempty list"),
+])
+def test_config_error_exits_2_naming_the_field(tmp_path, capsys, command, document, message):
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(document))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert f"error: {message.format(path=path)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("out", ["taken", "taken/sub"])

@@ -171,11 +171,9 @@ class TestClosedFormTwo:
         g = np.array([0.3, -0.7])
         sol = closed_form_two(g, g)
         assert np.allclose(sol.weights, [0.5, 0.5])
-        assert not sol.degenerate
 
-    def test_two_zero_vectors_flagged_degenerate(self):
+    def test_two_zero_vectors_tie_break(self):
         sol = closed_form_two(np.zeros(3), np.zeros(3))
-        assert sol.degenerate
         assert np.allclose(sol.weights, [0.5, 0.5])
         assert sol.norm_sq == 0.0
 

@@ -351,11 +351,6 @@ class TestQuadraticSuite:
         se = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
         assert (np.abs(draws.mean(axis=0) - quad.grad(0, 0, x)) <= 3 * se + 1e-12).all()
 
-    def test_identical_centers_flagged_degenerate(self):
-        A = IndicatorMatrix.all_ones(2, 1)
-        prob = quadratic_suite(2, A, centers=np.ones((2, 2)), seed=0)
-        assert prob.degenerate_pareto
-
 
 class TestNonconvexSuite:
     def test_single_term_gradient_bound_is_amp_times_weight_norm(self):
@@ -514,7 +509,7 @@ class TestClassificationSuite:
 class TestPartition:
     def test_iid_splits_evenly_with_balanced_histograms(self):
         labels = np.repeat(np.arange(4), 25)
-        plan = partition(labels, 4, "iid", seed=1)
+        plan = partition(labels, 4, seed=1)
         assert [len(a) for a in plan.assignment] == [25, 25, 25, 25]
         global_freq = np.full(4, 0.25)
         for idx in plan.assignment:
@@ -524,30 +519,30 @@ class TestPartition:
     def test_label_skew_two_of_ten_labels_five_clients(self):
         rng = np.random.default_rng(2)
         labels = rng.integers(0, 10, 400)
-        plan = partition(labels, 5, ("label_skew", 2), seed=2)
+        plan = partition(labels, 5, labels_per_client=2, seed=2)
         for labs in plan.shard_labels(labels):
             assert len(labs) == 2
 
     def test_single_client_gets_everything(self):
-        plan = partition(np.arange(30) % 3, 1, "iid", seed=0)
+        plan = partition(np.arange(30) % 3, 1, seed=0)
         assert np.array_equal(plan.assignment[0], np.arange(30))
 
     def test_infeasible_skew_rejected(self):
         labels = np.arange(10).repeat(5)  # 10 labels
         with pytest.raises(ValueError, match="cannot cover"):
-            partition(labels, 2, ("label_skew", 2), seed=0)
+            partition(labels, 2, labels_per_client=2, seed=0)
 
     def test_partition_is_deterministic(self):
         labels = np.random.default_rng(6).integers(0, 6, 120)
-        a = partition(labels, 4, ("label_skew", 3), seed=9)
-        b = partition(labels, 4, ("label_skew", 3), seed=9)
+        a = partition(labels, 4, labels_per_client=3, seed=9)
+        b = partition(labels, 4, labels_per_client=3, seed=9)
         for x, y in zip(a.assignment, b.assignment):
             assert np.array_equal(x, y)
 
     def test_overlapping_shards_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
-            PartitionPlan((np.array([0, 1]), np.array([1, 2])), "iid")
+            PartitionPlan((np.array([0, 1]), np.array([1, 2])))
 
     def test_non_exhaustive_shards_rejected(self):
         with pytest.raises(ValueError, match="cover"):
-            PartitionPlan((np.array([0, 1]), np.array([3])), "iid")
+            PartitionPlan((np.array([0, 1]), np.array([3])))
