@@ -30,8 +30,8 @@ config = ExperimentConfig(M=4, S=2, indicator=A, d=10, K=5, T=200,
                           eta_global=eta, eta_local=1e-3, seed=7)
 traj = run_experiment(config, problem)
 
-dq = traj.series("delta_q")
-lams = round_columns(traj)["lambda"]
+cols = round_columns(traj)
+dq, lams = cols["delta_Q"], cols["lambda"]
 print(f"\n{'round':>6} {'delta_Q':>12} {'|dbar|^2':>12} {'lambda':>18}")
 for t in (1, 2, 5, 10, 20, 50, 100, 200):
     rec = traj.records[t - 1]

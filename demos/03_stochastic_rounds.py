@@ -11,7 +11,8 @@ quantity the non-convex theory bounds.
 import numpy as np
 
 from fedmoo import (ExperimentConfig, IndicatorMatrix, quadratic_suite, run_experiment,
-                    running_min, toy_nonconvex_suite)
+                    toy_nonconvex_suite)
+from fedmoo.reporting import round_columns
 
 A = IndicatorMatrix(np.array([[1, 1, 0], [0, 1, 1]]))
 problem = toy_nonconvex_suite(5, A, n_terms=6, heterogeneity=0.3, amp_noise=0.5, n_per_client=64,
@@ -25,9 +26,10 @@ for batch in (4, 16, 64):
                               eta_global=0.1, eta_local=0.02,
                               mode="stochastic", batch_size=batch, seed=1)
     traj = run_experiment(config, problem)
-    series = traj.series("dbar_norm_sq")
+    cols = round_columns(traj)
     label = batch if batch < 64 else "full"
-    print(f"{label!s:>6} {series[-100:].mean():>14.3e} {running_min(series)[-1]:>12.3e}")
+    print(f"{label!s:>6} {cols['dbar_norm_sq'][-100:].mean():>14.3e} "
+          f"{cols['running_min_dbar'][-1]:>12.3e}")
 
 print("\nbatch covering the shard reproduces the full-gradient run exactly:")
 stoch = ExperimentConfig(M=3, S=2, indicator=A, d=5, K=3, T=50, eta_global=0.1,
@@ -57,5 +59,5 @@ for batch in (16, 64, None):
                               eta_global=0.3, eta_local=1e-2,
                               mode="stochastic", batch_size=batch, seed=4)
     traj = run_experiment(config, quad)
-    plateau = traj.series("delta_q")[-60:].mean()
+    plateau = round_columns(traj)["delta_Q"][-60:].mean()
     print(f"  batch {batch if batch else 'full':>4}: plateau = {plateau:.3e}")

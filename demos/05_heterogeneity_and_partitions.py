@@ -12,6 +12,7 @@ import numpy as np
 
 from fedmoo import (ExperimentConfig, IndicatorMatrix, client_stream, partition,
                     quadratic_suite, run_experiment)
+from fedmoo.reporting import round_columns
 
 print("=== indicator patterns and owner sets ===")
 for name, ind in (("identity (one objective per client)", IndicatorMatrix.identity(3)),
@@ -47,7 +48,7 @@ for radius in (0.0, 0.5, 1.5):
     config = ExperimentConfig(M=4, S=2, indicator=A, d=3, K=10, T=150,
                               eta_global=0.2, eta_local=0.05, seed=5)
     traj = run_experiment(config, problem)
-    plateau = traj.series("delta_q")[-30:].mean()
+    plateau = round_columns(traj)["delta_Q"][-30:].mean()
     print(f"  center spread {radius:3.1f}: delta_Q plateau = {plateau:.3e}")
 print("(equal curvatures keep accumulated updates exactly parallel to the true")
 print(" gradient, so the plateau stays at numerical zero; curvature spread is")
@@ -58,5 +59,5 @@ for spread in (0.0, 0.3, 0.6):
     config = ExperimentConfig(M=4, S=2, indicator=A, d=3, K=10, T=150,
                               eta_global=0.2, eta_local=0.05, seed=5)
     traj = run_experiment(config, problem)
-    plateau = traj.series("delta_q")[-30:].mean()
+    plateau = round_columns(traj)["delta_Q"][-30:].mean()
     print(f"  curvature spread {spread:3.1f}: delta_Q plateau = {plateau:.3e}")

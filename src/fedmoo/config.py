@@ -21,7 +21,7 @@ Top-level keys::
     eta_local            client step size (>= 0)
     mode                 "full_gradient" | "stochastic"
     batch_size           int or "full"; stochastic mode only
-    seed                 64-bit integer
+    seed                 integer in [0, 2**64); so is the problem section's ``seed``
     sample_sharing       "per_client" (default) | "per_objective"; stochastic mode only
     normalize_delta_by_K bool, default true
     init                 "zeros" (default) or explicit d-vector
@@ -191,6 +191,9 @@ def parse_config(mapping: dict) -> ExperimentConfig:
     _check_keys(params, types, "problem")
     kwargs["problem"] = ProblemConfig(
         kind, {k: _check_type(v, types[k], f"problem.{k}") for k, v in params.items()})
+    for key, seed in (("seed", kwargs["seed"]), ("problem.seed", params.get("seed", 0))):
+        if not 0 <= seed < 2**64:
+            raise ConfigError(key, f"must be in [0, 2**64), got {seed}")
 
     try:
         return ExperimentConfig(**kwargs)

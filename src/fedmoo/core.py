@@ -287,9 +287,9 @@ class RoundRecord:
     ``d_norm_sq`` is the squared norm of the server direction built from
     accumulated client updates; ``dbar_norm_sq`` applies the same weights to
     the true full gradients and is the stationarity metric for non-convex
-    runs.  ``delta_q`` is the weighted optimality gap, present only when the
-    problem provides a closed-form scalarization minimizer.  ``x_snapshot``
-    is the round's start point x_t, the weighted output's candidate.
+    runs.  ``delta_q`` is the weighted optimality gap, NaN when the problem
+    has no closed-form scalarization minimizer.  ``x_snapshot`` is the
+    round's start point x_t, the weighted output's candidate.
     """
 
     t: int
@@ -297,13 +297,13 @@ class RoundRecord:
     d_norm_sq: float
     dbar_norm_sq: float
     losses: np.ndarray
-    delta_q: float | None = None
-    fw_gap: float = 0.0
-    lambda_drift: float | None = None
+    delta_q: float
+    fw_gap: float
+    lambda_drift: float
     x_snapshot: np.ndarray | None = None
 
     def __post_init__(self):
         if self.d_norm_sq < 0 or self.dbar_norm_sq < 0:
             raise ValueError("squared norms must be nonnegative")
-        if self.delta_q is not None and self.delta_q < 0:
+        if self.delta_q < 0:  # False for NaN
             raise ValueError(f"delta_q must be nonnegative, got {self.delta_q}")

@@ -75,11 +75,6 @@ class TrajectoryLog:
     config: ExperimentConfig | None = None
     termination: str = "completed"
 
-    def series(self, name: str) -> np.ndarray:
-        """Per-round column as an array; missing optional values become NaN."""
-        vals = [getattr(r, name) for r in self.records]
-        return np.array([np.nan if v is None else v for v in vals], dtype=np.float64)
-
 
 def descent_step_limit(smoothness: float) -> float:
     """Largest server step with the per-round common-descent guarantee, 3/(2(1+L))."""
@@ -276,7 +271,7 @@ def run_round(round_index, x_t, config, problem):
 
     dbar = metrics.dbar_norm_sq(sol.weights, x_t, problem)
     losses = problem.losses(x_t)
-    dq = metrics.delta_q(sol.weights, x_t, problem) if problem.has_pareto_reference else None
+    dq = metrics.delta_q(sol.weights, x_t, problem) if problem.has_pareto_reference else np.nan
     drift = metrics.lambda_drift(sol.weights, x_t, problem)
     record = RoundRecord(t=round_index, weights=sol.weights, d_norm_sq=sol.norm_sq,
                          dbar_norm_sq=dbar, losses=losses, delta_q=dq,

@@ -46,10 +46,10 @@ def _rng(seed, tag: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) & (2**64 - 1), tag])
 
 
-def _check_counts(**counts):
-    for key, value in counts.items():
-        if value < 1:
-            raise ValueError(f"{key} must be >= 1, got {value}")
+def _check_at_least(bound, **values):
+    for key, value in values.items():
+        if not value >= bound:
+            raise ValueError(f"{key} must be >= {bound}, got {value}")
 
 
 class Problem:
@@ -232,7 +232,7 @@ def quadratic_suite(d, A: IndicatorMatrix, *, centers="auto", curvature=1.0,
 
     Keys: ``centers`` is ``"auto"`` (unit-norm rows drawn from ``seed``) or
     S x d base centers; ``curvature`` (> 0) is the base curvature;
-    ``heterogeneity`` is the spread radius of client centers around each base
+    ``heterogeneity`` (>= 0) is the spread of client centers around each base
     center; ``curvature_spread`` (in [0, 1)) lets per-shard curvatures vary
     around ``curvature``, which makes accumulated local updates genuinely
     biased and so gives the local-step error floor something to show;
@@ -247,7 +247,8 @@ def quadratic_suite(d, A: IndicatorMatrix, *, centers="auto", curvature=1.0,
     on the first minibatch gradient.  A full-gradient run never holds them.
     """
     S, M = A.n_objectives, A.n_clients
-    _check_counts(n_per_client=n_per_client)
+    _check_at_least(1, n_per_client=n_per_client)
+    _check_at_least(0, heterogeneity=heterogeneity)
     if not curvature > 0:
         raise ValueError(f"curvature must be > 0, got {curvature}")
     if not 0 <= curvature_spread < 1:
@@ -345,15 +346,14 @@ def toy_nonconvex_suite(d, A: IndicatorMatrix, *, n_terms=6, ridge=0.0, heteroge
 
     Keys: each objective sums ``n_terms`` tanh terms plus ``ridge``/2 ||x||^2
     (``ridge >= 0``; a negative one would leave the objective unbounded below);
-    ``heterogeneity`` perturbs each client's amplitudes and offsets around the
-    objective's; each shard holds ``n_per_client`` samples whose amplitude
-    factors have spread ``amp_noise``; ``seed`` fixes the instance.
+    ``heterogeneity`` (>= 0) perturbs each client's amplitudes and offsets
+    around the objective's; each shard holds ``n_per_client`` samples whose
+    amplitude factors have spread ``amp_noise``; ``seed`` fixes the instance.
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    _check_counts(n_terms=n_terms, n_per_client=n_per_client)
-    if not ridge >= 0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
+    _check_at_least(1, n_terms=n_terms, n_per_client=n_per_client)
+    _check_at_least(0, ridge=ridge, heterogeneity=heterogeneity)
     S, M = A.n_objectives, A.n_clients
     rng = _rng(seed, _TAG_TANH)
 
@@ -511,7 +511,7 @@ def synthetic_classification_suite(d, A: IndicatorMatrix, *, n_per_client=64, pa
     label skew only) of them.
     """
     S, M = A.n_objectives, A.n_clients
-    _check_counts(n_per_client=n_per_client, n_components=n_components)
+    _check_at_least(1, n_per_client=n_per_client, n_components=n_components)
     if n_components < 2:
         raise ValueError(f"n_components must be >= 2, got {n_components}")
     if not ridge > 0:

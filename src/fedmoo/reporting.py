@@ -5,9 +5,10 @@ plus one row per round, ``t, lambda_1..lambda_S, d_norm_sq, dbar_norm_sq,
 running_min_dbar, loss_1..loss_S, delta_Q, fw_gap, lambda_drift``.  The
 writer, the reader and the summaries all work from the column arrays of
 :func:`round_columns`.  The one metric a run can lack, ``delta_Q`` (no
-optimality-gap reference), is NaN there and an empty field in the file, so
-the column set never varies.  Numbers are written in shortest round-trip
-form, so reading a file back gives exactly the arrays it was written from.
+optimality-gap reference), is NaN on the record and in the columns, an empty
+field in the file and null in the summary, so the column set never varies.
+Numbers are written in shortest round-trip form, so reading a file back gives
+exactly the arrays it was written from.
 """
 
 from __future__ import annotations
@@ -43,10 +44,23 @@ COLUMNS = {"t": None, "lambda": "lambda", "d_norm_sq": None, "dbar_norm_sq": Non
            "running_min_dbar": None, "losses": "loss", "delta_Q": None, "fw_gap": None,
            "lambda_drift": None}
 
+# The RoundRecord attribute behind each column whose key differs from it;
+# running_min_dbar is derived from dbar_norm_sq, not stored.
+_RECORD_ATTRS = {"lambda": "weights", "delta_Q": "delta_q"}
+
+# The columns summary.json's ``final`` repeats, in its order.
+_FINAL_KEYS = ("t", "d_norm_sq", "dbar_norm_sq", "running_min_dbar", "delta_Q", "losses")
+
 
 def format_cell(value) -> str:
     """A CSV cell: the shortest repr that round-trips, empty for NaN."""
     return "" if np.isnan(value) else repr(float(value))
+
+
+def _json_value(cell):
+    """A column entry for summary.json: a number, null for NaN, or a per-objective list."""
+    value = cell.tolist()
+    return None if isinstance(value, float) and np.isnan(value) else value
 
 
 def rounds_header(n_objectives: int) -> str:
@@ -65,18 +79,12 @@ def round_columns(traj: TrajectoryLog) -> dict:
     if not records and traj.config is None:
         raise ValueError("trajectory has no rounds and no config to size the header")
     S = records[0].weights.shape[0] if records else traj.config.S
-    dbar = traj.series("dbar_norm_sq")
-    return {
-        "t": np.array([r.t for r in records], dtype=np.int64),
-        "lambda": np.array([r.weights for r in records], dtype=np.float64).reshape(-1, S),
-        "d_norm_sq": traj.series("d_norm_sq"),
-        "dbar_norm_sq": dbar,
-        "running_min_dbar": running_min(dbar),
-        "losses": np.array([r.losses for r in records], dtype=np.float64).reshape(-1, S),
-        "delta_Q": traj.series("delta_q"),
-        "fw_gap": traj.series("fw_gap"),
-        "lambda_drift": traj.series("lambda_drift"),
-    }
+    cols = {key: np.array([getattr(r, _RECORD_ATTRS.get(key, key)) for r in records],
+                          dtype=np.int64 if key == "t" else np.float64)
+            for key in COLUMNS if key != "running_min_dbar"}
+    cols["running_min_dbar"] = running_min(cols["dbar_norm_sq"])
+    return {key: cols[key].reshape(-1, S) if stem else cols[key]
+            for key, stem in COLUMNS.items()}
 
 
 def write_rounds_csv(path, traj: TrajectoryLog) -> None:
@@ -160,8 +168,9 @@ def summarize_columns(cols: dict, f_min=None) -> dict:
 def build_summary(traj: TrajectoryLog, raw_config: dict, problem) -> dict:
     """Run summary; ``final`` is None when the run diverged before completing a round.
 
-    ``raw_config``, the mapping the config parser accepted, holds only YAML
-    values and is echoed as given.
+    ``final`` is the last row of :func:`round_columns` over ``_FINAL_KEYS``,
+    NaN written as null, plus the final point.  ``raw_config``, the mapping the
+    config parser accepted, holds only YAML values and is echoed as given.
     """
     cols = round_columns(traj)
     f_min = None if problem.f_min is None else np.asarray(problem.f_min)
@@ -176,16 +185,8 @@ def build_summary(traj: TrajectoryLog, raw_config: dict, problem) -> dict:
                             else traj.weighted_output.tolist()),
     }
     if traj.records:
-        last = traj.records[-1]
-        summary["final"] = {
-            "t": last.t,
-            "d_norm_sq": last.d_norm_sq,
-            "dbar_norm_sq": last.dbar_norm_sq,
-            "running_min_dbar": float(cols["running_min_dbar"][-1]),
-            "delta_Q": last.delta_q,
-            "losses": last.losses.tolist(),
-            "point": traj.final_point.tolist(),
-        }
+        summary["final"] = {**{key: _json_value(cols[key][-1]) for key in _FINAL_KEYS},
+                            "point": traj.final_point.tolist()}
     summary.update(summarize_columns(cols, f_min=f_min))
     return summary
 

@@ -12,11 +12,11 @@ from fedmoo.core import ExperimentConfig, IndicatorMatrix, client_stream
 from fedmoo.federation import (client_update_stochastic, descent_step_limit,
                                pick_weighted_output, run_experiment, server_aggregate,
                                strongly_convex_step_limit)
-from fedmoo.metrics import fit_rate, rounds_to_threshold, running_min
+from fedmoo.metrics import fit_rate, rounds_to_threshold
 from fedmoo.minnorm import closed_form_two, grid_oracle, solve_min_norm
 from fedmoo.problems import (quadratic_suite, synthetic_classification_suite,
                              toy_nonconvex_suite)
-from fedmoo.reporting import write_rounds_csv
+from fedmoo.reporting import round_columns, write_rounds_csv
 from fedmoo.verify import mgd_reference
 
 
@@ -110,7 +110,7 @@ def test_05_linear_rate_strongly_convex():
     cfg = ExperimentConfig(M=4, S=2, indicator=A, d=10, K=5, T=200,
                            eta_global=eta, eta_local=1e-3, seed=7)
     traj = run_experiment(cfg, prob)
-    dq = traj.series("delta_q")
+    dq = round_columns(traj)["delta_Q"]
     fit = fit_rate(dq, (10, 100), model="exponential")
     elapsed = time.perf_counter() - start
     ok = (fit.slope < 0 and fit.residual < 0.1 * abs(fit.slope)
@@ -129,7 +129,7 @@ def test_06_neighborhood_shrinkage():
         cfg = ExperimentConfig(M=4, S=2, indicator=A, d=8, K=10, T=300,
                                eta_global=0.2, eta_local=eta_l, seed=11)
         traj = run_experiment(cfg, prob)
-        dq = traj.series("delta_q")
+        dq = round_columns(traj)["delta_Q"]
         plateaus.append(float(dq[-60:].mean()))  # mean over last 20% of rounds
     ok = all(plateaus[i + 1] <= plateaus[i] for i in range(3))
     report(6, ok, "delta_Q plateau vs eta_local 1e-1..1e-4 at K=10: "
@@ -146,7 +146,7 @@ def test_07_nonconvex_sublinear_trend():
         cfg = ExperimentConfig(M=3, S=2, indicator=A, d=6, K=5, T=T,
                                eta_global=eta, eta_local=0.05 / np.sqrt(T), seed=3)
         traj = run_experiment(cfg, prob)
-        avgs[T] = float(traj.series("dbar_norm_sq").mean())
+        avgs[T] = float(round_columns(traj)["dbar_norm_sq"].mean())
     ratio = avgs[250] / avgs[1000]
     ok = ratio >= 2.5
     report(7, ok, f"mean dbar_norm_sq over [1,T]: T=250 {avgs[250]:.3e}, "
@@ -166,7 +166,7 @@ def test_08_stochastic_trend():
                                    eta_local=0.3 / T ** 0.25,
                                    mode="stochastic", batch_size=16, seed=seed)
             traj = run_experiment(cfg, prob)
-            mins[T].append(float(running_min(traj.series("dbar_norm_sq"))[-1]))
+            mins[T].append(float(round_columns(traj)["running_min_dbar"][-1]))
     m_short, m_long = np.mean(mins[400]), np.mean(mins[6400])
     ratio = m_short / m_long
     ok = ratio >= 2.0
@@ -212,7 +212,7 @@ def test_10_batch_size_ordering():
                                    batch_size=None if batch == "full" else batch,
                                    seed=seed)
             traj = run_experiment(cfg, prob)
-            plateaus[batch].append(float(traj.series("delta_q")[-60:].mean()))
+            plateaus[batch].append(float(round_columns(traj)["delta_Q"][-60:].mean()))
     p16, p64, pf = (float(np.mean(plateaus[b])) for b in (16, 64, "full"))
     ok = p64 <= 2.0 * p16 and pf <= 2.0 * p64
     report(10, ok, f"delta_Q plateau vs batch, 3 seeds: 16 -> {p16:.2e}, "

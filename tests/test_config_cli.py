@@ -89,6 +89,13 @@ class TestConfigSchema:
             parse_config(quad_config(**{key: 0}))
         assert exc.value.path == key and str(exc.value) == f"{key}: must be >= 1, got 0"
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_at_either_end_of_its_range_parses(self, seed):
+        cfg = quad_config(seed=seed)
+        cfg["problem"]["seed"] = seed
+        parsed = parse_config(cfg)
+        assert parsed.seed == parsed.problem.params["seed"] == seed
+
     def test_wrong_scalar_type_reported(self):
         with pytest.raises(ConfigError, match="K"):
             parse_config(quad_config(K="three"))
@@ -345,7 +352,9 @@ class TestRunCommand:
         ("cls_full", "ridge", 0.0, "ridge must be > 0, got 0.0"),
         ("cls_full", "ridge", -0.5, "ridge must be > 0, got -0.5"),
         ("tanh_stoch", "ridge", -0.5, "ridge must be >= 0, got -0.5"),
-        ("cls_full", "n_components", 1, "n_components must be >= 2, got 1")])
+        ("cls_full", "n_components", 1, "n_components must be >= 2, got 1"),
+        ("quad_stoch", "heterogeneity", -0.5, "heterogeneity must be >= 0, got -0.5"),
+        ("tanh_stoch", "heterogeneity", -0.5, "heterogeneity must be >= 0, got -0.5")])
     def test_out_of_range_suite_value_exits_2_naming_it(self, tmp_path, capsys, golden, key,
                                                         value, message):
         cfg = yaml.safe_load((GOLDEN / f"{golden}.yaml").read_text())
@@ -743,6 +752,13 @@ def _cls_doc(**problem):
      "sample_sharing: applies only to mode 'stochastic'"),
     ("run", _cls_doc(partition="dirichlet"),
      "problem: partition must be 'iid' or 'label_skew', got 'dirichlet'"),
+    ("run", quad_config(seed=2**64 + 7),
+     "seed: must be in [0, 2**64), got 18446744073709551623"),
+    ("run", quad_config(seed=7 - 2**64),
+     "seed: must be in [0, 2**64), got -18446744073709551609"),
+    ("run", _cls_doc(seed=2**64),
+     "problem.seed: must be in [0, 2**64), got 18446744073709551616"),
+    ("run", _cls_doc(seed=-1), "problem.seed: must be in [0, 2**64), got -1"),
     ("sweep", [_sweep_doc()], "<root>: expected a mapping, got list"),
     ("sweep", _sweep_doc(axis=None), "axis: required key is missing"),
     ("sweep", _sweep_doc(base=3), "base: expected an inline config mapping or a path"),

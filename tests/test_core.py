@@ -132,8 +132,15 @@ class TestValidators:
 
     def test_round_record_rejects_negative_norms(self):
         with pytest.raises(ValueError):
-            RoundRecord(t=1, weights=np.array([1.0]), d_norm_sq=-1.0,
-                        dbar_norm_sq=0.0, losses=np.array([0.0]))
+            RoundRecord(t=1, weights=np.array([1.0]), d_norm_sq=-1.0, dbar_norm_sq=0.0,
+                        losses=np.array([0.0]), delta_q=np.nan, fw_gap=0.0, lambda_drift=0.0)
+
+    def test_round_record_rejects_a_negative_gap_and_takes_nan_for_none(self):
+        fields = dict(t=1, weights=np.array([1.0]), d_norm_sq=0.0, dbar_norm_sq=0.0,
+                      losses=np.array([0.0]), fw_gap=0.0, lambda_drift=0.0)
+        with pytest.raises(ValueError, match="delta_q"):
+            RoundRecord(**fields, delta_q=-1e-3)
+        assert np.isnan(RoundRecord(**fields, delta_q=np.nan).delta_q)
 
 
 class TestExperimentConfig:

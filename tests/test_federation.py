@@ -312,7 +312,8 @@ def start_points(T):
     """A hand-built trajectory whose round t started at the point (t,)."""
     return TrajectoryLog(records=[
         RoundRecord(t=t, weights=np.ones(1), d_norm_sq=0.0, dbar_norm_sq=0.0,
-                    losses=np.zeros(1), x_snapshot=np.array([float(t)]))
+                    losses=np.zeros(1), delta_q=np.nan, fw_gap=0.0, lambda_drift=0.0,
+                    x_snapshot=np.array([float(t)]))
         for t in range(1, T + 1)])
 
 
