@@ -10,6 +10,7 @@ boundaries instead of wrapping every vector in a class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import operator
 
 import numpy as np
@@ -143,7 +144,9 @@ def _keyed_stream(seed: int, key) -> np.random.Generator:
 
     That is the entropy ``SeedSequence(entropy=seed, spawn_key=key)`` assembles,
     so the draws are the same; handing it over as one uint32 array skips
-    numpy's per-entry coercion of the spawn key.
+    numpy's per-entry coercion of the spawn key.  Only the sequence's mixed
+    ``pool`` is read: its output hash is applied here, and the resulting
+    Philox key is handed over through :func:`_philox_key_type`.
     """
     s = int(seed) & (2**64 - 1)
     words = [s & _WORD, s >> 32, 0, 0]
@@ -154,8 +157,41 @@ def _keyed_stream(seed: int, key) -> np.random.Generator:
         while v:
             words.append(v & _WORD)
             v >>= 32
-    ss = np.random.SeedSequence(np.array(words, dtype=np.uint32))
-    return np.random.Generator(np.random.Philox(ss))
+    pool = np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool.tolist()
+    return np.random.Generator(np.random.Philox(_philox_key_type()(pool)))
+
+
+# SeedSequence.generate_state's output hash of pool word j: xor with _HASH[j],
+# multiply by _HASH[j + 1] mod 2**32, then xor with its own high half shifted down
+_HASH = [0x8B51F9DD]
+for _ in range(4):
+    _HASH.append(_HASH[-1] * 0x58F38DED & _WORD)
+_HASH = tuple(zip(_HASH, _HASH[1:]))
+
+
+@functools.cache
+def _philox_key_type() -> type:
+    """The ``ISeedSequence`` built from a 4-word ``pool`` that hands Philox the two
+    uint64 words ``SeedSequence.generate_state(2, np.uint64)`` returns for it, the
+    only state Philox asks for.  Made on first use, so that importing fedmoo does
+    not import ``numpy.random``."""
+
+    class PhiloxKey(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("_key",)
+
+        def __init__(self, pool):
+            w = []
+            for v, (xor, mult) in zip(pool, _HASH):
+                v = (v ^ xor) * mult & _WORD
+                w.append(v ^ v >> 16)
+            self._key = np.array([w[0] | w[1] << 32, w[2] | w[3] << 32], dtype=np.uint64)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a Philox key is two uint64 words")
+            return self._key
+
+    return PhiloxKey
 
 
 def as_model_point(x, d: int | None = None) -> np.ndarray:

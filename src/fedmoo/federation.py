@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .core import (ExperimentConfig, IndicatorMatrix, RoundRecord, client_stream,
+from .core import (_SHARING, ExperimentConfig, IndicatorMatrix, RoundRecord, client_stream,
                    output_stream)
 from .minnorm import solve_min_norm
 
@@ -118,8 +118,10 @@ def client_update_stochastic(x_t, client, owned, K, eta_local, batch, problem, s
     and how far its local iterate moved from ``x_t``.  This is the client's
     slice of the round's block (:func:`run_round`): the same step loop on
     this client's pairs only, so ``deltas`` is bit-identical to the round's
-    rows for this client.
+    rows for this client.  Any other ``sample_sharing`` raises ``ValueError``.
     """
+    if sample_sharing not in _SHARING:
+        raise ValueError(f"sample_sharing must be one of {_SHARING}, got {sample_sharing!r}")
     pairs = [(s, client) for s in owned]
     batches = _draw_batches(client, owned, K, batch, problem, seed, round_index, sample_sharing)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below

@@ -64,7 +64,9 @@ class Problem:
     ``global_grad`` with closed forms, but never ``losses`` or
     ``gradient_matrix``: the benchmark counts calls to those two on this
     class, and an override would hide them.  A suite's public arrays are
-    fixed after construction.
+    read-only after construction; each built-in suite builds a table of
+    per-shard operands from them, so ``stoch_grad`` reads one entry instead
+    of indexing the arrays on every call.
     """
 
     name = "problem"
@@ -148,12 +150,10 @@ class QuadraticProblem(Problem):
                  draw_anchors):
         S, M, d = client_centers.shape
         super().__init__(indicator, d)
-        self.centers = centers
+        self.centers = _read_only(centers)
         # read-only: the operand table below copies the curvatures and views the centers
-        client_centers.setflags(write=False)
-        client_curv.setflags(write=False)
-        self.client_centers = client_centers
-        self.client_curv = client_curv
+        self.client_centers = _read_only(client_centers)
+        self.client_curv = _read_only(client_curv)
         self.n_per_client = n_per_client
         self._draw_anchors = draw_anchors
         self._anchors = None
@@ -169,19 +169,19 @@ class QuadraticProblem(Problem):
 
         owners = indicator.owner_sets
         self._owners = [np.asarray(owners[s], dtype=np.int64) for s in range(self.S)]
-        self.mean_curv = np.array([client_curv[s, list(owners[s])].mean()
-                                   for s in range(self.S)])
+        self.mean_curv = _read_only(np.array([client_curv[s, list(owners[s])].mean()
+                                              for s in range(self.S)]))
         # curvature-weighted effective center of each global objective
-        self.eff_centers = np.vstack([
+        self.eff_centers = _read_only(np.vstack([
             (client_curv[s, list(owners[s]), None] * client_centers[s, list(owners[s])]).sum(0)
             / client_curv[s, list(owners[s])].sum()
             for s in range(self.S)
-        ])
+        ]))
         self.mu = float(self.mean_curv.min())
         self.smoothness = float(max(client_curv[s, i] for s in range(self.S)
                                     for i in owners[s]))
-        self.f_min = np.array([self.global_loss(s, self.eff_centers[s])
-                               for s in range(self.S)])
+        self.f_min = _read_only(np.array([self.global_loss(s, self.eff_centers[s])
+                                          for s in range(self.S)]))
         # _operands[s][i] = (q_si, c_si): the shard's curvature and center row, so that
         # stoch_grad reads one entry.
         self._operands = [[(float(client_curv[s, i]), client_centers[s, i])
@@ -256,7 +256,7 @@ def quadratic_suite(d, A: IndicatorMatrix, *, centers="auto", curvature=1.0,
     if isinstance(centers, str) and centers == "auto":
         centers = _rng(seed, _TAG_CENTERS).standard_normal((S, d))
         centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-    centers = np.asarray(centers, dtype=np.float64)
+    centers = np.array(centers, dtype=np.float64)  # a copy: the problem makes it read-only
     if centers.shape != (S, d):
         raise ValueError(f"centers must have shape ({S}, {d}), got {centers.shape}")
 
@@ -298,12 +298,17 @@ class TanhRidgeProblem(Problem):
 
     def __init__(self, indicator, d, weights, amps, offsets, amp_eps, ridge):
         super().__init__(indicator, d)
-        self.term_weights = weights          # (S, J, d), shared across clients
-        self.client_amps = amps              # (S, M, J)
-        self.client_offsets = offsets        # (S, M, J)
-        self.amp_eps = amp_eps               # (S, M, n, J), column-centered
+        # read-only: the operand table below views them
+        self.term_weights = _read_only(weights)     # (S, J, d), shared across clients
+        self.client_amps = _read_only(amps)         # (S, M, J)
+        self.client_offsets = _read_only(offsets)   # (S, M, J)
+        self.amp_eps = _read_only(amp_eps)          # (S, M, n, J), column-centered
         self.ridge = float(ridge)
         self.n_per_client = amp_eps.shape[2]
+        # _operands[s][i] = (W_s, W_s.T, amp_si, offset_si, eps_si), so that stoch_grad
+        # reads one entry
+        self._operands = [[(weights[s], weights[s].T, amps[s, i], offsets[s, i], amp_eps[s, i])
+                           for i in range(self.M)] for s in range(self.S)]
 
         row_norms = np.linalg.norm(weights, axis=2)            # (S, J)
         owners = indicator.owner_sets
@@ -322,19 +327,17 @@ class TanhRidgeProblem(Problem):
         self.stoch_grad_bound = d_bound if ridge == 0.0 else None
         self.lower_bound = -float(np.abs(amps).sum(axis=2).max()) if ridge == 0.0 else None
 
-    def _tanh(self, s, i, x):
-        return np.tanh(self.term_weights[s] @ x + self.client_offsets[s, i])
-
     def loss(self, s, i, x):
-        val = float(self.client_amps[s, i] @ self._tanh(s, i, x))
+        W, _, amp, offset, _ = self._operands[s][i]
+        val = float(amp @ np.tanh(W @ x + offset))
         return val + 0.5 * self.ridge * float(x @ x)
 
     def stoch_grad(self, s, i, x, indices):
-        amp = self.client_amps[s, i]
+        W, WT, amp, offset, eps = self._operands[s][i]
         if indices is not None and len(indices) < self.n_per_client:
-            amp = amp * (1.0 + np.add.reduce(self.amp_eps[s, i, indices]) / len(indices))
-        th = self._tanh(s, i, x)
-        return self.term_weights[s].T @ (amp * (1.0 - th * th)) + self.ridge * x
+            amp = amp * (1.0 + np.add.reduce(eps.take(indices, axis=0)) / len(indices))
+        th = np.tanh(W @ x + offset)
+        return WT @ (amp * (1.0 - th * th)) + self.ridge * x
 
     def shard_size(self, i):
         return self.n_per_client
@@ -390,48 +393,52 @@ class LogisticTasksProblem(Problem):
     def __init__(self, indicator, d, raw, components, task_signs, task_cols,
                  n_shared, rotations, plan, ridge):
         super().__init__(indicator, d)
-        self.raw = raw                       # (n, m): shared block then own core
-        self.components = components         # (n,) mixture component per sample
-        self.task_signs = task_signs         # (S, n) in {-1, +1}
-        self.task_cols = task_cols           # per task: model columns of its view
+        # read-only: the operand table below is built from them
+        self.raw = _read_only(raw)                  # (n, m): shared block then own core
+        self.components = _read_only(components)    # (n,) mixture component per sample
+        self.task_signs = _read_only(task_signs)    # (S, n) in {-1, +1}
+        self.task_cols = [_read_only(c) for c in task_cols]  # per task: its model columns
         self.n_shared = int(n_shared)
-        self.rotations = rotations           # per task: own-core rotation matrix
+        self.rotations = [_read_only(r) for r in rotations]  # per task: own-core rotation
         self.plan = plan
         self.ridge = float(ridge)
         self.shards = plan.assignment
         # ridge acts per task view, so f_s is flat across other tasks' blocks
         self.mu = 0.0
-        # _blocks[s][i] = (Z, y): client i's rows of task s's design matrix
-        # (shared block, rotated own core, bias column) and their signs, read-only
+        # _operands[s][i] = (Z, y, -y): client i's rows of task s's design matrix
+        # (shared block, rotated own core, bias column), their signs and the negated
+        # signs, read-only
         h = self.n_shared
         ones = np.ones((raw.shape[0], 1))
-        self._blocks = [_shard_blocks(np.hstack([raw[:, :h], raw[:, h:] @ rotations[s].T, ones]),
-                                      task_signs[s], self.shards) for s in range(self.S)]
+        self._operands = [
+            _shard_operands(np.hstack([raw[:, :h], raw[:, h:] @ rotations[s].T, ones]),
+                            task_signs[s], self.shards) for s in range(self.S)]
+        # each task's model columns, as a slice when they are contiguous, so x[cols] is a view
+        self._cols = [_as_slice(cols) for cols in task_cols]
 
         l_bound = 0.0
         for s in range(self.S):
             for i in indicator.owner_sets[s]:
-                Zi = self._blocks[s][i][0]
+                Zi = self._operands[s][i][0]
                 lam_max = float(np.linalg.eigvalsh(Zi.T @ Zi / len(Zi)).max())
                 l_bound = max(l_bound, 0.25 * lam_max + self.ridge)
         self.smoothness = l_bound
-        self.f_min = np.array([self._solve_task_min(s) for s in range(self.S)])
+        self.f_min = _read_only(np.array([self._solve_task_min(s) for s in range(self.S)]))
 
     def loss(self, s, i, x):
-        Z, y = self._blocks[s][i]
-        xv = x[self.task_cols[s]]
+        Z, y, _ = self._operands[s][i]
+        xv = x[self._cols[s]]
         m = y * (Z @ xv)
         return float(np.logaddexp(0.0, -m).mean()) + 0.5 * self.ridge * float(xv @ xv)
 
     def stoch_grad(self, s, i, x, indices):
-        Z, y = self._blocks[s][i]
+        Z, y, neg_y = self._operands[s][i]
         if indices is not None and len(indices) < len(y):
-            idx = np.asarray(indices)
-            Z, y = Z[idx], y[idx]
-        cols = self.task_cols[s]
+            Z, y, neg_y = Z.take(indices, axis=0), y.take(indices), neg_y.take(indices)
+        cols = self._cols[s]
         xv = x[cols]
-        coef = -y / (1.0 + np.exp(y * (Z @ xv)))
-        g = np.zeros_like(x)
+        coef = neg_y / (1.0 + np.exp(y * (Z @ xv)))
+        g = np.zeros(self.d)
         g[cols] = Z.T @ coef / len(y) + self.ridge * xv
         return g
 
@@ -451,7 +458,7 @@ class LogisticTasksProblem(Problem):
             xv = x[cols]
             hess = self.ridge * np.eye(len(cols))
             for i in owners:
-                Z = self._blocks[s][i][0]
+                Z = self._operands[s][i][0]
                 e = np.exp(-np.abs(Z @ xv))  # p (1 - p) = e / (1 + e)^2 at either sign
                 hess += (Z.T * (e / (1.0 + e) ** 2)) @ Z / (len(Z) * len(owners))
             grad = self.global_grad(s, x)[cols]
@@ -471,13 +478,23 @@ class LogisticTasksProblem(Problem):
         return f
 
 
-def _shard_blocks(view, signs, shards) -> list:
-    """Each shard's rows of one task's design matrix and signs, as read-only copies."""
-    blocks = [(view[idx], signs[idx]) for idx in shards]
-    for Z, y in blocks:
-        Z.setflags(write=False)
-        y.setflags(write=False)
-    return blocks
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _shard_operands(view, signs, shards) -> list:
+    """Each shard's rows of one task's design matrix, its signs and their negation,
+    as read-only copies."""
+    return [(_read_only(view[idx]), _read_only(signs[idx]), _read_only(-signs[idx]))
+            for idx in shards]
+
+
+def _as_slice(cols):
+    """``cols`` as the equal slice when they are consecutive, else unchanged."""
+    if len(cols) and np.array_equal(cols, np.arange(cols[0], cols[0] + len(cols))):
+        return slice(int(cols[0]), int(cols[0]) + len(cols))
+    return cols
 
 
 def _haar_rotation(dim, rng) -> np.ndarray:

@@ -106,11 +106,20 @@ class TestClientStream:
              objective=np.int32(4))
     @example(seed=7, client=np.int64(2**40), round_index=np.int64(2), step=np.int64(1),
              objective=None)
+    # the word boundaries of the key's Python output hash and of the entropy words
+    @example(seed=2**64 - 1, client=1, round_index=2, step=3, objective=None)
+    @example(seed=-1, client=1, round_index=2, step=3, objective=0)
+    @example(seed=5, client=0, round_index=2**32, step=0, objective=None)
+    @example(seed=5, client=0, round_index=0, step=0, objective=2**32 - 2)
     def test_key_words_match_the_spawn_key_seed_sequence(self, seed, client, round_index,
                                                          step, objective):
         key = (0, client, round_index, step) + (() if objective is None else (1 + objective,))
         stream = client_stream(seed, client, round_index, step, objective=objective)
         assert philox_state(stream.bit_generator) == spawn_key_state(seed, key)
+
+    def test_client_stream_cannot_spawn(self):
+        with pytest.raises(TypeError, match="spawning"):
+            client_stream(7, 1, 0, 0).spawn(1)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=SEEDS)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import fmgda_reference as reference
 from fedmoo.core import ExperimentConfig, IndicatorMatrix, RoundRecord
-from fedmoo.federation import (DivergenceError, TrajectoryLog,
+from fedmoo.federation import (DivergenceError, TrajectoryLog, _draw_batches,
                                client_update_full, client_update_stochastic,
                                descent_step_limit, pick_weighted_output, run_experiment,
                                run_round, server_aggregate)
@@ -118,6 +118,40 @@ class TestClientUpdateStochastic:
         _, prob = symmetric_quadratic(n_per_client=8)
         with pytest.raises(ValueError, match="smaller than batch"):
             client_update_stochastic(np.zeros(2), 0, (0,), 1, 0.1, 9, prob, seed=0)
+
+    @pytest.mark.parametrize("sharing", ["per_clinet", "objective", None])
+    def test_unknown_sharing_mode_rejected_naming_it(self, sharing):
+        _, prob = symmetric_quadratic(n_per_client=8)
+        with pytest.raises(ValueError, match=f"sample_sharing .* got {sharing!r}"):
+            client_update_stochastic(np.zeros(2), 0, (0, 1), 1, 0.1, 4, prob, seed=0,
+                                     sample_sharing=sharing)
+
+
+def spawn_key_batches(seed, client, owned, K, batch, n, round_index, sharing):
+    """Per owned objective, its K batches drawn from the documented stream definition:
+    Philox keyed by ``SeedSequence(entropy=seed, spawn_key=key)``."""
+    def draw(k, objective):
+        key = (0, client, round_index, k) + (() if objective is None else (1 + objective,))
+        ss = np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=key)
+        return np.random.Generator(np.random.Philox(ss)).integers(0, n, batch)
+
+    return [[draw(k, None if sharing == "per_client" else s) for k in range(K)]
+            for s in owned]
+
+
+class TestDrawBatches:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(-2**70, 2**70), client=st.integers(0, 2**33),
+           round_index=st.integers(0, 2**33), K=st.integers(1, 4),
+           owned=st.lists(st.integers(0, 2**33), min_size=1, max_size=3, unique=True),
+           batch=st.integers(1, 11), sharing=st.sampled_from(["per_client", "per_objective"]))
+    def test_batches_are_the_spawn_key_streams_draws(self, seed, client, round_index, K,
+                                                     owned, batch, sharing):
+        _, prob = symmetric_quadratic(n_per_client=12)
+        got = _draw_batches(client, owned, K, batch, prob, seed, round_index, sharing)
+        want = spawn_key_batches(seed, client, owned, K, batch, 12, round_index, sharing)
+        assert [[b.tolist() for b in row] for row in got] == \
+            [[b.tolist() for b in row] for row in want]
 
 
 def client_block(x, clients, owned, K, eta_local, problem):

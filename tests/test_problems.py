@@ -134,13 +134,26 @@ class TestOperandTables:
         gaps = [np.any(np.diff(cols) != 1) for cols in prob.task_cols]
         assert not gaps[0] and all(gaps[1:])
 
-    def test_quadratic_curvatures_and_centers_are_fixed_after_construction(self):
-        prob = ORACLES["quadratic"][0](random_indicator(0))
-        for name in ("client_curv", "client_centers"):
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(prob, name)[0, 0] = 0.0
-        # the minibatch path reads the anchors on every call, so they may still change
-        prob.anchors[0][0, 0] += 1.0
+    @pytest.mark.parametrize("suite", sorted(ORACLES))
+    def test_public_arrays_are_fixed_after_construction(self, suite):
+        prob = ORACLES[suite][0](random_indicator(0))
+        for name in PUBLIC_ARRAYS[suite.split("-")[0]]:
+            value = getattr(prob, name)
+            for a in value if isinstance(value, list) else [value]:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[(0,) * a.ndim] = 0
+        if suite == "quadratic":
+            # the minibatch path reads the anchors on every call, so they may still change
+            prob.anchors[0][0, 0] += 1.0
+
+
+# suite name -> its public arrays (a list attribute holds one array per task)
+PUBLIC_ARRAYS = {
+    "quadratic": ("centers", "client_centers", "client_curv", "mean_curv", "eff_centers",
+                  "f_min"),
+    "tanh": ("term_weights", "client_amps", "client_offsets", "amp_eps"),
+    "logistic": ("raw", "components", "task_signs", "task_cols", "rotations", "f_min"),
+}
 
 
 @pytest.fixture
@@ -442,11 +455,12 @@ class TestClassificationSuite:
         prob = self._suite()
         for s in range(2):
             for i in range(5):
-                Z, y = prob._blocks[s][i]
+                Z, y, neg_y = prob._operands[s][i]
                 with pytest.raises(ValueError, match="read-only"):
                     Z[0, 0] = 1.0
-                with pytest.raises(ValueError, match="read-only"):
-                    y *= -1.0
+                for signs in (y, neg_y):
+                    with pytest.raises(ValueError, match="read-only"):
+                        signs *= -1.0
 
     def test_label_skew_limits_distinct_labels(self):
         prob = self._suite()
