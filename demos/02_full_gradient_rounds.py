@@ -26,7 +26,7 @@ print(f"suite: mu = {problem.mu:.3f}, L = {problem.smoothness:.3f}")
 eta = 0.1
 print(f"server step eta = {eta} (limit {strongly_convex_step_limit(problem.smoothness, problem.mu):.3f})")
 
-config = ExperimentConfig(M=4, S=2, indicator=A, d=10, K=5, T=200,
+config = ExperimentConfig(indicator=A, d=10, K=5, T=200,
                           eta_global=eta, eta_local=1e-3, seed=7)
 traj = run_experiment(config, problem)
 

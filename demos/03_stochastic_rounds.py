@@ -22,9 +22,8 @@ print(f"tanh suite: L = {problem.smoothness:.2f}, G = {problem.grad_bound:.2f}, 
 
 print(f"\n{'batch':>6} {'mean |dbar|^2':>14} {'running min':>12}")
 for batch in (4, 16, 64):
-    config = ExperimentConfig(M=3, S=2, indicator=A, d=5, K=3, T=600,
-                              eta_global=0.1, eta_local=0.02,
-                              mode="stochastic", batch_size=batch, seed=1)
+    config = ExperimentConfig(indicator=A, d=5, K=3, T=600, eta_global=0.1, eta_local=0.02,
+                              batch_size=batch, seed=1)
     traj = run_experiment(config, problem)
     cols = round_columns(traj)
     label = batch if batch < 64 else "full"
@@ -32,18 +31,16 @@ for batch in (4, 16, 64):
           f"{cols['running_min_dbar'][-1]:>12.3e}")
 
 print("\nbatch covering the shard reproduces the full-gradient run exactly:")
-stoch = ExperimentConfig(M=3, S=2, indicator=A, d=5, K=3, T=50, eta_global=0.1,
-                         eta_local=0.02, mode="stochastic", batch_size=64, seed=2)
-full = ExperimentConfig(M=3, S=2, indicator=A, d=5, K=3, T=50, eta_global=0.1,
-                        eta_local=0.02, mode="full_gradient", seed=2)
+stoch = ExperimentConfig(indicator=A, d=5, K=3, T=50, eta_global=0.1, eta_local=0.02,
+                         batch_size=64, seed=2)
+full = ExperimentConfig(indicator=A, d=5, K=3, T=50, eta_global=0.1, eta_local=0.02, seed=2)
 a = run_experiment(stoch, problem).final_point
 b = run_experiment(full, problem).final_point
 print(f"  final points identical: {np.array_equal(a, b)}")
 
 print("\nsample-sharing modes (same seed, different stream keys):")
 for sharing in ("per_client", "per_objective"):
-    config = ExperimentConfig(M=3, S=2, indicator=A, d=5, K=3, T=100,
-                              eta_global=0.1, eta_local=0.02, mode="stochastic",
+    config = ExperimentConfig(indicator=A, d=5, K=3, T=100, eta_global=0.1, eta_local=0.02,
                               batch_size=8, seed=3, sample_sharing=sharing)
     traj = run_experiment(config, problem)
     print(f"  {sharing:>14}: final |dbar|^2 = {traj.records[-1].dbar_norm_sq:.3e}")
@@ -55,9 +52,8 @@ centers = rng.standard_normal((2, 6))
 quad = quadratic_suite(6, A4, centers=centers, heterogeneity=0.3, n_per_client=128,
                        data_spread=1.5, seed=40)
 for batch in (16, 64, None):
-    config = ExperimentConfig(M=4, S=2, indicator=A4, d=6, K=5, T=300,
-                              eta_global=0.3, eta_local=1e-2,
-                              mode="stochastic", batch_size=batch, seed=4)
+    config = ExperimentConfig(indicator=A4, d=6, K=5, T=300, eta_global=0.3, eta_local=1e-2,
+                              batch_size=batch, seed=4)
     traj = run_experiment(config, quad)
     plateau = round_columns(traj)["delta_Q"][-60:].mean()
     print(f"  batch {batch if batch else 'full':>4}: plateau = {plateau:.3e}")

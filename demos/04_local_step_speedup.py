@@ -28,7 +28,7 @@ for seed in (300, 301, 302):
     assert all(len(labs) <= 2 for labs in shard_labels)
     row = []
     for K in (1, 5, 10):
-        config = ExperimentConfig(M=5, S=2, indicator=A, d=12, K=K, T=200,
+        config = ExperimentConfig(indicator=A, d=12, K=K, T=200,
                                   eta_global=0.5, eta_local=0.05,
                                   normalize_delta_by_K=False, seed=seed)
         traj = run_experiment(config, problem)

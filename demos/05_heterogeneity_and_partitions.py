@@ -45,7 +45,7 @@ A = IndicatorMatrix.all_ones(2, 4)
 centers = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 for radius in (0.0, 0.5, 1.5):
     problem = quadratic_suite(3, A, centers=centers, heterogeneity=radius, seed=11)
-    config = ExperimentConfig(M=4, S=2, indicator=A, d=3, K=10, T=150,
+    config = ExperimentConfig(indicator=A, d=3, K=10, T=150,
                               eta_global=0.2, eta_local=0.05, seed=5)
     traj = run_experiment(config, problem)
     plateau = round_columns(traj)["delta_Q"][-30:].mean()
@@ -56,7 +56,7 @@ print(" what makes the local-step bias visible)")
 for spread in (0.0, 0.3, 0.6):
     problem = quadratic_suite(3, A, centers=centers, heterogeneity=0.5, curvature_spread=spread,
                               seed=11)
-    config = ExperimentConfig(M=4, S=2, indicator=A, d=3, K=10, T=150,
+    config = ExperimentConfig(indicator=A, d=3, K=10, T=150,
                               eta_global=0.2, eta_local=0.05, seed=5)
     traj = run_experiment(config, problem)
     plateau = round_columns(traj)["delta_Q"][-30:].mean()

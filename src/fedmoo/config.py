@@ -14,13 +14,18 @@ Top-level keys::
 
     name                 optional run name (default "run"): one path component, the
                          run's directory under the output root
-    M, S, d              client count, objective count, model dimension
+    M, S, d              client count, objective count, model dimension; M and S
+                         size the indicator, which then holds them
     indicator            "identity" | "all_ones" | explicit S x M 0/1 rows
     K, T                 local steps per round, communication rounds
     eta_global           server step size (> 0)
     eta_local            client step size (>= 0)
-    mode                 "full_gradient" | "stochastic"
-    batch_size           int or "full"; stochastic mode only
+    mode                 "full_gradient" (default) | "stochastic"
+    batch_size           int or "full"; stochastic mode only.  With ``mode`` it
+                         becomes the config's one ``batch_size``: an int under
+                         "stochastic" draws minibatches of that size, and
+                         "full_gradient", "full" or no key leave it None, the
+                         exact shard gradients
     seed                 integer in [0, 2**64); so is the problem section's ``seed``
     sample_sharing       "per_client" (default) | "per_objective"; stochastic mode only
     normalize_delta_by_K bool, default true
@@ -72,6 +77,12 @@ def _load_yaml(path):
 
 # Required in files, though ExperimentConfig has defaults for seed and problem.
 _REQUIRED = {"M", "S", "d", "indicator", "K", "T", "eta_global", "eta_local", "seed", "problem"}
+
+# File keys that are not config fields: the indicator's shape and the oracle,
+# which the config reads off its indicator and batch_size.
+_DERIVED = {"M", "S", "mode"}
+
+_MODES = ("full_gradient", "stochastic")
 
 # Top-level keys checked by type alone; the others have their own parsing.
 _SCALARS = {"name": str, "M": int, "S": int, "d": int, "K": int, "T": int,
@@ -133,8 +144,10 @@ def _parse_indicator(value, S, M):
     if isinstance(value, list):
         if not all(isinstance(row, list) for row in value) or len(set(map(len, value))) > 1:
             raise ConfigError("indicator", f"expected rows of equal length, got {value!r}")
-        return IndicatorMatrix(np.array([[_check_type(v, int, "indicator") for v in row]
-                                         for row in value]))
+        entries = np.array([[_check_type(v, int, "indicator") for v in row] for row in value])
+        if entries.shape != (S, M):
+            raise ConfigError("indicator", f"shape {entries.shape} does not match S={S}, M={M}")
+        return IndicatorMatrix(entries)
     raise ConfigError("indicator", f"expected 'identity', 'all_ones' or a matrix, got {value!r}")
 
 
@@ -150,20 +163,23 @@ def parse_config(mapping: dict) -> ExperimentConfig:
     Only the keys present are passed on; absent optional keys take the
     defaults of :class:`~fedmoo.core.ExperimentConfig`.
     """
-    _check_keys(mapping, {f.name for f in fields(ExperimentConfig)}, "")
+    _check_keys(mapping, {f.name for f in fields(ExperimentConfig)} | _DERIVED, "")
     for key in _REQUIRED:
         if key not in mapping:
             raise ConfigError(key, "required key is missing")
 
     kwargs = {key: _check_type(mapping[key], kind, key)
               for key, kind in _SCALARS.items() if key in mapping}
-    for key in ("S", "M"):
-        if kwargs[key] < 1:
-            raise ConfigError(key, f"must be >= 1, got {kwargs[key]}")
-    kwargs["indicator"] = _parse_indicator(mapping["indicator"], kwargs["S"], kwargs["M"])
+    S, M, mode = kwargs.pop("S"), kwargs.pop("M"), kwargs.pop("mode", _MODES[0])
+    for key, count in (("S", S), ("M", M)):
+        if count < 1:
+            raise ConfigError(key, f"must be >= 1, got {count}")
+    kwargs["indicator"] = _parse_indicator(mapping["indicator"], S, M)
     if "name" in kwargs:
         _check_name(kwargs["name"])
-    if kwargs.get("mode", ExperimentConfig.mode) == "full_gradient":
+    if mode not in _MODES:
+        raise ConfigError("mode", f"must be one of {_MODES}, got {mode!r}")
+    if mode == "full_gradient":
         for key in ("batch_size", "sample_sharing"):
             if key in mapping:
                 raise ConfigError(key, "applies only to mode 'stochastic'")

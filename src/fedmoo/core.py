@@ -247,7 +247,6 @@ class ProblemConfig:
     params: dict
 
 
-_MODES = ("full_gradient", "stochastic")
 _SHARING = ("per_client", "per_objective")
 
 
@@ -255,22 +254,23 @@ _SHARING = ("per_client", "per_objective")
 class ExperimentConfig:
     """Immutable description of one experiment run.
 
-    ``eta_global`` is the server step size applied to the combined direction;
+    The indicator fixes the objective count S and the client count M.
+    ``batch_size`` picks the gradient oracle: None takes exact shard
+    gradients (FMGDA), an int draws minibatches of that size (FSMGDA), and a
+    batch that covers a client's shard is exact there too.  ``eta_global``
+    is the server step size applied to the combined direction;
     ``eta_local`` drives the K per-objective steps each client takes between
     synchronizations.  With ``normalize_delta_by_K`` the accumulated client
     update is divided by K before aggregation, so the server step size stays
     comparable across K; switching it off returns the raw accumulated sum.
     """
 
-    M: int
-    S: int
     indicator: IndicatorMatrix
     d: int
     K: int
     T: int
     eta_global: float
     eta_local: float
-    mode: str = "full_gradient"
     batch_size: int | None = None
     seed: int = 0
     sample_sharing: str = "per_client"
@@ -281,9 +281,6 @@ class ExperimentConfig:
     name: str = "run"
 
     def __post_init__(self):
-        if self.indicator.n_objectives != self.S or self.indicator.n_clients != self.M:
-            raise ConfigError("indicator", f"shape {self.indicator.entries.shape} does not match "
-                                           f"S={self.S}, M={self.M}")
         if self.d < 1:
             raise ConfigError("d", f"must be >= 1, got {self.d}")
         if self.K < 1:
@@ -294,9 +291,7 @@ class ExperimentConfig:
             raise ConfigError("eta_global", f"must be > 0, got {self.eta_global}")
         if self.eta_local < 0:
             raise ConfigError("eta_local", f"must be >= 0, got {self.eta_local}")
-        if self.mode not in _MODES:
-            raise ConfigError("mode", f"must be one of {_MODES}, got {self.mode!r}")
-        if self.mode == "stochastic" and self.batch_size is not None and self.batch_size < 1:
+        if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError("batch_size", f"must be >= 1, got {self.batch_size}")
         if self.sample_sharing not in _SHARING:
             raise ConfigError("sample_sharing",
@@ -311,6 +306,21 @@ class ExperimentConfig:
             if w.shape != (self.M,) or (w <= 0).any():
                 raise ConfigError("client_weights", "must be M positive values")
             object.__setattr__(self, "client_weights", w)
+
+    @property
+    def M(self) -> int:
+        """Client count: the indicator's columns."""
+        return self.indicator.n_clients
+
+    @property
+    def S(self) -> int:
+        """Objective count: the indicator's rows."""
+        return self.indicator.n_objectives
+
+    @property
+    def mode(self) -> str:
+        """``"full_gradient"`` (FMGDA) without a batch size, else ``"stochastic"`` (FSMGDA)."""
+        return "full_gradient" if self.batch_size is None else "stochastic"
 
     def initial_point(self) -> np.ndarray:
         return np.zeros(self.d) if self.init is None else self.init.copy()

@@ -253,12 +253,11 @@ def run_round(round_index, x_t, config, problem):
     order) and that pair's first non-finite step.
     """
     A = config.indicator
-    batch = config.batch_size if config.mode == "stochastic" else None
     pairs, batches = [], []  # client-major: ascending client, then owned order
     for i, owned in enumerate(A.client_objectives):
         pairs += [(s, i) for s in owned]
-        batches += _draw_batches(i, owned, config.K, batch, problem, config.seed, round_index,
-                                 config.sample_sharing)
+        batches += _draw_batches(i, owned, config.K, config.batch_size, problem, config.seed,
+                                 round_index, config.sample_sharing)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         acc, _ = _step_pairs(x_t, pairs, batches, config.K, config.eta_local,
                              problem.stoch_grad, round_index)
@@ -268,6 +267,7 @@ def run_round(round_index, x_t, config, problem):
         if not finite.all():
             raise DivergenceError(round_index, None, int(np.argmin(finite)), None)
         sol = solve_min_norm(delta)
+        x_next = x_t - config.eta_global * sol.direction  # may overflow: the guard checks it
     if not np.isfinite(sol.norm_sq):  # ||direction||^2: finite only with the direction
         raise DivergenceError(round_index, None, None, None)
 
@@ -278,7 +278,6 @@ def run_round(round_index, x_t, config, problem):
     record = RoundRecord(t=round_index, weights=sol.weights, d_norm_sq=sol.norm_sq,
                          dbar_norm_sq=dbar, losses=losses, delta_q=dq,
                          fw_gap=sol.fw_gap, lambda_drift=drift, x_snapshot=x_t.copy())
-    x_next = x_t - config.eta_global * sol.direction
     return x_next, record
 
 
@@ -314,8 +313,14 @@ def run_experiment(config: ExperimentConfig, problem) -> TrajectoryLog:
     min-norm solve, or a global point beyond the norm guard) stops the run
     early; the partial log is returned with ``termination`` flagging the
     reason.  For strongly convex problems the weighted output iterate is
-    picked from the recorded start points after the run.
+    picked from the recorded start points after the run.  A problem built for
+    another dimension or indicator raises ``ValueError``.
     """
+    if problem.d != config.d:
+        raise ValueError(f"problem has d={problem.d}, the config has d={config.d}")
+    if not np.array_equal(problem.indicator.entries, config.indicator.entries):
+        raise ValueError(f"problem indicator {problem.indicator.entries.tolist()} differs "
+                         f"from the config's {config.indicator.entries.tolist()}")
     x = config.initial_point()
     traj = TrajectoryLog(config=config)
     for t in range(1, config.T + 1):
@@ -325,7 +330,9 @@ def run_experiment(config: ExperimentConfig, problem) -> TrajectoryLog:
             traj.termination = f"diverged: {exc}"
             break
         traj.records.append(record)
-        if not np.isfinite(x_next).all() or np.linalg.norm(x_next) > DIVERGENCE_NORM:
+        with np.errstate(over="ignore"):  # a finite point's norm may overflow to inf
+            beyond = not np.isfinite(x_next).all() or np.linalg.norm(x_next) > DIVERGENCE_NORM
+        if beyond:
             traj.termination = (f"diverged: global point norm exceeded "
                                 f"{DIVERGENCE_NORM:g} at round {t}")
             x = x_next

@@ -505,15 +505,13 @@ def _haar_rotation(dim, rng) -> np.ndarray:
 def synthetic_classification_suite(d, A: IndicatorMatrix, *, n_per_client=64, partition="iid",
                                    labels_per_client=None, task_overlap=0.0,
                                    independent_labels=False, n_components=10,
-                                   feature_scale=3.0, ridge=1e-2, noise=1.0,
-                                   seed=0) -> LogisticTasksProblem:
+                                   ridge=1e-2, seed=0) -> LogisticTasksProblem:
     """Build the multi-task logistic suite on Gaussian-mixture samples.
 
     Keys: each client holds ``n_per_client`` samples of a mixture of
-    ``n_components >= 2`` Gaussians with means of scale ``feature_scale``
-    and standard deviation ``noise``; ``ridge > 0`` regularizes each task,
-    so each task has a unique minimum.  The d
-    model coordinates split into a shared block of ``round(task_overlap *
+    ``n_components >= 2`` unit-variance Gaussians with means of scale 3;
+    ``ridge > 0`` regularizes each task, so each task has a unique minimum.
+    The d model coordinates split into a shared block of ``round(task_overlap *
     d)`` coordinates plus one equal block per task (each ending in that
     task's bias); task s reads the shared block and its own orthogonal
     rotation of the sample's own-view core.  ``task_overlap=0`` decouples the
@@ -556,10 +554,10 @@ def synthetic_classification_suite(d, A: IndicatorMatrix, *, n_per_client=64, pa
     # task 0 sees the canonical view; later tasks see Haar-rotated copies
     rotations = [np.eye(block - 1)] + [_haar_rotation(block - 1, rng)
                                        for _ in range(S - 1)]
-    means = feature_scale * rng.standard_normal((n_components, m)) / np.sqrt(m)
+    means = 3.0 * rng.standard_normal((n_components, m)) / np.sqrt(m)
     components = np.repeat(np.arange(n_components), -(-n_total // n_components))[:n_total]
     components = rng.permutation(components)
-    raw = means[components] + noise * rng.standard_normal((n_total, m))
+    raw = means[components] + rng.standard_normal((n_total, m))
     task_signs = np.empty((S, n_total))
     positive = rng.choice(n_components, n_components // 2, replace=False)
     for s in range(S):
@@ -654,7 +652,7 @@ SUITES = {
     "classification": (synthetic_classification_suite, {
         "n_per_client": int, "partition": str, "labels_per_client": int,
         "task_overlap": float, "independent_labels": bool, "n_components": int,
-        "feature_scale": float, "ridge": float, "noise": float, "seed": int}),
+        "ridge": float, "seed": int}),
 }
 
 
@@ -671,7 +669,7 @@ def build_problem(config: ExperimentConfig) -> Problem:
                           **{"seed": config.seed, **config.problem.params})
     except ValueError as exc:  # a value of the right type but out of range
         raise ConfigError("problem", str(exc)) from exc
-    if config.mode == "stochastic" and config.batch_size is not None:
+    if config.batch_size is not None:
         smallest = min(problem.shard_size(i) for i in range(config.M))
         if config.batch_size > smallest:
             raise ConfigError("batch_size", f"{config.batch_size} is larger than the smallest "

@@ -57,10 +57,18 @@ def format_cell(value) -> str:
     return "" if np.isnan(value) else repr(float(value))
 
 
-def _json_value(cell):
-    """A column entry for summary.json: a number, null for NaN, or a per-objective list."""
-    value = cell.tolist()
-    return None if isinstance(value, float) and np.isnan(value) else value
+def _json_value(value):
+    """``value`` as JSON data: arrays as lists and every non-finite float as null,
+    since JSON (RFC 8259) has no NaN or infinity."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, float):
+        return value if np.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
 
 
 def rounds_header(n_objectives: int) -> str:
@@ -169,8 +177,9 @@ def build_summary(traj: TrajectoryLog, raw_config: dict, problem) -> dict:
     """Run summary; ``final`` is None when the run diverged before completing a round.
 
     ``final`` is the last row of :func:`round_columns` over ``_FINAL_KEYS``,
-    NaN written as null, plus the final point.  ``raw_config``, the mapping the
-    config parser accepted, holds only YAML values and is echoed as given.
+    plus the final point, each non-finite float as null.  ``raw_config``, the
+    mapping the config parser accepted, holds only YAML values and is echoed
+    as given.
     """
     cols = round_columns(traj)
     f_min = None if problem.f_min is None else np.asarray(problem.f_min)
@@ -185,13 +194,14 @@ def build_summary(traj: TrajectoryLog, raw_config: dict, problem) -> dict:
                             else traj.weighted_output.tolist()),
     }
     if traj.records:
-        summary["final"] = {**{key: _json_value(cols[key][-1]) for key in _FINAL_KEYS},
-                            "point": traj.final_point.tolist()}
+        summary["final"] = _json_value({**{key: cols[key][-1] for key in _FINAL_KEYS},
+                                        "point": traj.final_point})
     summary.update(summarize_columns(cols, f_min=f_min))
     return summary
 
 
 def write_summary_json(path, summary: dict) -> None:
+    """Write a run or sweep summary with every non-finite float as null."""
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump(_json_value(summary), fh, indent=2, allow_nan=False)
         fh.write("\n")

@@ -199,7 +199,7 @@ def check_mgd_reduction(rounds=50, seed=20244) -> CheckResult:
     A = IndicatorMatrix.all_ones(2, 1)
     centers = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, -0.5]])
     problem = quadratic_suite(3, A, centers=centers, seed=seed)
-    config = ExperimentConfig(M=1, S=2, indicator=A, d=3, K=1, T=rounds,
+    config = ExperimentConfig(indicator=A, d=3, K=1, T=rounds,
                               eta_global=0.5, eta_local=0.1, seed=seed)
     traj = run_experiment(config, problem)
     fed = np.vstack([rec.x_snapshot for rec in traj.records] + [traj.final_point])
@@ -220,7 +220,7 @@ def check_descent(rounds=100, seed=20245, slack=1e-12) -> CheckResult:
     ]
     for problem in suites:
         eta = descent_step_limit(problem.smoothness)
-        config = ExperimentConfig(M=1, S=2, indicator=A, d=3, K=1, T=rounds,
+        config = ExperimentConfig(indicator=A, d=3, K=1, T=rounds,
                                   eta_global=eta, eta_local=0.0, seed=seed)
         traj = run_experiment(config, problem)
         losses = np.vstack([rec.losses for rec in traj.records]

@@ -20,7 +20,7 @@ def local_update(x_t, client, s, config, problem, t):
     the final local iterate.  Raises at the first non-finite step.
     """
     n = problem.shard_size(client)
-    batch = config.batch_size if config.mode == "stochastic" else None
+    batch = config.batch_size
     size = batch if batch is not None and batch < n else None  # else the exact shard gradient
     key = s if config.sample_sharing == "per_objective" else None
     x, acc = x_t, np.zeros_like(x_t)

@@ -68,7 +68,7 @@ def test_03_mgd_reduction_bit_identical():
     A = IndicatorMatrix.all_ones(2, 1)
     centers = auto_centers(2, 4, 77)
     prob = quadratic_suite(4, A, centers=centers, seed=77)
-    cfg = ExperimentConfig(M=1, S=2, indicator=A, d=4, K=1, T=100,
+    cfg = ExperimentConfig(indicator=A, d=4, K=1, T=100,
                            eta_global=0.5, eta_local=0.1, seed=1)
     traj = run_experiment(cfg, prob)
     fed = np.vstack([r.x_snapshot for r in traj.records] + [traj.final_point])
@@ -88,7 +88,7 @@ def test_04_common_descent_property():
     worst = -np.inf
     for prob in suites:
         eta = descent_step_limit(prob.smoothness)
-        cfg = ExperimentConfig(M=1, S=2, indicator=A, d=3, K=1, T=200,
+        cfg = ExperimentConfig(indicator=A, d=3, K=1, T=200,
                                eta_global=eta, eta_local=0.0, seed=2)
         traj = run_experiment(cfg, prob)
         losses = np.vstack([r.losses for r in traj.records]
@@ -107,7 +107,7 @@ def test_05_linear_rate_strongly_convex():
     eta = 0.1
     assert eta <= strongly_convex_step_limit(prob.smoothness, prob.mu)
     assert eta >= 1.0 / (prob.mu * 200)
-    cfg = ExperimentConfig(M=4, S=2, indicator=A, d=10, K=5, T=200,
+    cfg = ExperimentConfig(indicator=A, d=10, K=5, T=200,
                            eta_global=eta, eta_local=1e-3, seed=7)
     traj = run_experiment(cfg, prob)
     dq = round_columns(traj)["delta_Q"]
@@ -126,7 +126,7 @@ def test_06_neighborhood_shrinkage():
                            curvature_spread=0.5, n_per_client=16, seed=5)
     plateaus = []
     for eta_l in (1e-1, 1e-2, 1e-3, 1e-4):
-        cfg = ExperimentConfig(M=4, S=2, indicator=A, d=8, K=10, T=300,
+        cfg = ExperimentConfig(indicator=A, d=8, K=10, T=300,
                                eta_global=0.2, eta_local=eta_l, seed=11)
         traj = run_experiment(cfg, prob)
         dq = round_columns(traj)["delta_Q"]
@@ -143,7 +143,7 @@ def test_07_nonconvex_sublinear_trend():
     for T in (250, 1000):
         prob = toy_nonconvex_suite(6, A, n_terms=6, heterogeneity=0.3, seed=21)
         eta = descent_step_limit(prob.smoothness)
-        cfg = ExperimentConfig(M=3, S=2, indicator=A, d=6, K=5, T=T,
+        cfg = ExperimentConfig(indicator=A, d=6, K=5, T=T,
                                eta_global=eta, eta_local=0.05 / np.sqrt(T), seed=3)
         traj = run_experiment(cfg, prob)
         avgs[T] = float(round_columns(traj)["dbar_norm_sq"].mean())
@@ -161,10 +161,10 @@ def test_08_stochastic_trend():
                                    n_per_client=64, seed=100 + seed)
         cap = descent_step_limit(prob.smoothness)
         for T in (400, 6400):
-            cfg = ExperimentConfig(M=3, S=2, indicator=A, d=5, K=3, T=T,
+            cfg = ExperimentConfig(indicator=A, d=5, K=3, T=T,
                                    eta_global=min(cap, 2.0 / np.sqrt(T)),
                                    eta_local=0.3 / T ** 0.25,
-                                   mode="stochastic", batch_size=16, seed=seed)
+                                   batch_size=16, seed=seed)
             traj = run_experiment(cfg, prob)
             mins[T].append(float(round_columns(traj)["running_min_dbar"][-1]))
     m_short, m_long = np.mean(mins[400]), np.mean(mins[6400])
@@ -182,7 +182,7 @@ def test_09_local_step_speedup():
                                               labels_per_client=2, n_components=10, ridge=0.05,
                                               seed=300 + seed)
         for K in (1, 10):
-            cfg = ExperimentConfig(M=5, S=2, indicator=A, d=12, K=K, T=200,
+            cfg = ExperimentConfig(indicator=A, d=12, K=K, T=200,
                                    eta_global=0.5, eta_local=0.05,
                                    normalize_delta_by_K=False, seed=seed)
             traj = run_experiment(cfg, prob)
@@ -207,8 +207,7 @@ def test_10_batch_size_ordering():
         prob = quadratic_suite(6, A, centers=auto_centers(2, 6, 40 + seed), heterogeneity=0.3,
                                n_per_client=128, data_spread=1.5, seed=40 + seed)
         for batch in (16, 64, "full"):
-            cfg = ExperimentConfig(M=4, S=2, indicator=A, d=6, K=5, T=300,
-                                   eta_global=0.3, eta_local=1e-2, mode="stochastic",
+            cfg = ExperimentConfig(indicator=A, d=6, K=5, T=300, eta_global=0.3, eta_local=1e-2,
                                    batch_size=None if batch == "full" else batch,
                                    seed=seed)
             traj = run_experiment(cfg, prob)
@@ -225,7 +224,7 @@ def test_11_weighted_output_sampler():
     mu, eta = 0.6, 1.0
     A = IndicatorMatrix.all_ones(2, 1)
     prob = quadratic_suite(2, A, centers=np.array([[1.0, 0.0], [0.0, 1.0]]), seed=0)
-    cfg = ExperimentConfig(M=1, S=2, indicator=A, d=2, K=1, T=5,
+    cfg = ExperimentConfig(indicator=A, d=2, K=1, T=5,
                            eta_global=0.4, eta_local=0.0, seed=3)
     traj = run_experiment(cfg, prob)
     snaps = [r.x_snapshot for r in traj.records]
@@ -249,8 +248,7 @@ def test_12_determinism_serial_vs_parallel(tmp_path):
     A = IndicatorMatrix.all_ones(2, 4)
     prob = quadratic_suite(6, A, centers=auto_centers(2, 6, 9), heterogeneity=0.4, n_per_client=32,
                            seed=9)
-    cfg = ExperimentConfig(M=4, S=2, indicator=A, d=6, K=4, T=40,
-                           eta_global=0.3, eta_local=5e-3, mode="stochastic",
+    cfg = ExperimentConfig(indicator=A, d=6, K=4, T=40, eta_global=0.3, eta_local=5e-3,
                            batch_size=8, seed=13)
     blobs = []
     for rep in range(2):

@@ -70,9 +70,15 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="identity"):
             parse_config(quad_config(indicator="identity", M=3))
 
-    def test_batch_size_full_keyword(self):
-        cfg = parse_config(quad_config(mode="stochastic", batch_size="full"))
-        assert cfg.batch_size is None
+    @pytest.mark.parametrize("keys, batch_size, mode", [
+        ({"mode": "full_gradient"}, None, "full_gradient"),
+        ({"mode": "stochastic", "batch_size": 4}, 4, "stochastic"),
+        ({"mode": "stochastic", "batch_size": "full"}, None, "full_gradient"),
+        ({"mode": "stochastic"}, None, "full_gradient"),
+    ], ids=["full_gradient", "stochastic-int", "stochastic-full", "stochastic-no-key"])
+    def test_mode_and_batch_size_become_one_batch_size(self, keys, batch_size, mode):
+        cfg = parse_config(quad_config(**keys))
+        assert (cfg.batch_size, cfg.mode) == (batch_size, mode)
 
     def test_hyphenated_mode_rejected_naming_mode(self):
         with pytest.raises(ConfigError) as exc:
@@ -251,6 +257,31 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["termination"] == "diverged: non-finite min-norm solve at round 1"
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("curvature", [100.0, 1.0])
+    def test_overflowing_server_step_exits_3_with_json_summaries(self, tmp_path, capsys,
+                                                                 curvature):
+        # the step overflows the point to inf (curvature 100) or leaves it finite near
+        # 1e308, where the norm guard's norm overflows (curvature 1)
+        cfg = quad_config(M=2, S=2, d=3, K=1, T=5, eta_global=1.0e308)
+        cfg["problem"]["curvature"] = curvature
+        out = tmp_path / "step"
+        assert main(["run", "--config", self._write(tmp_path, cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"quad-mini: diverged: global point norm exceeded 1e+08 at round 1 "
+            f"(partial log written to {out})\n")
+        sweep_path = tmp_path / "sweep.yaml"
+        sweep_path.write_text(yaml.safe_dump({"base": cfg, "axis": "K", "values": [1]}))
+        assert main(["sweep", "--config", str(sweep_path), "--out", str(tmp_path / "sw")]) == 3
+
+        def no_constant(token):
+            raise ValueError(f"{token} is not JSON")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=no_constant)
+        sweep = json.loads((tmp_path / "sw" / "sweep_summary.json").read_text(),
+                           parse_constant=no_constant)
+        assert sweep["members"][0]["final"] == summary["final"]
+        assert summary["final"]["t"] == 1 and len(summary["final"]["point"]) == 3
 
     def test_large_scale_centers_complete_without_a_false_alarm(self, tmp_path):
         # the weighted gap's roundoff at |centers| ~ 1e3 is ~1e-11, above a fixed 1e-12
@@ -736,6 +767,8 @@ def _cls_doc(**problem):
     ("run", quad_config(init=3), "init: expected a list of numbers, got 3"),
     ("run", quad_config(indicator=3),
      "indicator: expected 'identity', 'all_ones' or a matrix, got 3"),
+    ("run", quad_config(indicator=[[1, 1, 0], [0, 1, 1]]),
+     "indicator: shape (2, 3) does not match S=2, M=2"),
     ("run", quad_config(mode="stochastic", batch_size=4.5),
      "batch_size: expected an integer or 'full', got 4.5"),
     ("run", quad_config(problem=3), "problem: expected a mapping"),
@@ -752,6 +785,8 @@ def _cls_doc(**problem):
      "sample_sharing: applies only to mode 'stochastic'"),
     ("run", _cls_doc(partition="dirichlet"),
      "problem: partition must be 'iid' or 'label_skew', got 'dirichlet'"),
+    ("run", _cls_doc(feature_scale=3.0), "problem.feature_scale: unknown key"),
+    ("run", _cls_doc(noise=1.0), "problem.noise: unknown key"),
     ("run", quad_config(seed=2**64 + 7),
      "seed: must be in [0, 2**64), got 18446744073709551623"),
     ("run", quad_config(seed=7 - 2**64),

@@ -1,5 +1,6 @@
 """Domain types, owner sets, counter-based random streams, and the export lists."""
 
+import dataclasses
 import importlib
 import pkgutil
 
@@ -154,22 +155,27 @@ class TestValidators:
 
 class TestExperimentConfig:
     def _base(self, **kw):
-        args = dict(M=2, S=2, indicator=IndicatorMatrix.identity(2), d=3,
-                    K=1, T=1, eta_global=0.1, eta_local=0.0)
+        args = dict(indicator=IndicatorMatrix.all_ones(2, 3), d=3, K=1, T=1, eta_global=0.1,
+                    eta_local=0.0)
         args.update(kw)
         return ExperimentConfig(**args)
 
     @pytest.mark.parametrize("field,value", [
         ("d", 0), ("K", 0), ("T", 0), ("eta_global", 0.0), ("eta_local", -0.1),
-        ("mode", "warp"), ("sample_sharing", "sometimes"),
+        ("batch_size", 0), ("sample_sharing", "sometimes"),
     ])
     def test_invalid_fields_rejected(self, field, value):
         with pytest.raises(ConfigError):
             self._base(**{field: value})
 
-    def test_indicator_shape_must_match(self):
-        with pytest.raises(ConfigError, match="indicator"):
-            self._base(indicator=IndicatorMatrix.identity(3))
+    def test_counts_and_mode_are_read_off_the_indicator_and_batch_size(self):
+        cfg = self._base()
+        assert (cfg.S, cfg.M, cfg.mode) == (2, 3, "full_gradient")
+        assert self._base(batch_size=4).mode == "stochastic"
+        for name in ("M", "S", "mode"):
+            assert name not in {f.name for f in dataclasses.fields(ExperimentConfig)}
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, name, 1)
 
     def test_initial_point_defaults_to_zero(self):
         assert np.array_equal(self._base().initial_point(), np.zeros(3))

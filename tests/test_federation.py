@@ -227,8 +227,7 @@ def draw_round(data, M, S, d, weighted):
 
 
 def base_config(prob, A, **kw):
-    args = dict(M=A.n_clients, S=A.n_objectives, indicator=A, d=prob.d, K=1, T=1,
-                eta_global=1.0, eta_local=0.1, seed=0)
+    args = dict(indicator=A, d=prob.d, K=1, T=1, eta_global=1.0, eta_local=0.1, seed=0)
     args.update(kw)
     return ExperimentConfig(**args)
 
@@ -279,6 +278,21 @@ class TestRunRound:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("built, d, message", [
+        # the run would complete with the problem's owner sets in its metrics
+        (IndicatorMatrix.identity(2), 3,
+         "problem indicator [[1, 0], [0, 1]] differs from the config's [[1, 1], [1, 1]]"),
+        # the local steps would fail to broadcast
+        (IndicatorMatrix.all_ones(2, 2), 4, "problem has d=3, the config has d=4"),
+    ], ids=["indicator", "dimension"])
+    def test_problem_built_for_another_run_rejected(self, built, d, message):
+        prob = quadratic_suite(3, built, seed=1)
+        cfg = ExperimentConfig(indicator=IndicatorMatrix.all_ones(2, 2), d=d, K=1, T=5,
+                               eta_global=0.5, eta_local=0.1)
+        with pytest.raises(ValueError) as err:
+            run_experiment(cfg, prob)
+        assert str(err.value) == message
+
     def test_single_round_log(self):
         A, prob = symmetric_quadratic()
         traj = run_experiment(base_config(prob, A, T=1), prob)
@@ -287,8 +301,7 @@ class TestRunExperiment:
 
     def test_rerun_is_byte_identical(self, tmp_path):
         A, prob = symmetric_quadratic(M=2, heterogeneity=0.3, seed=2)
-        cfg = base_config(prob, A, T=20, K=3, eta_global=0.4,
-                          mode="stochastic", batch_size=4, seed=11)
+        cfg = base_config(prob, A, T=20, K=3, eta_global=0.4, batch_size=4, seed=11)
         for name in ("first.csv", "second.csv"):
             write_rounds_csv(tmp_path / name, run_experiment(cfg, prob))
         a = (tmp_path / "first.csv").read_bytes()
@@ -317,8 +330,8 @@ class TestRunExperiment:
         assert traj.weighted_output.shape == (2,)
 
     @pytest.mark.parametrize("kw", [
-        dict(mode="stochastic", batch_size=4, seed=11),
-        dict(mode="stochastic", batch_size=3, seed=5, client_weights=[3.0, 1.0, 2.0]),
+        dict(batch_size=4, seed=11),
+        dict(batch_size=3, seed=5, client_weights=[3.0, 1.0, 2.0]),
     ])
     def test_weighted_output_is_the_pick_over_the_recorded_start_points(self, kw):
         A = IndicatorMatrix(np.array([[1, 1, 0], [0, 1, 1]]))

@@ -1,7 +1,7 @@
 """The round engine against the literal FMGDA/FSMGDA reference in ``fmgda_reference``.
 
 Hypothesis draws configs from the whole config space (indicators, suites,
-modes, batches, sample sharing, client weights, K normalization, K and T)
+exact or minibatch gradients, sample sharing, client weights, K normalization, K and T)
 and checks whole runs, single client updates and injected divergences bit
 for bit against the reference.  A fixed grid checks client updates on larger
 shards and a label-skewed partition, and fixed fault cases document how a
@@ -50,11 +50,10 @@ def configs(draw, suites=tuple(SUITES)):
     n = draw(st.integers(2, 6))
     problem = SUITES[draw(st.sampled_from(suites))](indicator, n, draw(st.integers(0, 99)))
     config = ExperimentConfig(
-        M=M, S=S, indicator=indicator, d=problem.d,
+        indicator=indicator, d=problem.d,
         K=draw(st.integers(1, 4)), T=draw(st.integers(1, 4)),
         eta_global=draw(st.floats(0.05, 1.0)), eta_local=draw(st.floats(0.0, 0.3)),
-        mode=draw(st.sampled_from(["full_gradient", "stochastic"])),
-        batch_size=draw(st.integers(1, n)), seed=draw(st.integers(0, 2**32 - 1)),
+        batch_size=draw(st.none() | st.integers(1, n)), seed=draw(st.integers(0, 2**32 - 1)),
         sample_sharing=draw(st.sampled_from(["per_client", "per_objective"])),
         normalize_delta_by_K=draw(st.booleans()),
         client_weights=draw(st.none() | st.lists(st.floats(0.1, 10.0), min_size=M, max_size=M)),
@@ -86,11 +85,10 @@ def test_run_matches_reference_bit_for_bit(case):
 def test_client_updates_match_reference_bit_for_bit(case, t):
     config, problem = case
     x_t = config.initial_point()
-    batch = config.batch_size if config.mode == "stochastic" else None
     for client, owned in enumerate(config.indicator.client_objectives):
-        deltas, drift = client_update_stochastic(x_t, client, owned, config.K,
-                                                 config.eta_local, batch, problem, config.seed,
-                                                 t, config.sample_sharing)
+        deltas, drift = client_update_stochastic(x_t, client, owned, config.K, config.eta_local,
+                                                 config.batch_size, problem, config.seed, t,
+                                                 config.sample_sharing)
         ref = [reference.local_update(x_t, client, s, config, problem, t) for s in owned]
         assert deltas.shape == (len(owned), problem.d)
         assert same_bytes(deltas, np.vstack([acc for acc, _ in ref]))
@@ -117,10 +115,9 @@ class TestBlockMatchesPerPairLoop:
     @pytest.mark.parametrize("K", [1, 3])
     def test_deltas_bit_identical(self, suite, sharing, batch, K):
         problem = FIXED_SUITES[suite]()
-        config = ExperimentConfig(M=A.n_clients, S=A.n_objectives, indicator=A, d=problem.d,
-                                  K=K, T=2, eta_global=0.1, eta_local=0.07,
-                                  mode="full_gradient" if batch is None else "stochastic",
-                                  batch_size=batch, seed=19, sample_sharing=sharing)
+        config = ExperimentConfig(indicator=A, d=problem.d, K=K, T=2, eta_global=0.1,
+                                  eta_local=0.07, batch_size=batch, seed=19,
+                                  sample_sharing=sharing)
         x_t = np.random.default_rng(11).standard_normal(problem.d)
         for client, owned in enumerate(A.client_objectives):
             deltas, drift = client_update_stochastic(x_t, client, owned, K, 0.07, batch, problem,
@@ -201,17 +198,17 @@ def faulty_base():
                            n_per_client=12, seed=1)
 
 
-def faulty_run(faults, mode="full_gradient", sharing="per_client", K=3):
-    config = ExperimentConfig(M=4, S=3, indicator=A, d=4, K=K, T=6, eta_global=0.2,
-                              eta_local=0.05, mode=mode, batch_size=5, seed=8,
-                              sample_sharing=sharing)
+def faulty_run(faults, batch=None, sharing="per_client", K=3):
+    config = ExperimentConfig(indicator=A, d=4, K=K, T=6, eta_global=0.2, eta_local=0.05,
+                              batch_size=batch, seed=8, sample_sharing=sharing)
     return run_experiment(config, FaultyQuadratic(faulty_base(), K, faults))
 
 
 class TestFaultInjection:
-    @pytest.mark.parametrize("mode,sharing", [("full_gradient", "per_client"),
-                                              ("stochastic", "per_client"),
-                                              ("stochastic", "per_objective")])
+    @pytest.mark.parametrize("batch,sharing", [
+        pytest.param(None, "per_client", id="full_gradient-per_client"),
+        pytest.param(5, "per_client", id="stochastic-per_client"),
+        pytest.param(5, "per_objective", id="stochastic-per_objective")])
     @pytest.mark.parametrize("faults,where", [
         # one fault: reported where it is
         ([(3, 2, 1, 2)], (3, 2, 1, 2)),
@@ -226,8 +223,8 @@ class TestFaultInjection:
         # lower client is reported, at its first failing objective in owned order
         ([(3, 2, 1, 0), (3, 1, 2, 0), (3, 1, 1, 2)], (3, 1, 1, 2)),
     ])
-    def test_divergence_reports_the_fault(self, faults, where, mode, sharing):
-        traj = faulty_run(faults, mode, sharing)
+    def test_divergence_reports_the_fault(self, faults, where, batch, sharing):
+        traj = faulty_run(faults, batch, sharing)
         r, c, s, k = where
         assert traj.termination == (f"diverged: non-finite local update at round {r}, "
                                     f"client {c}, objective {s}, local step {k}")

@@ -233,12 +233,12 @@ class TestQuadraticBuild:
         prob = quadratic_suite(3, A, heterogeneity=0.4, n_per_client=8, seed=2)
         draw, draws = prob._draw_anchors, []
         prob._draw_anchors = lambda: draws.append(1) or draw()
-        config = ExperimentConfig(M=3, S=2, indicator=A, d=3, K=2, T=5, eta_global=0.2,
-                                  eta_local=0.05, mode="full_gradient", seed=1)
+        config = ExperimentConfig(indicator=A, d=3, K=2, T=5, eta_global=0.2, eta_local=0.05,
+                                  seed=1)
         run_experiment(config, prob)
         assert draws == []
         for _ in range(2):  # drawn on the first minibatch gradient, then kept
-            run_experiment(dataclasses.replace(config, mode="stochastic", batch_size=4), prob)
+            run_experiment(dataclasses.replace(config, batch_size=4), prob)
         assert draws == [1]
 
     def test_threads_reading_the_anchors_at_once_share_one_draw(self):
