@@ -146,7 +146,8 @@ def _keyed_stream(seed: int, key) -> np.random.Generator:
     so the draws are the same; handing it over as one uint32 array skips
     numpy's per-entry coercion of the spawn key.  Only the sequence's mixed
     ``pool`` is read: its output hash is applied here, and the resulting
-    Philox key is handed over through :func:`_philox_key_type`.
+    Philox key is handed over through :func:`_philox_key_type`, with the
+    zero counter Philox would otherwise build from the int 0.
     """
     s = int(seed) & (2**64 - 1)
     words = [s & _WORD, s >> 32, 0, 0]
@@ -158,7 +159,12 @@ def _keyed_stream(seed: int, key) -> np.random.Generator:
             words.append(v & _WORD)
             v >>= 32
     pool = np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool.tolist()
-    return np.random.Generator(np.random.Philox(_philox_key_type()(pool)))
+    return np.random.Generator(np.random.Philox(_philox_key_type()(pool), counter=_ZERO_COUNTER))
+
+
+# Philox's default counter as an array; Philox copies it
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.setflags(write=False)
 
 
 # SeedSequence.generate_state's output hash of pool word j: xor with _HASH[j],
@@ -287,10 +293,10 @@ class ExperimentConfig:
             raise ConfigError("K", f"must be >= 1, got {self.K}")
         if self.T < 1:
             raise ConfigError("T", f"must be >= 1, got {self.T}")
-        if not self.eta_global > 0:
-            raise ConfigError("eta_global", f"must be > 0, got {self.eta_global}")
-        if self.eta_local < 0:
-            raise ConfigError("eta_local", f"must be >= 0, got {self.eta_local}")
+        if not 0 < self.eta_global < np.inf:
+            raise ConfigError("eta_global", f"must be finite and > 0, got {self.eta_global}")
+        if not 0 <= self.eta_local < np.inf:
+            raise ConfigError("eta_local", f"must be finite and >= 0, got {self.eta_local}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError("batch_size", f"must be >= 1, got {self.batch_size}")
         if self.sample_sharing not in _SHARING:
@@ -303,8 +309,8 @@ class ExperimentConfig:
                 raise ConfigError("init", str(exc)) from exc
         if self.client_weights is not None:
             w = np.asarray(self.client_weights, dtype=np.float64)
-            if w.shape != (self.M,) or (w <= 0).any():
-                raise ConfigError("client_weights", "must be M positive values")
+            if w.shape != (self.M,) or not ((w > 0) & (w < np.inf)).all():
+                raise ConfigError("client_weights", "must be M finite positive values")
             object.__setattr__(self, "client_weights", w)
 
     @property

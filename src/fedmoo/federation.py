@@ -10,6 +10,12 @@ and the server averages that block as it lies; a single client's update
 (:func:`client_update_stochastic`) runs the same loop on that client's pairs.
 Each pair's rows are a pure function of the round inputs and counter-based
 streams, so the result does not depend on client order.
+
+The rows belong to the round.  The local-step loop allocates its iterate,
+gradient and accumulator blocks per call and hands each pair's gradient row
+to the suite as ``out``, so the gradient lands in place.  No scratch array
+is kept on a problem, a class or this module, so runs on concurrent threads
+share none.
 """
 
 from __future__ import annotations
@@ -186,7 +192,9 @@ def _local_steps(x_t, pairs, batches, K, eta_local, stoch_grad):
     """Step the (objective, client) pairs' iterates together from ``x_t``, one step at a time.
 
     Yields the (P, d) accumulator and iterate blocks after each step; both
-    are updated in place, so every step yields the same two arrays.
+    are updated in place, so every step yields the same two arrays.  Each
+    pair's gradient is asked for into its row of the gradient block and
+    copied there only when the suite returns another array.
     """
     X = np.empty((len(pairs), x_t.shape[0]))
     X[:] = x_t
@@ -197,7 +205,9 @@ def _local_steps(x_t, pairs, batches, K, eta_local, stoch_grad):
     rows = [(s, i, X[r], G[r], batches[r]) for r, (s, i) in enumerate(pairs)]
     for k in range(K):
         for s, i, x_row, g_row, row_batches in rows:
-            g_row[...] = stoch_grad(s, i, x_row, row_batches[k])
+            g = stoch_grad(s, i, x_row, row_batches[k], g_row)
+            if g is not g_row:  # a suite may return its own array instead of filling out
+                g_row[...] = g
         acc += G
         G *= eta_local  # the bits of X -= eta_local * G, without its temporary
         X -= G
@@ -227,10 +237,13 @@ def server_aggregate(deltas, indicator: IndicatorMatrix, K: int,
             scale[s, owners] = w[owners] / w[owners].sum()
     agg = np.zeros((indicator.n_objectives, deltas.shape[1]))
     lo = 0
-    for i, objs in enumerate(map(list, indicator.client_objectives)):
-        # a client's objectives are distinct, so one indexed add is the per-row loop
+    for i, objs in enumerate(indicator.client_objectives):
         rows, lo = deltas[lo:lo + len(objs)], lo + len(objs)
-        agg[objs] += rows if scale is None else scale[objs, i][:, None] * rows
+        # a client's objectives are distinct and ascending, so one add over their rows is
+        # the per-row loop; consecutive ones are a slice, which adds in place
+        sel = (slice(objs[0], objs[-1] + 1) if objs[-1] - objs[0] + 1 == len(objs)
+               else list(objs))
+        agg[sel] += rows if scale is None else scale[sel, i][:, None] * rows
     if scale is None:
         agg /= np.array([len(owners) for owners in indicator.owner_sets])[:, None]
     if normalize_delta_by_K:

@@ -67,6 +67,11 @@ class Problem:
     read-only after construction; each built-in suite builds a table of
     per-shard operands from them, so ``stoch_grad`` reads one entry instead
     of indexing the arrays on every call.
+
+    ``grad`` and ``stoch_grad`` take an optional ``out``: a float64 (d,)
+    array that never overlaps ``x``.  A suite may write the gradient into it
+    and return it, or ignore it and return its own array; callers use the
+    returned array either way.  Without ``out`` the gradient is a new array.
     """
 
     name = "problem"
@@ -86,11 +91,11 @@ class Problem:
     def loss(self, s: int, i: int, x: np.ndarray) -> float:
         raise NotImplementedError
 
-    def grad(self, s: int, i: int, x: np.ndarray) -> np.ndarray:
+    def grad(self, s: int, i: int, x: np.ndarray, out=None) -> np.ndarray:
         """Exact shard gradient."""
-        return self.stoch_grad(s, i, x, None)
+        return self.stoch_grad(s, i, x, None, out)
 
-    def stoch_grad(self, s: int, i: int, x: np.ndarray, indices) -> np.ndarray:
+    def stoch_grad(self, s: int, i: int, x: np.ndarray, indices, out=None) -> np.ndarray:
         """Minibatch gradient; ``indices=None`` or a full-shard batch is exact."""
         raise NotImplementedError
 
@@ -108,8 +113,9 @@ class Problem:
     def global_grad(self, s: int, x: np.ndarray) -> np.ndarray:
         owners = self.indicator.owner_sets[s]
         acc = np.zeros(self.d)
+        g = np.empty(self.d)  # every owner's gradient, in turn
         for i in owners:
-            acc += self.grad(s, i, x)
+            acc += self.grad(s, i, x, g)
         acc /= len(owners)
         return acc
 
@@ -204,11 +210,12 @@ class QuadraticProblem(Problem):
         diff = x - self.client_centers[s, i]
         return 0.5 * self.client_curv[s, i] * (float(diff @ diff) + self._anchor_const[s, i])
 
-    def stoch_grad(self, s, i, x, indices):
+    def stoch_grad(self, s, i, x, indices, out=None):
         curv, center = self._operands[s][i]
         if indices is not None and len(indices) < self.n_per_client:
             center = self.anchors[s][i, indices].mean(axis=0)
-        return curv * (x - center)
+        out = np.subtract(x, center, out)
+        return np.multiply(out, curv, out)
 
     def global_loss(self, s, x):
         """The closed-form shard losses of all owners at once, then their mean."""
@@ -332,12 +339,13 @@ class TanhRidgeProblem(Problem):
         val = float(amp @ np.tanh(W @ x + offset))
         return val + 0.5 * self.ridge * float(x @ x)
 
-    def stoch_grad(self, s, i, x, indices):
+    def stoch_grad(self, s, i, x, indices, out=None):
         W, WT, amp, offset, eps = self._operands[s][i]
         if indices is not None and len(indices) < self.n_per_client:
             amp = amp * (1.0 + np.add.reduce(eps.take(indices, axis=0)) / len(indices))
         th = np.tanh(W @ x + offset)
-        return WT @ (amp * (1.0 - th * th)) + self.ridge * x
+        out = np.matmul(WT, amp * (1.0 - th * th), out)
+        return np.add(out, self.ridge * x, out)
 
     def shard_size(self, i):
         return self.n_per_client
@@ -431,16 +439,19 @@ class LogisticTasksProblem(Problem):
         m = y * (Z @ xv)
         return float(np.logaddexp(0.0, -m).mean()) + 0.5 * self.ridge * float(xv @ xv)
 
-    def stoch_grad(self, s, i, x, indices):
+    def stoch_grad(self, s, i, x, indices, out=None):
         Z, y, neg_y = self._operands[s][i]
         if indices is not None and len(indices) < len(y):
             Z, y, neg_y = Z.take(indices, axis=0), y.take(indices), neg_y.take(indices)
         cols = self._cols[s]
         xv = x[cols]
         coef = neg_y / (1.0 + np.exp(y * (Z @ xv)))
-        g = np.zeros(self.d)
-        g[cols] = Z.T @ coef / len(y) + self.ridge * xv
-        return g
+        if out is None:
+            out = np.zeros(self.d)
+        else:
+            out.fill(0.0)
+        out[cols] = Z.T @ coef / len(y) + self.ridge * xv
+        return out
 
     def shard_size(self, i):
         return len(self.shards[i])

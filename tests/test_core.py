@@ -163,10 +163,15 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("field,value", [
         ("d", 0), ("K", 0), ("T", 0), ("eta_global", 0.0), ("eta_local", -0.1),
         ("batch_size", 0), ("sample_sharing", "sometimes"),
+        ("eta_global", np.inf), ("eta_global", np.nan),
+        ("eta_local", np.inf), ("eta_local", np.nan),
+        pytest.param("client_weights", [1.0, np.inf, 1.0], id="client_weights-inf"),
+        pytest.param("client_weights", [1.0, np.nan, 1.0], id="client_weights-nan"),
     ])
     def test_invalid_fields_rejected(self, field, value):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             self._base(**{field: value})
+        assert err.value.path == field
 
     def test_counts_and_mode_are_read_off_the_indicator_and_batch_size(self):
         cfg = self._base()

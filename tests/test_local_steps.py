@@ -96,6 +96,24 @@ def test_client_updates_match_reference_bit_for_bit(case, t):
         assert same_bytes(drift, ref_drift)
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_suite_that_ignores_out_runs_bit_identical(data):
+    # a suite may return its own gradient array instead of filling the engine's row
+    config, problem = data.draw(configs())
+    traj = run_experiment(config, problem)
+    exact = problem.stoch_grad
+    problem.stoch_grad = lambda s, i, x, indices, out=None: exact(s, i, x, indices)
+    own = run_experiment(config, problem)
+    assert own.termination == traj.termination
+    assert len(own.records) == len(traj.records)
+    for a, b in zip(own.records, traj.records):
+        for name in ("x_snapshot", "weights", "d_norm_sq", "dbar_norm_sq", "losses",
+                     "delta_q", "fw_gap", "lambda_drift"):
+            assert same_bytes(getattr(a, name), getattr(b, name))
+    assert same_bytes(own.final_point, traj.final_point)
+
+
 # larger shards than the drawn configs, and a label-skewed partition
 FIXED_SUITES = {
     "quadratic": lambda: quadratic_suite(6, A, centers=np.eye(3, 6), heterogeneity=0.4,
@@ -151,13 +169,13 @@ class FaultyQuadratic(Problem):
     def loss(self, s, i, x):
         return self.base.loss(s, i, x)
 
-    def grad(self, s, i, x):
-        return self.base.grad(s, i, x)
+    def grad(self, s, i, x, out=None):
+        return self.base.grad(s, i, x, out)
 
     def shard_size(self, i):
         return self.base.shard_size(i)
 
-    def stoch_grad(self, s, i, x, indices):
+    def stoch_grad(self, s, i, x, indices, out=None):  # returns its own array, ignoring out
         key = (s, i, x.tobytes(), None if indices is None else np.asarray(indices).tobytes())
         if key not in self._seen:
             n = self._calls.get((s, i), 0)
@@ -254,9 +272,9 @@ class TestFaultInjection:
         prob = quadratic_suite(2, IndicatorMatrix.all_ones(1, 1), seed=0)
         exact, calls = prob.stoch_grad, []
 
-        def nan_once(s, i, x, indices):
+        def nan_once(s, i, x, indices, out=None):
             calls.append(s)
-            g = exact(s, i, x, indices)
+            g = exact(s, i, x, indices, out)
             return np.full_like(g, np.nan) if len(calls) == 1 else g
 
         prob.stoch_grad = nan_once

@@ -104,9 +104,18 @@ ORACLES = {
 }
 
 
+def written(gradient, s, i, x, *batch):
+    """The bytes ``gradient`` writes into an ``out`` filled with NaN, which it must return;
+    an entry it leaves unwritten stays NaN."""
+    out = np.full(x.shape, np.nan)
+    assert gradient(s, i, x, *batch, out=out) is out
+    return out.tobytes()
+
+
 class TestOperandTables:
     """Every suite's shard surface must equal the formula written against its public
-    arrays, bit for bit, whatever per-shard operands the suite keeps internally."""
+    arrays, bit for bit, whatever per-shard operands the suite keeps internally, and
+    whether it allocates its gradients or writes them into ``out``."""
 
     @pytest.mark.parametrize("suite", sorted(ORACLES))
     @pytest.mark.parametrize("routing", [0, 1, 2])
@@ -125,9 +134,11 @@ class TestOperandTables:
                 loss, exact = reference(prob, s, i, x)
                 assert np.float64(prob.loss(s, i, x)).tobytes() == np.float64(loss).tobytes()
                 assert prob.grad(s, i, x).tobytes() == exact.tobytes()
+                assert written(prob.grad, s, i, x) == exact.tobytes()
                 for batch in batches:
                     _, want = reference(prob, s, i, x, batch)
                     assert prob.stoch_grad(s, i, x, batch).tobytes() == want.tobytes()
+                    assert written(prob.stoch_grad, s, i, x, batch) == want.tobytes()
 
     def test_overlapping_tasks_read_columns_that_are_not_contiguous(self):
         prob = ORACLES["logistic-overlap"][0](random_indicator(0))
