@@ -263,7 +263,8 @@ class ExperimentConfig:
     The indicator fixes the objective count S and the client count M.
     ``batch_size`` picks the gradient oracle: None takes exact shard
     gradients (FMGDA), an int draws minibatches of that size (FSMGDA), and a
-    batch that covers a client's shard is exact there too.  ``eta_global``
+    batch that covers a client's shard is exact there too: the round engine
+    passes the suite no indices for it, and draws none.  ``eta_global``
     is the server step size applied to the combined direction;
     ``eta_local`` drives the K per-objective steps each client takes between
     synchronizations.  With ``normalize_delta_by_K`` the accumulated client

@@ -142,8 +142,9 @@ def _draw_batches(client, owned, K, batch, problem, seed, round_index, sample_sh
     """Per owned objective, the K batch index arrays of its local steps.
 
     ``None`` stands for the exact shard gradient: no batch, or a batch that
-    covers the shard.  Under ``per_client`` sharing every objective gets the
-    same list.
+    covers the shard.  This is the one place that rule lives; a suite
+    computes the indices it is given.  Under ``per_client`` sharing every
+    objective gets the same list.
     """
     n_shard = problem.shard_size(client)
     if batch is not None and batch < 1:

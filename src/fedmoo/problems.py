@@ -57,7 +57,11 @@ class Problem:
 
     Subclasses implement the per-(objective, client) surface: ``loss``,
     ``stoch_grad`` and ``shard_size``.  ``grad`` is the exact ``stoch_grad``
-    (no minibatch), so each suite writes its gradient formula once.  The
+    (``indices=None``), so each suite writes its gradient formula once.
+    ``stoch_grad`` computes the gradient of exactly the indices it is given,
+    repeats and all, even when they are as many as the shard holds; ``None``
+    is the one exact batch.  The round engine alone decides when a batch is
+    exact: it passes ``None`` for a batch that covers the shard.  The
     global objective for s is the average of ``loss(s, i, .)`` over the owner
     set, accumulated in ascending client order so that every consumer sees
     bit-identical values.  A subclass may override ``global_loss`` and
@@ -96,7 +100,7 @@ class Problem:
         return self.stoch_grad(s, i, x, None, out)
 
     def stoch_grad(self, s: int, i: int, x: np.ndarray, indices, out=None) -> np.ndarray:
-        """Minibatch gradient; ``indices=None`` or a full-shard batch is exact."""
+        """Gradient of the shard samples at ``indices``; ``indices=None`` is exact."""
         raise NotImplementedError
 
     def shard_size(self, i: int) -> int:
@@ -212,7 +216,7 @@ class QuadraticProblem(Problem):
 
     def stoch_grad(self, s, i, x, indices, out=None):
         curv, center = self._operands[s][i]
-        if indices is not None and len(indices) < self.n_per_client:
+        if indices is not None:
             center = self.anchors[s][i, indices].mean(axis=0)
         out = np.subtract(x, center, out)
         return np.multiply(out, curv, out)
@@ -341,7 +345,7 @@ class TanhRidgeProblem(Problem):
 
     def stoch_grad(self, s, i, x, indices, out=None):
         W, WT, amp, offset, eps = self._operands[s][i]
-        if indices is not None and len(indices) < self.n_per_client:
+        if indices is not None:
             amp = amp * (1.0 + np.add.reduce(eps.take(indices, axis=0)) / len(indices))
         th = np.tanh(W @ x + offset)
         out = np.matmul(WT, amp * (1.0 - th * th), out)
@@ -441,7 +445,7 @@ class LogisticTasksProblem(Problem):
 
     def stoch_grad(self, s, i, x, indices, out=None):
         Z, y, neg_y = self._operands[s][i]
-        if indices is not None and len(indices) < len(y):
+        if indices is not None:
             Z, y, neg_y = Z.take(indices, axis=0), y.take(indices), neg_y.take(indices)
         cols = self._cols[s]
         xv = x[cols]

@@ -13,11 +13,12 @@ from fedmoo.federation import (client_update_stochastic, descent_step_limit,
                                pick_weighted_output, run_experiment, server_aggregate,
                                strongly_convex_step_limit)
 from fedmoo.metrics import fit_rate, rounds_to_threshold
-from fedmoo.minnorm import closed_form_two, grid_oracle, solve_min_norm
+from fedmoo.minnorm import solve_min_norm
 from fedmoo.problems import (quadratic_suite, synthetic_classification_suite,
                              toy_nonconvex_suite)
 from fedmoo.reporting import round_columns, write_rounds_csv
-from fedmoo.verify import mgd_reference
+from fedmoo.verify import (check_closed_form, check_descent, check_mgd_reduction,
+                           check_minnorm_oracle)
 
 
 def report(number, ok, detail):
@@ -33,70 +34,29 @@ def auto_centers(S, d, seed):
 
 def test_01_min_norm_solver_soundness():
     start = time.perf_counter()
-    worst_excess = -np.inf
-    worst_gap = 0.0
-    for case in range(200):
-        rng = np.random.default_rng([20240, case])
-        S = int(rng.integers(2, 4))
-        d = int(rng.integers(2, 6))
-        G = rng.uniform(-1.0, 1.0, (S, d))
-        sol = solve_min_norm(G)
-        _, oracle = grid_oracle(G, 1e-2, refine_to=1e-3)
-        worst_excess = max(worst_excess, sol.norm_sq - oracle)
-        if sol.converged:
-            worst_gap = max(worst_gap, sol.fw_gap)
+    result = check_minnorm_oracle()
     elapsed = time.perf_counter() - start
-    ok = worst_excess <= 1e-4 and worst_gap <= 1e-8 and elapsed < 10.0
-    report(1, ok, f"200 instances: worst excess over oracle {worst_excess:.2e} "
-                  f"(<=1e-4), worst converged gap {worst_gap:.2e} (<=1e-8), "
-                  f"{elapsed:.1f}s (<10s)")
+    report(1, result.passed and elapsed < 10.0, f"{result.line()}, {elapsed:.1f}s (<10s)")
 
 
 def test_02_closed_form_agreement():
-    worst = 0.0
-    for case in range(100):
-        rng = np.random.default_rng([20241, case])
-        g1, g2 = rng.standard_normal((2, 5))
-        direct = closed_form_two(g1, g2)
-        iterative = solve_min_norm(np.vstack([g1, g2]))
-        worst = max(worst, abs(direct.norm_sq - iterative.norm_sq))
-    ok = worst <= 1e-8
-    report(2, ok, f"100 random pairs in R^5: worst |norm_sq| mismatch {worst:.2e} (<=1e-8)")
+    result = check_closed_form()
+    report(2, result.passed, result.line())
 
 
 def test_03_mgd_reduction_bit_identical():
     A = IndicatorMatrix.all_ones(2, 1)
-    centers = auto_centers(2, 4, 77)
-    prob = quadratic_suite(4, A, centers=centers, seed=77)
-    cfg = ExperimentConfig(indicator=A, d=4, K=1, T=100,
-                           eta_global=0.5, eta_local=0.1, seed=1)
-    traj = run_experiment(cfg, prob)
-    fed = np.vstack([r.x_snapshot for r in traj.records] + [traj.final_point])
-    ref = mgd_reference(prob, np.zeros(4), 0.5, 100)
-    ok = fed.shape == ref.shape and np.array_equal(fed, ref)
-    diff = float(np.abs(fed - ref).max()) if fed.shape == ref.shape else np.nan
-    report(3, ok, f"100 rounds federated (M=1, K=1) vs centralized reference: "
-                  f"max |diff| = {diff} (bit-identical required)")
+    prob = quadratic_suite(4, A, centers=auto_centers(2, 4, 77), seed=77)
+    result = check_mgd_reduction(prob, 77, rounds=100)
+    report(3, result.passed, result.line())
 
 
 def test_04_common_descent_property():
     A = IndicatorMatrix.all_ones(2, 1)
-    suites = [
-        quadratic_suite(3, A, centers=auto_centers(2, 3, 5), seed=5),
-        toy_nonconvex_suite(3, A, n_terms=5, seed=6),
-    ]
-    worst = -np.inf
-    for prob in suites:
-        eta = descent_step_limit(prob.smoothness)
-        cfg = ExperimentConfig(indicator=A, d=3, K=1, T=200,
-                               eta_global=eta, eta_local=0.0, seed=2)
-        traj = run_experiment(cfg, prob)
-        losses = np.vstack([r.losses for r in traj.records]
-                           + [prob.losses(traj.final_point)])
-        worst = max(worst, float(np.diff(losses, axis=0).max()))
-    ok = worst <= 1e-12
-    report(4, ok, f"quadratic and tanh suites, 200 rounds at eta=3/(2(1+L)): "
-                  f"max per-round loss increase {worst:.2e} (<=1e-12)")
+    suites = [(5, quadratic_suite(3, A, centers=auto_centers(2, 3, 5), seed=5)),
+              (6, toy_nonconvex_suite(3, A, n_terms=5, seed=6))]
+    result = check_descent(suites, rounds=200, slack=1e-12)
+    report(4, result.passed, result.line())
 
 
 def test_05_linear_rate_strongly_convex():

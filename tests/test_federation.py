@@ -76,9 +76,7 @@ class TestClientUpdateStochastic:
         x = np.array([0.3, 0.9, -0.4, 0.2, 0.1, -0.7])[:prob.d]
         n = prob.shard_size(1)
         for s in (0, 1):
-            exact = prob.grad(s, 1, x)
-            assert prob.stoch_grad(s, 1, x, None).tobytes() == exact.tobytes()
-            assert prob.stoch_grad(s, 1, x, np.arange(n)).tobytes() == exact.tobytes()
+            assert prob.stoch_grad(s, 1, x, None).tobytes() == prob.grad(s, 1, x).tobytes()
         full, _ = client_update_full(x, 1, (0, 1), K=3, eta_local=0.1, problem=prob)
         stoch, _ = client_update_stochastic(x, 1, (0, 1), K=3, eta_local=0.1,
                                             batch=n, problem=prob, seed=5)

@@ -9,7 +9,7 @@ from fedmoo.core import IndicatorMatrix
 from fedmoo.metrics import (dbar_norm_sq, delta_q, fit_rate, lambda_drift,
                             rounds_to_threshold, running_min)
 from fedmoo.minnorm import solve_min_norm
-from fedmoo.problems import quadratic_suite, toy_nonconvex_suite
+from fedmoo.problems import Problem, quadratic_suite, toy_nonconvex_suite
 
 
 def plain_quadratic(centers, q=1.0):
@@ -85,6 +85,19 @@ class TestDeltaQ:
         with pytest.raises(AssertionError, match="below roundoff tolerance"):
             delta_q(lam, np.array([500.0, 500.0]), prob)
 
+    def test_roundoff_below_zero_within_the_bound_reads_zero(self):
+        # f_s(x) = x_0 for both objectives and x_* one roundoff step above x = 0, so the
+        # raw gap is -1e-13: inside roundoff_bound (1e-12), clamped to zero, not negated
+        class Stub(Problem):
+            def global_loss(self, s, x):
+                return float(x[0])
+
+            def pareto_point(self, weights):
+                return np.array([1e-13])
+
+        prob = Stub(IndicatorMatrix.all_ones(2, 1), 1)
+        assert delta_q(np.array([0.5, 0.5]), np.zeros(1), prob) == 0.0
+
     def test_requires_pareto_reference(self):
         prob = toy_nonconvex_suite(3, IndicatorMatrix.all_ones(2, 1), seed=1)
         with pytest.raises(ValueError, match="scalarization minimizer"):
@@ -101,6 +114,12 @@ class TestLambdaDrift:
         x = np.array([0.2, -0.3])
         lam = solve_min_norm(prob.gradient_matrix(x)).weights
         assert lambda_drift(lam, x, prob) <= 1e-8
+
+    def test_value_is_the_l1_distance_to_the_full_gradient_weights(self):
+        # gradients at 0 are -e1 and -e2, whose min-norm weights are (0.5, 0.5)
+        prob = plain_quadratic([[1.0, 0.0], [0.0, 1.0]])
+        assert lambda_drift(np.array([1.0, 0.0]), np.zeros(2), prob) == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_arbitrary_weights_give_finite_nonnegative_drift(self):
         prob = plain_quadratic([[1.0, 0.0], [0.0, 1.0]])
@@ -142,6 +161,9 @@ class TestFitRate:
 class TestThresholds:
     def test_first_crossing_round(self):
         assert rounds_to_threshold([0.5, 0.2, 0.009, 0.3], 1e-2) == 3
+
+    def test_value_exactly_at_epsilon_counts(self):
+        assert rounds_to_threshold([0.5, 1e-2, 1e-3], 1e-2) == 2
 
     def test_no_crossing_returns_none(self):
         assert rounds_to_threshold([0.5, 0.2], 1e-2) is None

@@ -47,7 +47,7 @@ def quadratic_reference(prob, s, i, x, indices=None):
     """Loss and gradient of shard (s, i) read from the quadratic suite's public arrays."""
     diff = x - prob.client_centers[s, i]
     loss = 0.5 * prob.client_curv[s, i] * (float(diff @ diff) + prob._anchor_const[s, i])
-    if indices is None or len(indices) >= prob.n_per_client:
+    if indices is None:
         center = prob.client_centers[s, i]
     else:
         center = prob.anchors[s][i, indices].mean(axis=0)
@@ -59,7 +59,7 @@ def tanh_reference(prob, s, i, x, indices=None):
     th = np.tanh(prob.term_weights[s] @ x + prob.client_offsets[s, i])
     loss = float(prob.client_amps[s, i] @ th) + 0.5 * prob.ridge * float(x @ x)
     amp = prob.client_amps[s, i]
-    if indices is not None and len(indices) < prob.n_per_client:
+    if indices is not None:
         amp = amp * (1.0 + np.add.reduce(prob.amp_eps[s, i, indices]) / len(indices))
     return loss, prob.term_weights[s].T @ (amp * (1.0 - th * th)) + prob.ridge * x
 
@@ -70,7 +70,7 @@ def logistic_reference(prob, s, i, x, indices=None):
     view = np.hstack([prob.raw[:, :h], prob.raw[:, h:] @ prob.rotations[s].T,
                       np.ones((len(prob.raw), 1))])
     idx = prob.shards[i]
-    if indices is not None and len(indices) < len(idx):
+    if indices is not None:
         idx = idx[np.asarray(indices)]
     cols = prob.task_cols[s]
     m = prob.task_signs[s, idx] * (view[idx] @ x[cols])
@@ -137,6 +137,24 @@ class TestOperandTables:
                 assert written(prob.grad, s, i, x) == exact.tobytes()
                 for batch in batches:
                     _, want = reference(prob, s, i, x, batch)
+                    assert prob.stoch_grad(s, i, x, batch).tobytes() == want.tobytes()
+                    assert written(prob.stoch_grad, s, i, x, batch) == want.tobytes()
+
+    @pytest.mark.parametrize("suite", sorted(ORACLES))
+    def test_shard_length_batch_with_repeats_is_that_minibatch(self, suite):
+        # only the engine maps a covering batch to the exact gradient; a suite computes
+        # the indices it is given, however many there are
+        build, reference = ORACLES[suite]
+        prob = build(random_indicator(0))
+        rng = np.random.default_rng(7)
+        for s, owners in enumerate(prob.indicator.owner_sets):
+            for i in owners:
+                x = rng.standard_normal(prob.d)
+                n = prob.shard_size(i)
+                for batch in (np.zeros(n, dtype=np.int64), np.arange(n) // 2,
+                              [n - 1] * n):
+                    _, want = reference(prob, s, i, x, batch)
+                    assert want.tobytes() != prob.grad(s, i, x).tobytes()
                     assert prob.stoch_grad(s, i, x, batch).tobytes() == want.tobytes()
                     assert written(prob.stoch_grad, s, i, x, batch) == want.tobytes()
 
@@ -361,12 +379,6 @@ class TestQuadraticSuite:
             g = lam @ quad.gradient_matrix(x_star)
             assert np.linalg.norm(g) <= 1e-10
 
-    def test_stochastic_full_batch_is_exact(self, quad):
-        x = np.array([0.4, 0.9])
-        full = quad.grad(0, 1, x)
-        assert np.array_equal(quad.stoch_grad(0, 1, x, None), full)
-        assert np.array_equal(quad.stoch_grad(0, 1, x, np.arange(20)), full)
-
     def test_stochastic_unbiased(self, quad):
         rng = np.random.default_rng(13)
         x = rng.standard_normal(2)
@@ -435,12 +447,6 @@ class TestClassificationSuite:
         return synthetic_classification_suite(12, A, n_per_client=40, partition=partition,
                                               seed=seed, **kw)
 
-    def test_full_shard_stochastic_equals_full_gradient(self):
-        prob = self._suite(partition="iid", M=1)
-        x = np.zeros(12)
-        n = prob.shard_size(0)
-        assert np.array_equal(prob.stoch_grad(0, 0, x, np.arange(n)), prob.grad(0, 0, x))
-
     @pytest.mark.parametrize("partition", ["iid", "label_skew"])
     @pytest.mark.parametrize("as_list", [False, True])
     def test_shard_blocks_match_gathers_from_the_full_view_bit_for_bit(self, partition,
@@ -460,7 +466,8 @@ class TestClassificationSuite:
                 assert np.array_equal(prob.stoch_grad(s, i, x, batch), mini)
                 full = rng.permutation(n)
                 full = full.tolist() if as_list else full
-                assert np.array_equal(prob.stoch_grad(s, i, x, full), grad)
+                _, whole = logistic_reference(prob, s, i, x, full)
+                assert np.array_equal(prob.stoch_grad(s, i, x, full), whole)
 
     def test_shard_blocks_are_read_only(self):
         prob = self._suite()
