@@ -264,7 +264,7 @@ def apply_axis(base_raw: dict, axis: str, value) -> dict:
         raw["M"] = value
     else:
         raw[axis] = value
-    raw["name"] = f"{raw.get('name', ExperimentConfig.name)}-{axis}={value}"
+    raw["name"] = f"{raw.get('name', ExperimentConfig.name)}-{member_dir(axis, value)}"
     return raw
 
 

@@ -35,7 +35,7 @@ class MinNormSolution:
 
     ``direction = weights @ G`` and ``norm_sq = ||direction||^2``.  ``fw_gap``
     is the Frank-Wolfe duality gap at the returned point; ``converged`` is
-    False when the budget ran out or ``G G^T`` overflowed, as ``termination`` says.
+    ``fw_gap <= tol``, and ``termination`` says why the solve stopped.
     """
 
     weights: np.ndarray
@@ -125,10 +125,10 @@ def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     Terminates when the duality gap drops to ``tol``, when roundoff hides
     the remaining descent (``stalled``: the entering vertex is already
     supported or gets no weight), or after ``max_iter`` updates, each an
-    affine solve (default ``10*S*d + 1000``); an exhausted budget is
-    reported as ``converged=False`` rather than silently returned.  The
-    returned direction, norm and gap are computed from ``G`` itself.  An
-    overflowing Gram matrix returns NaN weights and direction (``overflow``).
+    affine solve (default ``10*S*d + 1000``).  The returned direction, norm
+    and gap are computed from ``G`` itself, and ``converged`` certifies that
+    gap, so a ``gap_tol`` stop on the Gram matrix's roundoff can be unconverged.
+    An overflowing Gram matrix returns NaN weights and direction (``overflow``).
 
     ``callback(iteration, weights, objective)`` is invoked once per major
     cycle before its update, mainly so tests can observe the objective
@@ -203,9 +203,6 @@ def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     u, norm_sq, final_gap, _ = _duality_gap(g, lam)
     final_gap = max(final_gap, 0.0)  # lam is feasible
     converged = final_gap <= tol
-    if not converged and termination == "gap_tol":
-        # renormalization nudged the gap back above tol; report honestly
-        termination = "max_iter"
     return MinNormSolution(lam, u, norm_sq, final_gap, iterations, converged, termination)
 
 

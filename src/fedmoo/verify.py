@@ -21,6 +21,16 @@ from .problems import quadratic_suite, synthetic_classification_suite, toy_nonco
 
 __all__ = ["CheckResult", "run_battery", "mgd_reference"]
 
+# Each gate's bound is part of its definition, so no caller sets it.
+ORACLE_EXCESS = 1e-6     # solver's norm_sq above the lattice oracle's
+ORACLE_GAP = 1e-8        # Frank-Wolfe gap of a solve that reports converged
+KKT_ATOL = 1e-9          # largest violation of the optimality conditions
+CLOSED_FORM_ATOL = 1e-8  # |norm_sq| of the solver vs the two-objective closed form
+FD_POINTS = 50           # finite-difference points per problem
+FD_REL_TOL = 1e-5        # analytic vs finite-difference gradient, relative
+MC_BATCH = 8             # minibatch size of the Monte Carlo draws
+DESCENT_SLACK = 1e-12    # largest per-round loss increase counted as descent
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -52,16 +62,14 @@ def mgd_reference(problem, x0, eta, rounds):
     return np.vstack(iterates)
 
 
-def check_minnorm_oracle(n_instances=200, seed=20240, solver=solve_min_norm,
-                         tol_excess=1e-4, gap_tol=1e-8) -> CheckResult:
+def check_minnorm_oracle(n_instances=200, seed=20240, solver=solve_min_norm) -> CheckResult:
     """Solver vs lattice oracle on random instances; also certifies fw_gap.
     The detail carries the worst excess over the oracle and converged gap."""
     failures = []
     worst_excess, worst_gap = -np.inf, 0.0
     for case in range(n_instances):
         rng = np.random.default_rng([seed, case])
-        S = int(rng.integers(2, 4))
-        d = int(rng.integers(2, 6))
+        S, d = int(rng.integers(2, 4)), int(rng.integers(2, 6))
         G = rng.uniform(-1.0, 1.0, (S, d))
         sol = solver(G)
         _, oracle_nsq = grid_oracle(G, 1e-2, refine_to=1e-3)
@@ -69,12 +77,12 @@ def check_minnorm_oracle(n_instances=200, seed=20240, solver=solve_min_norm,
         worst_excess = max(worst_excess, excess)
         if sol.converged:
             worst_gap = max(worst_gap, sol.fw_gap)
-        if excess > tol_excess:
+        if excess > ORACLE_EXCESS:
             failures.append((case, f"norm_sq {sol.norm_sq} > oracle {oracle_nsq}"))
-        elif sol.converged and sol.fw_gap > gap_tol:
-            failures.append((case, f"converged but fw_gap {sol.fw_gap} > {gap_tol}"))
-    worst = (f"worst excess over oracle {worst_excess:.2e} (<={tol_excess:g}), "
-             f"worst converged gap {worst_gap:.2e} (<={gap_tol:g})")
+        elif sol.converged and sol.fw_gap > ORACLE_GAP:
+            failures.append((case, f"converged but fw_gap {sol.fw_gap} > {ORACLE_GAP}"))
+    worst = (f"worst excess over oracle {worst_excess:.2e} (<={ORACLE_EXCESS:g}), "
+             f"worst converged gap {worst_gap:.2e} (<={ORACLE_GAP:g})")
     if failures:
         case, why = failures[0]
         return CheckResult("minnorm-vs-oracle", False,
@@ -94,8 +102,7 @@ def _kkt_instance(rng) -> np.ndarray:
     return G
 
 
-def check_minnorm_kkt(n_instances=200, seed=20246, solver=solve_min_norm,
-                      atol=1e-9) -> CheckResult:
+def check_minnorm_kkt(n_instances=200, seed=20246, solver=solve_min_norm) -> CheckResult:
     """Optimality conditions of the min-norm solve up to S=12, beyond the oracle's reach.
 
     With u = weights^T G, an optimum has <G_s, u> = ||u||^2 on every supported
@@ -111,18 +118,17 @@ def check_minnorm_kkt(n_instances=200, seed=20246, solver=solve_min_norm,
             u = w @ G
             excess = G @ u - float(u @ u)
             off, below = np.abs(excess[w > 0]).max(), -excess.min()
-            if max(off, below) <= atol:
+            if max(off, below) <= KKT_ATOL:
                 continue
-            why = (f"supported vertex off ||u||^2 by {off:.2e}" if off > atol
+            why = (f"supported vertex off ||u||^2 by {off:.2e}" if off > KKT_ATOL
                    else f"vertex below ||u||^2 by {below:.2e}")
         return CheckResult("minnorm-kkt", False, f"S={G.shape[0]}, d={G.shape[1]}: {why}",
                            seed=case)
     return CheckResult("minnorm-kkt", True,
-                       f"{n_instances} instances (S <= 12) satisfy KKT within {atol}")
+                       f"{n_instances} instances (S <= 12) satisfy KKT within {KKT_ATOL}")
 
 
-def check_closed_form(n_pairs=100, seed=20241, solver=solve_min_norm,
-                      atol=1e-8) -> CheckResult:
+def check_closed_form(n_pairs=100, seed=20241, solver=solve_min_norm) -> CheckResult:
     """Solver vs the two-objective closed form; the detail carries the worst mismatch."""
     worst = 0.0
     for case in range(n_pairs):
@@ -130,23 +136,18 @@ def check_closed_form(n_pairs=100, seed=20241, solver=solve_min_norm,
         g1, g2 = rng.standard_normal((2, 5))
         direct = closed_form_two(g1, g2)
         iterative = solver(np.vstack([g1, g2]))
-        if abs(direct.norm_sq - iterative.norm_sq) > atol:
+        if abs(direct.norm_sq - iterative.norm_sq) > CLOSED_FORM_ATOL:
             return CheckResult("closed-form-two", False,
                                f"norm_sq mismatch {direct.norm_sq} vs {iterative.norm_sq}",
                                seed=case)
         worst = max(worst, abs(direct.norm_sq - iterative.norm_sq))
     return CheckResult("closed-form-two", True,
                        f"{n_pairs} pairs in R^5: worst |norm_sq| mismatch {worst:.2e} "
-                       f"(<={atol:g})")
+                       f"(<={CLOSED_FORM_ATOL:g})")
 
 
 def _fd_gradient(fn, x, h=1e-6):
-    g = np.zeros_like(x)
-    for j in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[j] = h
-        g[j] = (fn(x + e) - fn(x - e)) / (2.0 * h)
-    return g
+    return np.array([(fn(x + e) - fn(x - e)) / (2.0 * h) for e in h * np.eye(x.shape[0])])
 
 
 def _sample_problems(seed):
@@ -162,39 +163,37 @@ def _sample_problems(seed):
     return [quad, tanh, cls]
 
 
-def check_gradients(seed=20242, n_points=50, rel_tol=1e-5) -> CheckResult:
-    """Analytic per-shard gradients vs central finite differences."""
+def check_gradients(problems, seed) -> CheckResult:
+    """Analytic per-shard gradients of ``problems`` vs central finite differences,
+    at points drawn from ``seed``."""
     worst = 0.0
-    for problem in _sample_problems(seed):
+    for problem in problems:
         rng = np.random.default_rng([seed, 99])
-        for _ in range(n_points):
+        for _ in range(FD_POINTS):
             s = int(rng.integers(problem.S))
             owners = problem.indicator.owner_sets[s]
             i = int(owners[rng.integers(len(owners))])
             x = rng.standard_normal(problem.d)
             fd = _fd_gradient(lambda z: problem.loss(s, i, z), x)
-            an = problem.grad(s, i, x)
-            scale = max(np.linalg.norm(fd), 1e-8)
-            rel = float(np.linalg.norm(an - fd) / scale)
+            rel = float(np.linalg.norm(problem.grad(s, i, x) - fd) / max(np.linalg.norm(fd), 1e-8))
             worst = max(worst, rel)
-            if rel > rel_tol:
+            if rel > FD_REL_TOL:
                 return CheckResult("gradient-finite-diff", False,
                                    f"{problem.name} rel err {rel:.2e} at objective {s}, "
                                    f"client {i}", seed=seed)
     return CheckResult("gradient-finite-diff", True, f"worst rel err {worst:.2e}")
 
 
-def check_unbiasedness(n_samples=10_000, seed=20243, batch=8) -> CheckResult:
-    """Monte Carlo mean of minibatch gradients within 3 SE of the exact gradient."""
-    for problem in _sample_problems(seed):
+def check_unbiasedness(problems, seed, n_samples=10_000) -> CheckResult:
+    """Monte Carlo mean of the minibatch gradients of each of ``problems``, with
+    batches and the point drawn from ``seed``, within 3 SE of the exact gradient."""
+    for problem in problems:
         rng = np.random.default_rng([seed, 7])
         x = rng.standard_normal(problem.d)
         s, i = 0, int(problem.indicator.owner_sets[0][0])
         n_shard = problem.shard_size(i)
-        draws = np.empty((n_samples, problem.d))
-        for r in range(n_samples):
-            idx = rng.integers(0, n_shard, batch)
-            draws[r] = problem.stoch_grad(s, i, x, idx)
+        draws = np.array([problem.stoch_grad(s, i, x, rng.integers(0, n_shard, MC_BATCH))
+                          for _ in range(n_samples)])
         exact = problem.grad(s, i, x)
         se = draws.std(axis=0, ddof=1) / np.sqrt(n_samples)
         off = np.abs(draws.mean(axis=0) - exact)
@@ -222,7 +221,7 @@ def check_mgd_reduction(problem, seed, rounds=50) -> CheckResult:
                        f"max |diff| = {worst} (bit-identical required)", seed=seed)
 
 
-def check_descent(suites, rounds=100, slack=1e-12) -> CheckResult:
+def check_descent(suites, rounds=100) -> CheckResult:
     """Every objective non-increasing per round at the guaranteed step size.
 
     ``suites`` holds (seed, one-client problem) pairs; each seed also seeds
@@ -237,14 +236,14 @@ def check_descent(suites, rounds=100, slack=1e-12) -> CheckResult:
         losses = np.vstack([rec.losses for rec in traj.records]
                            + [problem.losses(traj.final_point)])
         increase = float(np.diff(losses, axis=0).max())
-        if increase > slack:
+        if increase > DESCENT_SLACK:
             return CheckResult("common-descent", False,
                                f"{problem.name}: loss increased by {increase:.3e}", seed=seed)
         worst = max(worst, increase)
     names = " and ".join(problem.name for _, problem in suites)
     return CheckResult("common-descent", True,
                        f"{names}, {rounds} rounds at eta=3/(2(1+L)): max per-round loss "
-                       f"increase {worst:.2e} (<={slack:g})")
+                       f"increase {worst:.2e} (<={DESCENT_SLACK:g})")
 
 
 def run_battery(level="quick", solver=solve_min_norm) -> list[CheckResult]:
@@ -260,8 +259,8 @@ def run_battery(level="quick", solver=solve_min_norm) -> list[CheckResult]:
         check_minnorm_oracle(solver=solver),
         check_minnorm_kkt(solver=solver),
         check_closed_form(solver=solver),
-        check_gradients(),
-        check_unbiasedness(n_samples=mc),
+        check_gradients(_sample_problems(20242), 20242),
+        check_unbiasedness(_sample_problems(20243), 20243, n_samples=mc),
         check_mgd_reduction(mgd, 20244),
         check_descent(descent, rounds=200 if level == "full" else 100),
     ]

@@ -11,13 +11,14 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedmoo import cli, verify
 from fedmoo.cli import main
 from fedmoo.config import _Loader, apply_axis, load_sweep, parse_config
 from fedmoo.core import ConfigError
 from fedmoo.minnorm import solve_min_norm
 from fedmoo.problems import build_problem
 from fedmoo.reporting import read_rounds_csv, summarize_columns
-from fedmoo.verify import check_minnorm_kkt, check_minnorm_oracle, run_battery
+from fedmoo.verify import CheckResult, check_minnorm_kkt, check_minnorm_oracle, run_battery
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -205,11 +206,6 @@ class TestRunCommand:
         assert (out / "rounds.csv").read_bytes() == first
         assert (out / "summary.json").read_bytes() == first_summary
 
-    def test_malformed_key_exits_2_naming_key(self, tmp_path, capsys):
-        cfg_path = self._write(tmp_path, quad_config(etaglobal=0.1))
-        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
-        assert "etaglobal" in capsys.readouterr().err
-
     def test_divergence_exits_3_with_partial_log(self, tmp_path, capsys):
         cfg_path = self._write(tmp_path, quad_config(eta_global=50.0, T=40))
         out = tmp_path / "dv"
@@ -304,37 +300,6 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["init"] == [1000.0, 0.0]
 
-    def test_non_numeric_init_entry_names_init(self, tmp_path, capsys):
-        cfg_path = self._write(tmp_path, quad_config(d=2, init=["abc", 0.0]))
-        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
-        assert "init" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("init", [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [[1.0, 0.0]] * 2])
-    def test_misshapen_init_exits_2_naming_init(self, tmp_path, capsys, init):
-        cfg = yaml.safe_load((GOLDEN / "quad_full.yaml").read_text())
-        cfg["init"] = init
-        assert main(["run", "--config", self._write(tmp_path, cfg),
-                     "--out", str(tmp_path / "o")]) == 2
-        assert "error: init: model point" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("indicator,message", [
-        ([[1, 1, 1], [1, 1]], "indicator: expected rows of equal length"),
-        ([[True, 1, 1], [1, 1, 1]], "indicator: expected an integer, got True"),
-    ])
-    def test_malformed_indicator_exits_2_naming_indicator(self, tmp_path, capsys, indicator,
-                                                          message):
-        cfg = yaml.safe_load((GOLDEN / "quad_full.yaml").read_text())
-        cfg["indicator"] = indicator
-        out = tmp_path / "o"
-        assert main(["run", "--config", self._write(tmp_path, cfg), "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_snapshot_every_is_an_unknown_key(self, tmp_path, capsys):
-        cfg_path = self._write(tmp_path, quad_config(snapshot_every=1))
-        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
-        assert "snapshot_every: unknown key" in capsys.readouterr().err
-
     @pytest.mark.parametrize("written,replacement,section,key,value", [
         ("eta_local: 0.01", "eta_local: 1e-3", None, "eta_local", 0.001),
         ("curvature: 1.0", "curvature: 1e-1", "problem", "curvature", 0.1),
@@ -365,44 +330,6 @@ class TestRunCommand:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "name: expected a string, got 1000.0" in capsys.readouterr().err
 
-    def test_non_numeric_problem_value_exits_2_naming_the_key(self, tmp_path, capsys):
-        cfg = quad_config()
-        cfg["problem"]["curvature"] = "steep"
-        cfg_path = self._write(tmp_path, cfg)
-        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
-        assert "problem.curvature" in capsys.readouterr().err
-
-    def test_out_of_range_problem_value_exits_2_naming_it(self, tmp_path, capsys):
-        cfg = quad_config()
-        cfg["problem"]["curvature_spread"] = 2.0  # the suite builder needs [0, 1)
-        assert main(["run", "--config", self._write(tmp_path, cfg),
-                     "--out", str(tmp_path / "o")]) == 2
-        assert "problem: curvature_spread" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("golden, key, value, message", [
-        ("cls_full", "ridge", 0.0, "ridge must be > 0, got 0.0"),
-        ("cls_full", "ridge", -0.5, "ridge must be > 0, got -0.5"),
-        ("tanh_stoch", "ridge", -0.5, "ridge must be >= 0, got -0.5"),
-        ("cls_full", "n_components", 1, "n_components must be >= 2, got 1"),
-        ("quad_stoch", "heterogeneity", -0.5, "heterogeneity must be >= 0, got -0.5"),
-        ("tanh_stoch", "heterogeneity", -0.5, "heterogeneity must be >= 0, got -0.5")])
-    def test_out_of_range_suite_value_exits_2_naming_it(self, tmp_path, capsys, golden, key,
-                                                        value, message):
-        cfg = yaml.safe_load((GOLDEN / f"{golden}.yaml").read_text())
-        cfg["problem"][key] = value
-        out = tmp_path / "o"
-        assert main(["run", "--config", self._write(tmp_path, cfg), "--out", str(out)]) == 2
-        assert f"problem: {message}" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_labels_per_client_under_iid_exits_2_naming_it(self, tmp_path, capsys):
-        cfg = yaml.safe_load((GOLDEN / "cls_full.yaml").read_text())
-        cfg["problem"]["partition"] = "iid"  # labels_per_client: 2 stays
-        out = tmp_path / "o"
-        assert main(["run", "--config", self._write(tmp_path, cfg), "--out", str(out)]) == 2
-        assert "problem: labels_per_client" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_label_with_too_few_samples_exits_2_naming_the_plain_label(self, tmp_path, capsys):
         cfg = yaml.safe_load((GOLDEN / "cls_full.yaml").read_text())
         cfg.update({"M": 5, "S": 1, "d": 2, "seed": 0})
@@ -416,42 +343,12 @@ class TestRunCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("golden", ["quad_full", "tanh_stoch", "cls_full"])
-    def test_empty_shards_exit_2_naming_n_per_client(self, tmp_path, capsys, golden):
-        cfg = yaml.safe_load((GOLDEN / f"{golden}.yaml").read_text())
-        cfg["problem"]["n_per_client"] = 0
-        out = tmp_path / "o"
-        assert main(["run", "--config", self._write(tmp_path, cfg), "--out", str(out)]) == 2
-        assert "problem: n_per_client must be >= 1, got 0" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("golden, key, value", [("cls_full", "n_components", 0),
-                                                    ("tanh_stoch", "n_terms", 0),
-                                                    ("tanh_stoch", "n_terms", -1)])
-    def test_count_below_one_exits_2_naming_it(self, tmp_path, capsys, golden, key, value):
-        cfg = yaml.safe_load((GOLDEN / f"{golden}.yaml").read_text())
-        cfg["problem"][key] = value
-        out = tmp_path / "o"
-        assert main(["run", "--config", self._write(tmp_path, cfg), "--out", str(out)]) == 2
-        assert f"problem: {key} must be >= 1, got {value}" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_problem_seed_fixes_the_quadratic_instance(self):
         cfg = yaml.safe_load((GOLDEN / "quad_full.yaml").read_text())
         cfg["problem"]["seed"] = 5
         first, second = (build_problem(parse_config({**cfg, "seed": seed})) for seed in (1, 2))
         assert np.array_equal(first.centers, second.centers)
         assert np.array_equal(first.client_centers, second.client_centers)
-
-    def test_batch_larger_than_shard_exits_2_before_round_1(self, tmp_path, capsys):
-        cfg = yaml.safe_load((GOLDEN / "quad_stoch.yaml").read_text())
-        cfg["batch_size"] = 50  # shards hold 12 samples
-        out = tmp_path / "o"
-        assert main(["run", "--config", self._write(tmp_path, cfg), "--out", str(out)]) == 2
-        assert "batch_size" in capsys.readouterr().err
-        assert not (out / "rounds.csv").exists()
 
     @pytest.mark.parametrize("out", ["o", "new/o"])
     def test_run_refused_at_build_leaves_no_directory(self, tmp_path, out):
@@ -660,12 +557,24 @@ class TestSweepCommand:
 
 
 class TestVerifyCommand:
-    def test_quick_battery_passes_within_budget(self, capsys):
+    def test_quick_battery_passes_within_budget(self, capsys, monkeypatch, minnorm_oracle):
+        # the lattice pass is the session's one run of it; every other check runs here
+        oracle, oracle_s = minnorm_oracle
+        monkeypatch.setattr(verify, "check_minnorm_oracle", lambda solver: oracle)
         start = time.perf_counter()
         assert main(["verify", "--level", "quick"]) == 0
-        assert time.perf_counter() - start < 60.0
+        assert time.perf_counter() - start + oracle_s < 60.0
         out = capsys.readouterr().out
         assert out.count("PASS") >= 6 and "FAIL" not in out
+
+    def test_failing_check_exits_4_naming_its_seed(self, capsys, monkeypatch):
+        failing = CheckResult("minnorm-kkt", False, "S=3, d=2: vertex below ||u||^2 by 1.00e-03",
+                              seed=17)
+        monkeypatch.setattr(cli, "run_battery", lambda level: [failing])
+        assert main(["verify"]) == 4
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL  minnorm-kkt: S=3, d=2: vertex below ||u||^2 by 1.00e-03 [seed 17]",
+            "0/1 checks passed"]
 
     def test_corrupted_solver_tolerance_fails_named_check(self):
         def sloppy(G, tol=1e-10, max_iter=None, callback=None):
@@ -794,14 +703,27 @@ def _default_mode(doc):
     return {key: value for key, value in doc.items() if key != "mode"}
 
 
-def _cls_doc(**problem):
-    doc = yaml.safe_load((GOLDEN / "cls_full.yaml").read_text())
+def _golden_doc(name, **problem):
+    """The golden config ``name`` with ``problem`` merged into its problem section."""
+    doc = yaml.safe_load((GOLDEN / f"{name}.yaml").read_text())
     doc["problem"].update(problem)
     return doc
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command, document, message", [
+    ("run", quad_config(etaglobal=0.1), "etaglobal: unknown key"),
+    ("run", quad_config(snapshot_every=1), "snapshot_every: unknown key"),
     ("run", quad_config(init=3), "init: expected a list of numbers, got 3"),
+    ("run", quad_config(d=2, init=["abc", 0.0]), "init: expected a finite number, got 'abc'"),
+    ("run", {**_golden_doc("quad_full"), "init": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]},
+     "init: model point has dimension 7, expected 4"),
+    ("run", {**_golden_doc("quad_full"), "init": [[1.0, 0.0]] * 2},
+     "init: model point must be 1-D, got shape (2, 2)"),
+    ("run", {**_golden_doc("quad_full"), "indicator": [[1, 1, 1], [1, 1]]},
+     "indicator: expected rows of equal length, got [[1, 1, 1], [1, 1]]"),
+    ("run", {**_golden_doc("quad_full"), "indicator": [[True, 1, 1], [1, 1, 1]]},
+     "indicator: expected an integer, got True"),
     ("run", quad_config(indicator=3),
      "indicator: expected 'identity', 'all_ones' or a matrix, got 3"),
     ("run", quad_config(indicator=[[1, 1, 0], [0, 1, 1]]),
@@ -820,17 +742,44 @@ def _cls_doc(**problem):
      "sample_sharing: applies only to mode 'stochastic'"),
     ("run", _default_mode(quad_config(sample_sharing="per_objective")),
      "sample_sharing: applies only to mode 'stochastic'"),
-    ("run", _cls_doc(partition="dirichlet"),
+    ("run", {**_golden_doc("quad_stoch"), "batch_size": 50},  # shards hold 12 samples
+     "batch_size: 50 is larger than the smallest client shard (12 samples)"),
+    ("run", quad_config(problem={**quad_config()["problem"], "curvature": "steep"}),
+     "problem.curvature: expected a finite number, got 'steep'"),
+    ("run", quad_config(problem={**quad_config()["problem"], "curvature_spread": 2.0}),
+     "problem: curvature_spread must be in [0, 1), got 2.0"),
+    ("run", _golden_doc("cls_full", ridge=0.0), "problem: ridge must be > 0, got 0.0"),
+    ("run", _golden_doc("cls_full", ridge=-0.5), "problem: ridge must be > 0, got -0.5"),
+    ("run", _golden_doc("tanh_stoch", ridge=-0.5), "problem: ridge must be >= 0, got -0.5"),
+    ("run", _golden_doc("cls_full", n_components=1),
+     "problem: n_components must be >= 2, got 1"),
+    ("run", _golden_doc("quad_stoch", heterogeneity=-0.5),
+     "problem: heterogeneity must be >= 0, got -0.5"),
+    ("run", _golden_doc("tanh_stoch", heterogeneity=-0.5),
+     "problem: heterogeneity must be >= 0, got -0.5"),
+    ("run", _golden_doc("quad_full", n_per_client=0),
+     "problem: n_per_client must be >= 1, got 0"),
+    ("run", _golden_doc("tanh_stoch", n_per_client=0),
+     "problem: n_per_client must be >= 1, got 0"),
+    ("run", _golden_doc("cls_full", n_per_client=0),
+     "problem: n_per_client must be >= 1, got 0"),
+    ("run", _golden_doc("cls_full", n_components=0),
+     "problem: n_components must be >= 1, got 0"),
+    ("run", _golden_doc("tanh_stoch", n_terms=0), "problem: n_terms must be >= 1, got 0"),
+    ("run", _golden_doc("tanh_stoch", n_terms=-1), "problem: n_terms must be >= 1, got -1"),
+    ("run", _golden_doc("cls_full", partition="iid"),  # labels_per_client: 2 stays
+     "problem: labels_per_client applies to partition 'label_skew', not 'iid'"),
+    ("run", _golden_doc("cls_full", partition="dirichlet"),
      "problem: partition must be 'iid' or 'label_skew', got 'dirichlet'"),
-    ("run", _cls_doc(feature_scale=3.0), "problem.feature_scale: unknown key"),
-    ("run", _cls_doc(noise=1.0), "problem.noise: unknown key"),
+    ("run", _golden_doc("cls_full", feature_scale=3.0), "problem.feature_scale: unknown key"),
+    ("run", _golden_doc("cls_full", noise=1.0), "problem.noise: unknown key"),
     ("run", quad_config(seed=2**64 + 7),
      "seed: must be in [0, 2**64), got 18446744073709551623"),
     ("run", quad_config(seed=7 - 2**64),
      "seed: must be in [0, 2**64), got -18446744073709551609"),
-    ("run", _cls_doc(seed=2**64),
+    ("run", _golden_doc("cls_full", seed=2**64),
      "problem.seed: must be in [0, 2**64), got 18446744073709551616"),
-    ("run", _cls_doc(seed=-1), "problem.seed: must be in [0, 2**64), got -1"),
+    ("run", _golden_doc("cls_full", seed=-1), "problem.seed: must be in [0, 2**64), got -1"),
     ("sweep", [_sweep_doc()], "<root>: expected a mapping, got list"),
     ("sweep", _sweep_doc(axis=None), "axis: required key is missing"),
     ("sweep", _sweep_doc(base=3), "base: expected an inline config mapping or a path"),

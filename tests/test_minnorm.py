@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fedmoo.minnorm import closed_form_two, fw_gap, grid_oracle, solve_min_norm
+from fedmoo.verify import _kkt_instance, check_closed_form, check_minnorm_oracle
 
 
 class TestHandInstances:
@@ -54,16 +55,20 @@ class TestHandInstances:
         assert not sol.converged
         assert sol.termination == "max_iter"
 
+    def test_max_iter_only_once_the_budget_is_spent(self):
+        # at scale 1e3 the gap from G can exceed tol after the Gram gap met it; case 0
+        # (S=12, d=19, budget 3280) stops on gap_tol after 2 iterations
+        for case in range(300):
+            G = 1e3 * _kkt_instance(np.random.default_rng([7, case]))
+            sol = solve_min_norm(G)
+            assert sol.termination != "max_iter" or sol.iterations >= 10 * G.size + 1000
+            assert sol.converged == (sol.fw_gap <= 1e-10)
+
 
 class TestSolverProperties:
     def test_matches_grid_oracle_on_random_instances(self):
-        for case in range(40):
-            rng = np.random.default_rng([81, case])
-            G = rng.uniform(-1, 1, (3, 4))
-            sol = solve_min_norm(G)
-            _, oracle = grid_oracle(G, 1e-2, refine_to=1e-3)
-            assert sol.norm_sq <= oracle + 1e-6  # solver at least as good as lattice
-            assert oracle <= sol.norm_sq + 2.0 * 1e-2  # lattice within C*step
+        result = check_minnorm_oracle(n_instances=40, seed=81)
+        assert result.passed, result.line()
 
     def test_objective_sequence_non_increasing(self):
         rng = np.random.default_rng(17)
@@ -178,12 +183,8 @@ class TestClosedFormTwo:
         assert sol.norm_sq == 0.0
 
     def test_agrees_with_iterative_solver(self):
-        for case in range(100):
-            rng = np.random.default_rng([91, case])
-            g1, g2 = rng.standard_normal((2, 5))
-            direct = closed_form_two(g1, g2)
-            iterative = solve_min_norm(np.vstack([g1, g2]))
-            assert direct.norm_sq == pytest.approx(iterative.norm_sq, abs=1e-8)
+        result = check_closed_form(seed=91)
+        assert result.passed, result.line()
 
 
 class TestFwGap:
@@ -231,6 +232,12 @@ class TestGridOracle:
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError, match="step"):
             grid_oracle(np.ones((2, 2)), 0.7)
+
+    def test_lattice_within_two_steps_of_the_solver(self):
+        for case in range(40):
+            G = np.random.default_rng([81, case]).uniform(-1, 1, (3, 4))
+            _, oracle = grid_oracle(G, 1e-2, refine_to=1e-3)
+            assert oracle <= solve_min_norm(G).norm_sq + 2.0 * 1e-2
 
     def test_refinement_never_hurts(self):
         rng = np.random.default_rng(47)

@@ -22,17 +22,9 @@ from fedmoo.federation import run_experiment
 from fedmoo.minnorm import solve_min_norm
 from fedmoo.problems import (SUITES, PartitionPlan, partition, quadratic_suite,
                              synthetic_classification_suite, toy_nonconvex_suite)
+from fedmoo.verify import check_gradients, check_unbiasedness
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def fd_gradient(fn, x, h=1e-6):
-    g = np.zeros_like(x)
-    for j in range(len(x)):
-        e = np.zeros_like(x)
-        e[j] = h
-        g[j] = (fn(x + e) - fn(x - e)) / (2 * h)
-    return g
 
 
 @pytest.mark.parametrize("kind", sorted(SUITES))
@@ -351,14 +343,8 @@ class TestQuadraticSuite:
             assert np.allclose(mean, quad.centers[s], atol=1e-12)
 
     def test_gradients_match_finite_differences(self, quad):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            s = int(rng.integers(2))
-            i = int(rng.integers(3))
-            x = rng.standard_normal(2)
-            fd = fd_gradient(lambda z: quad.loss(s, i, z), x)
-            an = quad.grad(s, i, x)
-            assert np.linalg.norm(an - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))
+        result = check_gradients([quad], seed=5)
+        assert result.passed, result.line()
 
     def test_strong_convexity_inequality(self, quad):
         rng = np.random.default_rng(7)
@@ -380,12 +366,8 @@ class TestQuadraticSuite:
             assert np.linalg.norm(g) <= 1e-10
 
     def test_stochastic_unbiased(self, quad):
-        rng = np.random.default_rng(13)
-        x = rng.standard_normal(2)
-        draws = np.array([quad.stoch_grad(0, 0, x, rng.integers(0, 20, 4))
-                          for _ in range(10_000)])
-        se = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
-        assert (np.abs(draws.mean(axis=0) - quad.grad(0, 0, x)) <= 3 * se + 1e-12).all()
+        result = check_unbiasedness([quad], seed=13, n_samples=10_000)
+        assert result.passed, result.line()
 
 
 class TestNonconvexSuite:
@@ -422,23 +404,14 @@ class TestNonconvexSuite:
     def test_gradients_match_finite_differences(self):
         A = IndicatorMatrix(np.array([[1, 0], [1, 1]]))
         prob = toy_nonconvex_suite(4, A, n_terms=4, ridge=0.05, seed=14)
-        rng = np.random.default_rng(15)
-        for _ in range(50):
-            s = int(rng.integers(2))
-            i = int(prob.indicator.owner_sets[s][rng.integers(len(prob.indicator.owner_sets[s]))])
-            x = rng.standard_normal(4)
-            fd = fd_gradient(lambda z: prob.loss(s, i, z), x)
-            assert np.linalg.norm(prob.grad(s, i, x) - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))
+        result = check_gradients([prob], seed=15)
+        assert result.passed, result.line()
 
     def test_stochastic_unbiased(self):
         A = IndicatorMatrix.all_ones(1, 1)
         prob = toy_nonconvex_suite(3, A, n_terms=4, amp_noise=0.5, n_per_client=32, seed=44)
-        rng = np.random.default_rng(55)
-        x = rng.standard_normal(3)
-        draws = np.array([prob.stoch_grad(0, 0, x, rng.integers(0, 32, 4))
-                          for _ in range(10_000)])
-        se = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
-        assert (np.abs(draws.mean(axis=0) - prob.grad(0, 0, x)) <= 3 * se + 1e-12).all()
+        result = check_unbiasedness([prob], seed=55, n_samples=10_000)
+        assert result.passed, result.line()
 
 
 class TestClassificationSuite:
@@ -486,24 +459,13 @@ class TestClassificationSuite:
             assert len(labs) <= 2
 
     def test_minibatch_unbiased(self):
-        prob = self._suite(partition="iid", M=2)
-        rng = np.random.default_rng(78)
-        x = 0.1 * rng.standard_normal(12)
-        n = prob.shard_size(0)
-        draws = np.array([prob.stoch_grad(0, 0, x, rng.integers(0, n, 16))
-                          for _ in range(10_000)])
-        se = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
-        assert (np.abs(draws.mean(axis=0) - prob.grad(0, 0, x)) <= 3 * se + 1e-12).all()
+        result = check_unbiasedness([self._suite(partition="iid", M=2)], seed=78,
+                                    n_samples=10_000)
+        assert result.passed, result.line()
 
     def test_gradients_match_finite_differences(self):
-        prob = self._suite(task_overlap=0.25)
-        rng = np.random.default_rng(19)
-        for _ in range(50):
-            s = int(rng.integers(2))
-            i = int(rng.integers(5))
-            x = rng.standard_normal(12)
-            fd = fd_gradient(lambda z: prob.loss(s, i, z), x)
-            assert np.linalg.norm(prob.grad(s, i, x) - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))
+        result = check_gradients([self._suite(task_overlap=0.25)], seed=19)
+        assert result.passed, result.line()
 
     def test_task_views_touch_disjoint_blocks_without_overlap(self):
         prob = self._suite()
