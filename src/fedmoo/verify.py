@@ -155,8 +155,8 @@ def _sample_problems(seed):
     quad = quadratic_suite(4, A, centers=[[1.0, 0, 0, 0], [0, 1.0, 0, 0]], curvature=1.3,
                            heterogeneity=0.4, curvature_spread=0.3, n_per_client=16,
                            seed=seed)
-    tanh = toy_nonconvex_suite(4, A, n_terms=5, heterogeneity=0.3, n_per_client=24,
-                               seed=seed)
+    tanh = toy_nonconvex_suite(4, A, n_terms=5, ridge=0.1, heterogeneity=0.3,
+                               n_per_client=24, seed=seed)
     cls = synthetic_classification_suite(8, A, n_per_client=30, partition="label_skew",
                                          labels_per_client=4, n_components=6,
                                          task_overlap=0.25, seed=seed)

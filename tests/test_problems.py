@@ -155,6 +155,38 @@ class TestOperandTables:
         gaps = [np.any(np.diff(cols) != 1) for cols in prob.task_cols]
         assert not gaps[0] and all(gaps[1:])
 
+    @pytest.mark.parametrize("routing", [0, 1, 2, 3, 4, 5, "all_ones"])
+    def test_quadratic_losses_are_the_closed_form_mean(self, routing):
+        # routings 3-5 give an objective non-consecutive owners, whose rows the loss
+        # table gathers; every other owner set is consecutive, and its rows are views
+        A = (IndicatorMatrix.all_ones(3, 5) if routing == "all_ones"
+             else random_indicator(routing))
+        assert any(np.any(np.diff(owners) != 1) for owners in A.owner_sets) == (
+            routing in (3, 4, 5))
+        prob = ORACLES["quadratic"][0](A)
+        rng = np.random.default_rng(200)
+        for _ in range(4):
+            x = rng.standard_normal(prob.d)
+            want = []
+            for s, owners in enumerate(map(list, A.owner_sets)):
+                diff = x - prob.client_centers[s, owners]
+                sq = np.einsum("id,id->i", diff, diff) + prob._anchor_const[s, owners]
+                want.append(float((0.5 * prob.client_curv[s, owners] * sq).mean()))
+                assert np.float64(prob.global_loss(s, x)).tobytes() == np.float64(
+                    want[-1]).tobytes()
+            assert prob.losses(x).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("suite", sorted(ORACLES))
+    def test_numeric_operands_are_read_only_float64_arrays(self, suite):
+        # NumPy 2 converts a Python float operand on every ufunc call, and a 0-d array it
+        # does not: a float back in a table costs each call ~0.4 us and changes no value
+        prob = ORACLES[suite][0](random_indicator(0))
+        operands = [problems._ONE]
+        for name in OPERAND_TABLES[suite.split("-")[0]]:
+            operands += leaves(getattr(prob, name))
+        for a in operands:
+            assert type(a) is np.ndarray and a.dtype == np.float64 and not a.flags.writeable
+
     @pytest.mark.parametrize("suite", sorted(ORACLES))
     def test_public_arrays_are_fixed_after_construction(self, suite):
         prob = ORACLES[suite][0](random_indicator(0))
@@ -175,6 +207,22 @@ PUBLIC_ARRAYS = {
     "tanh": ("term_weights", "client_amps", "client_offsets", "amp_eps"),
     "logistic": ("raw", "components", "task_signs", "task_cols", "rotations", "f_min"),
 }
+
+
+# suite name -> the attributes holding the numeric operands its gradients and losses
+# pass to ufuncs
+OPERAND_TABLES = {
+    "quadratic": ("_operands", "_loss_table"),
+    "tanh": ("_operands", "_ridge"),
+    "logistic": ("_operands", "_ridge"),
+}
+
+
+def leaves(value) -> list:
+    """The non-sequence entries of nested lists and tuples, or ``[value]``."""
+    if isinstance(value, (list, tuple)):
+        return [leaf for v in value for leaf in leaves(v)]
+    return [value]
 
 
 @pytest.fixture
