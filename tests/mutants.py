@@ -1,27 +1,26 @@
 """Mutation catalogue: one-line faults in delicate code, each with the test that must catch it.
 
-    python tests/mutants.py                      # every mutant
-    python tests/mutants.py delta-q-abs          # the named mutants only
-    python tests/mutants.py --timeout 60
+    python tests/mutants.py
 
-Each mutant replaces one exact text of one file in a fresh copy of the checkout's
-``src``, ``tests`` and ``pyproject.toml`` under a temporary directory, and runs
-only its named test there, in a subprocess under a timeout.  It prints one line
-per mutant:
+For each mutant, a fresh copy of the checkout's ``src``, ``tests`` and
+``pyproject.toml`` goes under a temporary directory.  Its named test runs there
+once as it is, and must pass; then the mutant replaces one exact text of one
+file and the test runs again.  Each run is a subprocess under ``TIMEOUT``
+seconds.  It prints one line per mutant:
 
 - ``killed``: the test failed, so it catches the fault;
 - ``survived``: the test passed, so the fault goes unseen;
-- ``timeout``: the test ran past the limit.  Tier-1 ends such a test through
-  ``faulthandler_timeout`` in ``pyproject.toml``, with a traceback.
+- ``timeout``: the test ran past the limit, which shows nothing about its
+  assertions.
 
-Exits 1 when a mutant survived.  Standard library only, and not part of tier-1
-(pytest collects ``test_*.py`` files only); ``tests/test_mutants.py`` checks
-that every mutant's old text still occurs exactly once in its file.
+Exits 1 when a mutant survived or timed out.  Standard library only, and not
+part of tier-1 (pytest collects ``test_*.py`` files only); ``tests/test_mutants.py``
+checks that every mutant's old text still occurs exactly once in its file and
+that its named test exists.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -32,6 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 120.0  # seconds per test run
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,9 @@ MUTANTS = [
            "first = int(np.argmin(np.diag(Q)))", "first = 0",
            "tests/test_golden.py"),
     Mutant("no-stall-exit", "src/fedmoo/minnorm.py",
-           "if j in support:", "if False:",  # loops until max_iter on each instance
+           "if j in support:", "if False:",  # re-adds the vertex until max_iter
            "tests/test_minnorm.py::TestHandInstances"
-           "::test_max_iter_only_once_the_budget_is_spent"),
+           "::test_a_supported_vertex_entering_again_stalls_the_solve"),
     # streams and batches: Monte Carlo and the spawn-key oracles
     Mutant("batch-range-short", "src/fedmoo/federation.py",
            ".integers(0, n_shard, batch)", ".integers(0, n_shard - 1, batch)",
@@ -107,8 +107,25 @@ MUTANTS = [
 ]
 
 
-def run(mutant: Mutant, timeout: float) -> tuple[str, float]:
-    """Apply ``mutant`` to a fresh copy of the checkout and run its test there."""
+def _pytest(work: Path, test: str) -> tuple[str, float]:
+    """Run one pytest node id in ``work``: ``passed``, ``failed`` or ``timeout``."""
+    env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test]
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return "timeout", time.perf_counter() - start
+    elapsed = time.perf_counter() - start
+    if proc.returncode in (0, 1):  # 1: tests ran and some failed
+        return ("passed", "failed")[proc.returncode], elapsed
+    tail = proc.stdout.decode(errors="replace").strip().splitlines()[-1:]
+    raise SystemExit(f"{test}: pytest exited {proc.returncode} "
+                     f"(not a test failure): {' '.join(tail)}")
+
+
+def run(mutant: Mutant) -> tuple[str, float]:
+    """Check ``mutant``'s test on a fresh copy of the checkout, then mutate and rerun it."""
     with tempfile.TemporaryDirectory(prefix="fedmoo-mutant-") as tmp:
         work = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
@@ -120,43 +137,21 @@ def run(mutant: Mutant, timeout: float) -> tuple[str, float]:
         if text.count(mutant.old) != 1:
             raise SystemExit(f"{mutant.name}: old text occurs {text.count(mutant.old)} "
                              f"times in {mutant.path}")
+        status, _ = _pytest(work, mutant.test)
+        if status != "passed":  # a kill must come from the mutant, not from the copy
+            raise SystemExit(f"{mutant.name}: {mutant.test} {status} before mutation")
         target.write_text(text.replace(mutant.old, mutant.new))
-        env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-               mutant.test]
-        start = time.perf_counter()
-        try:
-            proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True,
-                                  timeout=timeout)
-        except subprocess.TimeoutExpired:
-            return "timeout", time.perf_counter() - start
-        elapsed = time.perf_counter() - start
-        if proc.returncode == 0:
-            return "survived", elapsed
-        if proc.returncode == 1:  # tests ran and some failed
-            return "killed", elapsed
-        tail = proc.stdout.decode(errors="replace").strip().splitlines()[-1:]
-        raise SystemExit(f"{mutant.name}: pytest exited {proc.returncode} "
-                         f"(not a test failure): {' '.join(tail)}")
+        status, elapsed = _pytest(work, mutant.test)
+        return {"passed": "survived", "failed": "killed"}.get(status, status), elapsed
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--timeout", type=float, default=120.0,
-                        help="seconds per mutant's test run (default 120)")
-    args = parser.parse_args(argv)
-    known = {m.name: m for m in MUTANTS}
-    unknown = [name for name in args.names if name not in known]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [known[name] for name in args.names] or MUTANTS
-    survived = 0
-    for mutant in chosen:
-        status, elapsed = run(mutant, args.timeout)
-        survived += status == "survived"
+def main() -> int:
+    unseen = 0
+    for mutant in MUTANTS:
+        status, elapsed = run(mutant)
+        unseen += status != "killed"
         print(f"{status:8s} {elapsed:6.1f} s  {mutant.name}  ({mutant.test})", flush=True)
-    return 1 if survived else 0
+    return 1 if unseen else 0
 
 
 if __name__ == "__main__":

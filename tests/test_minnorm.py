@@ -64,6 +64,18 @@ class TestHandInstances:
             assert sol.termination != "max_iter" or sol.iterations >= 10 * G.size + 1000
             assert sol.converged == (sol.fw_gap <= 1e-10)
 
+    def test_a_supported_vertex_entering_again_stalls_the_solve(self):
+        # at scale 1e6 the Gram gap's roundoff near the optimum exceeds tol and names a
+        # vertex already supported; re-adding it would loop until max_iter
+        stalled = 0
+        for seed in range(23):
+            rng = np.random.default_rng(seed)
+            G = 1e6 * rng.standard_normal((int(rng.integers(2, 6)), int(rng.integers(2, 6))))
+            sol = solve_min_norm(G, max_iter=50)
+            assert sol.termination != "max_iter" and sol.iterations <= 2 * G.shape[0]
+            stalled += sol.termination == "stalled"
+        assert stalled >= 10
+
 
 class TestSolverProperties:
     def test_matches_grid_oracle_on_random_instances(self):

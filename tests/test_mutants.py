@@ -1,9 +1,12 @@
 """The mutation catalogue in ``mutants.py`` stays applicable to the code it mutates.
 
 Running the mutants takes minutes and lives outside tier-1; this only checks
-that each one still names text that occurs exactly once and a test file that
-exists, so that a refactor cannot silently leave a mutant pointing at nothing.
+that each one still names text that occurs exactly once and a test that exists
+(its file, and each class or function of its node id), so that a refactor cannot
+silently leave a mutant pointing at nothing.
 """
+
+import re
 
 import pytest
 
@@ -14,7 +17,11 @@ from mutants import MUTANTS, ROOT
 def test_mutant_old_text_occurs_exactly_once(mutant):
     assert (ROOT / mutant.path).read_text().count(mutant.old) == 1
     assert mutant.new != mutant.old
-    assert (ROOT / mutant.test.split("::")[0]).is_file()
+    path, *names = mutant.test.split("::")
+    text = (ROOT / path).read_text()
+    for name in names:
+        name = name.split("[")[0]  # drop a parametrize id
+        assert re.search(rf"^\s*(def|class) {name}\b", text, re.M), name
 
 
 def test_mutant_names_are_distinct():
