@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
+# the clamp's 0 as an array: NumPy 2 converts a Python float operand on every call
+_ZERO = np.zeros(())
+_ZERO.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,7 @@ def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     if not np.isfinite(Q).all():  # overflowed inner products cannot rank the vertices
         return MinNormSolution(np.full(n, np.nan), np.full(g.shape[1], np.nan), np.inf,
                                np.inf, 0, False, "overflow")
-    first = int(np.argmin(np.diag(Q)))
+    first = int(Q.diagonal().argmin())
     lam = np.zeros(n)
     lam[first] = 1.0
     support = [first]
@@ -164,7 +167,7 @@ def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         norm_sq = float(lam @ scores)
         if callback is not None:
             callback(iterations, lam.copy(), norm_sq)
-        j = int(np.argmin(scores))
+        j = int(scores.argmin())
         if 2.0 * (norm_sq - float(scores[j])) <= tol:
             termination = "gap_tol"
             break
@@ -199,7 +202,7 @@ def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         if (alpha > 0.0).all():
             lam[support] = alpha
 
-    lam = np.maximum(lam, 0.0)
+    lam = np.maximum(lam, _ZERO)
     lam /= lam.sum()
     u, norm_sq, final_gap, _ = _duality_gap(g, lam)
     final_gap = max(final_gap, 0.0)  # lam is feasible

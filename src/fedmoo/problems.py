@@ -14,6 +14,7 @@ number of distinct labels).
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 
@@ -58,6 +59,12 @@ def _scalar(value) -> np.ndarray:
 
 
 _ONE = _scalar(1.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _count(n: int) -> np.ndarray:
+    """The sample count ``n`` as a read-only 0-d float64, for dividing by it."""
+    return _scalar(n)
 
 
 def _check_at_least(bound, **values):
@@ -144,7 +151,7 @@ class Problem:
         return np.array([self.global_loss(s, x) for s in range(self.S)])
 
     def gradient_matrix(self, x: np.ndarray) -> np.ndarray:
-        return np.vstack([self.global_grad(s, x) for s in range(self.S)])
+        return np.array([self.global_grad(s, x) for s in range(self.S)])
 
     # optional closed forms ----------------------------------------------
     def pareto_point(self, weights: np.ndarray) -> np.ndarray:
@@ -369,16 +376,26 @@ class TanhRidgeProblem(Problem):
 
     def loss(self, s, i, x):
         W, _, amp, offset, _ = self._operands[s][i]
-        val = float(amp @ np.tanh(W @ x + offset))
+        t = W @ x
+        t += offset
+        val = float(amp @ np.tanh(t, t))
         return val + 0.5 * self.ridge * float(x @ x)
 
     def stoch_grad(self, s, i, x, indices, out=None):
         W, WT, amp, offset, eps = self._operands[s][i]
-        if indices is not None:
-            amp = amp * (_ONE + np.add.reduce(eps.take(indices, axis=0)) / len(indices))
-        th = np.tanh(W @ x + offset)
+        if indices is not None:  # amp * (1 + mean of the sampled eps rows)
+            scale = np.add.reduce(eps.take(indices, axis=0))
+            scale /= _count(len(indices))
+            scale += _ONE
+            scale *= amp
+            amp = scale
+        th = W @ x
+        th += offset
+        np.tanh(th, th)
         th *= th
-        out = np.matmul(WT, amp * (_ONE - th), out)
+        np.subtract(_ONE, th, th)
+        th *= amp
+        out = np.matmul(WT, th, out)
         return np.add(out, self._ridge * x, out)
 
     def shard_size(self, i):
@@ -480,12 +497,19 @@ class LogisticTasksProblem(Problem):
             Z, y, neg_y = Z.take(indices, axis=0), y.take(indices), neg_y.take(indices)
         cols = self._cols[s]
         xv = x[cols]
-        coef = neg_y / (_ONE + np.exp(y * (Z @ xv)))
+        coef = Z @ xv  # -y / (1 + exp(y Z x)), in place
+        coef *= y
+        np.exp(coef, coef)
+        coef += _ONE
+        np.divide(neg_y, coef, coef)
+        g = Z.T @ coef
+        g /= _count(len(y))
+        g += self._ridge * xv
         if out is None:
             out = np.zeros(self.d)
         else:
             out.fill(0.0)
-        out[cols] = Z.T @ coef / len(y) + self._ridge * xv
+        out[cols] = g
         return out
 
     def shard_size(self, i):

@@ -49,7 +49,7 @@ MUTANTS = [
            "            rows = g\n", "            rows = None\n",
            "tests/test_minnorm.py::TestSolverProperties::test_nearly_collinear_vertices_converge"),
     Mutant("start-at-vertex-0", "src/fedmoo/minnorm.py",
-           "first = int(np.argmin(np.diag(Q)))", "first = 0",
+           "first = int(Q.diagonal().argmin())", "first = 0",
            "tests/test_golden.py"),
     Mutant("no-stall-exit", "src/fedmoo/minnorm.py",
            "if j in support:", "if False:",  # re-adds the vertex until max_iter
