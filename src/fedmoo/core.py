@@ -20,6 +20,7 @@ __all__ = [
     "IndicatorMatrix",
     "derive_owner_sets",
     "client_stream",
+    "STREAM_VERSION",
     "as_model_point",
     "as_direction_set",
     "validate_simplex",
@@ -36,7 +37,13 @@ SIMPLEX_ATOL = 1e-12
 # consumers of the experiment seed on disjoint key prefixes.
 _DOMAIN_CLIENT = 0
 _DOMAIN_OUTPUT = 1
-_WORD = 2**32 - 1
+_U64 = 2**64
+# Client-stream keys kept, a few runs' worth of (seed, client[, objective])
+_KEYS_CACHED = 4096
+
+# The client-stream layout above; summary.json records it.  Version 1 put
+# (round, step) in the key and derived a fresh key per stream.
+STREAM_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -116,81 +123,59 @@ def client_stream(seed: int, client: int, round_index: int, step: int,
                   objective: int | None = None) -> np.random.Generator:
     """Independent counter-based random stream for one (client, round, step).
 
-    Streams are Philox generators keyed by the experiment seed and the index
-    triple, so identical inputs yield identical draws regardless of the order
-    or parallelism in which clients execute.  ``objective`` extends the key
-    for per-objective sampling; leaving it ``None`` gives the per-client
-    stream shared by all of that client's objectives.
+    Streams are Philox generators (stream format :data:`STREAM_VERSION`), so
+    identical inputs yield identical draws regardless of the order or
+    parallelism in which clients execute.  The Philox key is a function of
+    the experiment seed and the client alone, ``objective`` included for
+    per-objective sampling (``None`` gives the per-client stream shared by
+    all of that client's objectives): the two uint64 words
+    ``SeedSequence(entropy=seed mod 2**64, spawn_key=(0, client[, 1 +
+    objective])).generate_state(2, np.uint64)``.  The round and step go in
+    the counter, ``[0, step, round_index, 0]`` with the low word first.
+    Each index must lie in ``[0, 2**64)``, since a counter word holds no more.
     """
-    for name, v in (("client", client), ("round", round_index), ("step", step)):
-        if v < 0:
-            raise ValueError(f"{name} index must be nonnegative, got {v}")
-    key = [_DOMAIN_CLIENT, client, round_index, step]
-    if objective is not None:
-        if objective < 0:
-            raise ValueError(f"objective index must be nonnegative, got {objective}")
-        key.append(1 + objective)
-    return _keyed_stream(seed, key)
+    for name, v in (("client", client), ("round", round_index), ("step", step),
+                    ("objective", 0 if objective is None else objective)):
+        if not 0 <= operator.index(v) < _U64:
+            raise ValueError(f"{name} index must lie in [0, 2**64), got {v}")
+    spawn_key = ((_DOMAIN_CLIENT, client) if objective is None
+                 else (_DOMAIN_CLIENT, client, 1 + objective))
+    counter = np.array((0, step, round_index, 0), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_philox_key(int(seed) & _U64 - 1, spawn_key),
+                                                counter=counter))
 
 
 def output_stream(seed: int) -> np.random.Generator:
-    """Stream reserved for the weighted-output round sampler."""
-    return _keyed_stream(seed, (_DOMAIN_OUTPUT,))
+    """Stream reserved for the weighted-output round sampler: Philox keyed by
+    ``SeedSequence(entropy=seed mod 2**64, spawn_key=(1,))``, at counter 0."""
+    ss = np.random.SeedSequence(entropy=int(seed) & _U64 - 1, spawn_key=(_DOMAIN_OUTPUT,))
+    return np.random.Generator(np.random.Philox(ss))
 
 
-def _keyed_stream(seed: int, key) -> np.random.Generator:
-    """Philox seeded by the words of ``seed`` mod 2**64, zero-padded to four,
-    then the little-endian 32-bit words of each nonnegative key entry.
-
-    That is the entropy ``SeedSequence(entropy=seed, spawn_key=key)`` assembles,
-    so the draws are the same; handing it over as one uint32 array skips
-    numpy's per-entry coercion of the spawn key.  Only the sequence's mixed
-    ``pool`` is read: its output hash is applied here, and the resulting
-    Philox key is handed over through :func:`_philox_key_type`, with the
-    zero counter Philox would otherwise build from the int 0.
-    """
-    s = int(seed) & (2**64 - 1)
-    words = [s & _WORD, s >> 32, 0, 0]
-    for v in key:
-        v = operator.index(v)
-        words.append(v & _WORD)
-        v >>= 32
-        while v:
-            words.append(v & _WORD)
-            v >>= 32
-    pool = np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool.tolist()
-    return np.random.Generator(np.random.Philox(_philox_key_type()(pool), counter=_ZERO_COUNTER))
-
-
-# Philox's default counter as an array; Philox copies it
-_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
-_ZERO_COUNTER.setflags(write=False)
-
-
-# SeedSequence.generate_state's output hash of pool word j: xor with _HASH[j],
-# multiply by _HASH[j + 1] mod 2**32, then xor with its own high half shifted down
-_HASH = [0x8B51F9DD]
-for _ in range(4):
-    _HASH.append(_HASH[-1] * 0x58F38DED & _WORD)
-_HASH = tuple(zip(_HASH, _HASH[1:]))
+@functools.lru_cache(maxsize=_KEYS_CACHED)
+def _philox_key(seed: int, spawn_key: tuple) -> np.random.bit_generator.ISeedSequence:
+    """The Philox key of one client stream family, derived once per (seed,
+    spawn key) and kept in a bounded cache; a run holds one entry per client,
+    or per (client, objective).  lru_cache is thread-safe, and a race at worst
+    derives the same key twice."""
+    words = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key).generate_state(
+        2, np.uint64)
+    words.setflags(write=False)
+    return _philox_key_type()(words)
 
 
 @functools.cache
 def _philox_key_type() -> type:
-    """The ``ISeedSequence`` built from a 4-word ``pool`` that hands Philox the two
-    uint64 words ``SeedSequence.generate_state(2, np.uint64)`` returns for it, the
-    only state Philox asks for.  Made on first use, so that importing fedmoo does
-    not import ``numpy.random``."""
+    """The immutable ``ISeedSequence`` that hands Philox a stored two-word key, the
+    only state Philox asks for.  ``Philox(key=...)`` would instead seed, and then
+    discard, a ``SeedSequence`` from OS entropy on every call.  Made on first use,
+    so that importing fedmoo does not import ``numpy.random``."""
 
     class PhiloxKey(np.random.bit_generator.ISeedSequence):
         __slots__ = ("_key",)
 
-        def __init__(self, pool):
-            w = []
-            for v, (xor, mult) in zip(pool, _HASH):
-                v = (v ^ xor) * mult & _WORD
-                w.append(v ^ v >> 16)
-            self._key = np.array([w[0] | w[1] << 32, w[2] | w[3] << 32], dtype=np.uint64)
+        def __init__(self, key):
+            self._key = key
 
         def generate_state(self, n_words, dtype=np.uint32):
             if n_words != 2 or np.dtype(dtype) != np.uint64:

@@ -111,10 +111,10 @@ def client_update_stochastic(x_t, client, owned, K, eta_local, batch, problem, s
     Each owned objective keeps its own local iterate, initialized at ``x_t``.
     Its accumulated update is the plain sum of the K gradients used (not
     scaled by the local step size), so K=1 returns exactly the gradient at
-    ``x_t`` and eta_local=0 returns K times that.  Batch indices are
-    drawn (uniformly with replacement) from counter-based streams keyed by
-    (client, round, step), so re-running with the same seed reproduces the
-    exact sample sequence.  Under ``per_client`` sharing the step-k batch is
+    ``x_t`` and eta_local=0 returns K times that.  Batch indices are drawn
+    (uniformly with replacement) from the counter-based stream of (client,
+    round, step) (:func:`~fedmoo.core.client_stream`), so re-running with the
+    same seed reproduces the exact sample sequence.  Under ``per_client`` sharing the step-k batch is
     drawn once and reused by every objective this client owns;
     ``per_objective`` extends the stream key by the objective index and draws
     independently.  ``batch=None`` or a batch covering the shard uses the

@@ -18,6 +18,7 @@ import json
 import numpy as np
 
 from . import __version__
+from .core import STREAM_VERSION
 from .federation import TrajectoryLog
 from .metrics import fit_rate, rounds_to_threshold, running_min
 
@@ -176,6 +177,10 @@ def summarize_columns(cols: dict, f_min=None) -> dict:
 def build_summary(traj: TrajectoryLog, raw_config: dict, problem) -> dict:
     """Run summary; ``final`` is None when the run diverged before completing a round.
 
+    ``format_version`` versions the file layout and ``stream_version`` the
+    random streams (:data:`fedmoo.core.STREAM_VERSION`) that drew the run's
+    minibatches, so a summary says which draws it reproduces.
+
     ``final`` is the last row of :func:`round_columns` over ``_FINAL_KEYS``,
     plus the final point, each non-finite float as null.  ``raw_config``, the
     mapping the config parser accepted, holds only YAML values and is echoed
@@ -186,6 +191,7 @@ def build_summary(traj: TrajectoryLog, raw_config: dict, problem) -> dict:
     summary = {
         "version": __version__,
         "format_version": FORMAT_VERSION,
+        "stream_version": STREAM_VERSION,
         "config": raw_config,
         "termination": traj.termination,
         "final": None,

@@ -55,7 +55,7 @@ MUTANTS = [
            "if j in support:", "if False:",  # re-adds the vertex until max_iter
            "tests/test_minnorm.py::TestHandInstances"
            "::test_a_supported_vertex_entering_again_stalls_the_solve"),
-    # streams and batches: Monte Carlo and the spawn-key oracles
+    # streams and batches: Monte Carlo and the stream-definition oracles
     Mutant("batch-range-short", "src/fedmoo/federation.py",
            ".integers(0, n_shard, batch)", ".integers(0, n_shard - 1, batch)",
            "tests/test_federation.py::TestClientUpdateStochastic"
@@ -63,6 +63,18 @@ MUTANTS = [
     Mutant("output-domain-is-client", "src/fedmoo/core.py",
            "_DOMAIN_OUTPUT = 1", "_DOMAIN_OUTPUT = 0",
            "tests/test_core.py::TestClientStream"),
+    Mutant("counter-round-step-swapped", "src/fedmoo/core.py",
+           "np.array((0, step, round_index, 0), dtype=np.uint64)",
+           "np.array((0, round_index, step, 0), dtype=np.uint64)",
+           "tests/test_federation.py::TestDrawBatches::test_batches_are_the_v2_streams_draws"),
+    Mutant("key-ignores-objective", "src/fedmoo/core.py",
+           "else (_DOMAIN_CLIENT, client, 1 + objective))", "else (_DOMAIN_CLIENT, client))",
+           "tests/test_core.py::TestClientStream::test_objective_extends_key"),
+    Mutant("key-cache-without-seed", "src/fedmoo/core.py",
+           "@functools.lru_cache(maxsize=_KEYS_CACHED)\n",
+           # the first seed's key for a (client[, objective]) serves every later seed
+           "@lambda f: lambda seed, key, _keys={}: _keys.setdefault(key, f(seed, key))\n",
+           "tests/test_core.py::TestClientStream::test_state_is_the_v2_key_and_counter"),
     Mutant("covering-batch-not-exact", "src/fedmoo/federation.py",
            "if batch is None or batch == n_shard:", "if batch is None:",
            "tests/test_local_steps.py::test_run_matches_reference_bit_for_bit"),

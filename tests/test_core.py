@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import pkgutil
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fedmoo
+from fedmoo import core
 from fedmoo.core import (ConfigError, ExperimentConfig, IndicatorMatrix, RoundRecord,
                          client_stream, derive_owner_sets, output_stream, validate_simplex)
 
@@ -25,9 +27,18 @@ def philox_state(bit_generator):
 
 
 def spawn_key_state(seed, key):
-    """The stream's documented definition: SeedSequence with a spawn key."""
+    """The output stream's documented definition: SeedSequence with a spawn key."""
     ss = np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=key)
     return philox_state(np.random.Philox(ss))
+
+
+def v2_state(seed, client, round_index, step, objective):
+    """Stream format v2 by its documented definition: Philox keyed by the spawn-key
+    SeedSequence of (0, client[, 1 + objective]), counter [0, step, round, 0]."""
+    key = (0, client) + (() if objective is None else (1 + objective,))
+    words = np.random.SeedSequence(entropy=seed & (2**64 - 1),
+                                   spawn_key=key).generate_state(2, np.uint64)
+    return philox_state(np.random.Philox(key=words, counter=[0, step, round_index, 0]))
 
 
 class TestOwnerSets:
@@ -100,6 +111,15 @@ class TestClientStream:
         with pytest.raises(ValueError):
             client_stream(1, -1, 0, 0)
 
+    @pytest.mark.parametrize("name", ["client", "round", "step", "objective"])
+    def test_index_past_a_counter_word_rejected_naming_it(self, name):
+        args = {"client": 1, "round": 2, "step": 3, "objective": 4}
+        client_stream(7, *(2**64 - 1 if k == name else v for k, v in args.items()))
+        args[name] = 2**64
+        with pytest.raises(ValueError, match=f"{name} index must lie in \\[0, 2\\*\\*64\\), "
+                                             f"got {2**64}"):
+            client_stream(7, *args.values())
+
     @settings(max_examples=300, deadline=None)
     @given(seed=SEEDS, client=INDICES, round_index=INDICES, step=INDICES,
            objective=st.none() | INDICES)
@@ -112,11 +132,34 @@ class TestClientStream:
     @example(seed=-1, client=1, round_index=2, step=3, objective=0)
     @example(seed=5, client=0, round_index=2**32, step=0, objective=None)
     @example(seed=5, client=0, round_index=0, step=0, objective=2**32 - 2)
-    def test_key_words_match_the_spawn_key_seed_sequence(self, seed, client, round_index,
-                                                         step, objective):
-        key = (0, client, round_index, step) + (() if objective is None else (1 + objective,))
+    # a second seed for a (client, objective) already in the key cache
+    @example(seed=6, client=0, round_index=0, step=0, objective=2**32 - 2)
+    def test_state_is_the_v2_key_and_counter(self, seed, client, round_index, step,
+                                             objective):
         stream = client_stream(seed, client, round_index, step, objective=objective)
-        assert philox_state(stream.bit_generator) == spawn_key_state(seed, key)
+        assert philox_state(stream.bit_generator) == \
+            v2_state(seed, client, round_index, step, objective)
+
+    def test_draws_agree_on_a_cold_cache_a_warm_cache_and_two_threads(self):
+        # 3 and 3 + 2**64 are one seed mod 2**64, so they share a cached key
+        calls = [(seed, client, t, k, objective) for seed in (3, 3 + 2**64, 4)
+                 for client in (0, 5) for t in (0, 9) for k in (0, 2)
+                 for objective in (None, 1)]
+
+        def draws(_=None):
+            return [client_stream(*call[:4], objective=call[4]).integers(0, 2**62, 4).tolist()
+                    for call in calls]
+
+        core._philox_key.cache_clear()
+        cold = draws()
+        assert core._philox_key.cache_info().currsize == 2 * 2 * 2
+        warm = draws()
+        core._philox_key.cache_clear()
+        with ThreadPoolExecutor(2) as pool:
+            threaded = list(pool.map(draws, range(2)))
+        assert cold == warm == threaded[0] == threaded[1]
+        third = len(calls) // 3
+        assert cold[:third] == cold[third:2 * third] != cold[2 * third:]
 
     def test_client_stream_cannot_spawn(self):
         with pytest.raises(TypeError, match="spawning"):

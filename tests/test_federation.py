@@ -125,13 +125,16 @@ class TestClientUpdateStochastic:
                                      sample_sharing=sharing)
 
 
-def spawn_key_batches(seed, client, owned, K, batch, n, round_index, sharing):
-    """Per owned objective, its K batches drawn from the documented stream definition:
-    Philox keyed by ``SeedSequence(entropy=seed, spawn_key=key)``."""
+def v2_batches(seed, client, owned, K, batch, n, round_index, sharing):
+    """Per owned objective, its K batches drawn from the documented stream definition
+    (format v2): Philox keyed by ``SeedSequence(entropy=seed, spawn_key=(0, client[,
+    1 + objective]))``, at counter ``[0, step, round, 0]``."""
     def draw(k, objective):
-        key = (0, client, round_index, k) + (() if objective is None else (1 + objective,))
-        ss = np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=key)
-        return np.random.Generator(np.random.Philox(ss)).integers(0, n, batch)
+        key = (0, client) + (() if objective is None else (1 + objective,))
+        words = np.random.SeedSequence(entropy=seed & (2**64 - 1),
+                                       spawn_key=key).generate_state(2, np.uint64)
+        philox = np.random.Philox(key=words, counter=[0, k, round_index, 0])
+        return np.random.Generator(philox).integers(0, n, batch)
 
     return [[draw(k, None if sharing == "per_client" else s) for k in range(K)]
             for s in owned]
@@ -143,11 +146,11 @@ class TestDrawBatches:
            round_index=st.integers(0, 2**33), K=st.integers(1, 4),
            owned=st.lists(st.integers(0, 2**33), min_size=1, max_size=3, unique=True),
            batch=st.integers(1, 11), sharing=st.sampled_from(["per_client", "per_objective"]))
-    def test_batches_are_the_spawn_key_streams_draws(self, seed, client, round_index, K,
-                                                     owned, batch, sharing):
+    def test_batches_are_the_v2_streams_draws(self, seed, client, round_index, K, owned,
+                                              batch, sharing):
         _, prob = symmetric_quadratic(n_per_client=12)
         got = _draw_batches(client, owned, K, batch, prob, seed, round_index, sharing)
-        want = spawn_key_batches(seed, client, owned, K, batch, 12, round_index, sharing)
+        want = v2_batches(seed, client, owned, K, batch, 12, round_index, sharing)
         assert [[b.tolist() for b in row] for row in got] == \
             [[b.tolist() for b in row] for row in want]
 
