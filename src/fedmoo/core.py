@@ -41,8 +41,8 @@ _U64 = 2**64
 # Client-stream keys kept, a few runs' worth of (seed, client[, objective])
 _KEYS_CACHED = 4096
 
-# The client-stream layout above; summary.json records it.  Version 1 put
-# (round, step) in the key and derived a fresh key per stream.
+# The layout of client_stream's key and counter; summary.json records it, so
+# a summary says which draws it reproduces (README, "Determinism")
 STREAM_VERSION = 2
 
 
@@ -140,15 +140,15 @@ def client_stream(seed: int, client: int, round_index: int, step: int,
             raise ValueError(f"{name} index must lie in [0, 2**64), got {v}")
     spawn_key = ((_DOMAIN_CLIENT, client) if objective is None
                  else (_DOMAIN_CLIENT, client, 1 + objective))
+    key = _philox_key(int(seed) & (_U64 - 1), spawn_key)
     counter = np.array((0, step, round_index, 0), dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_philox_key(int(seed) & _U64 - 1, spawn_key),
-                                                counter=counter))
+    return np.random.Generator(np.random.Philox(key, counter=counter))
 
 
 def output_stream(seed: int) -> np.random.Generator:
     """Stream reserved for the weighted-output round sampler: Philox keyed by
     ``SeedSequence(entropy=seed mod 2**64, spawn_key=(1,))``, at counter 0."""
-    ss = np.random.SeedSequence(entropy=int(seed) & _U64 - 1, spawn_key=(_DOMAIN_OUTPUT,))
+    ss = np.random.SeedSequence(entropy=int(seed) & (_U64 - 1), spawn_key=(_DOMAIN_OUTPUT,))
     return np.random.Generator(np.random.Philox(ss))
 
 

@@ -114,10 +114,10 @@ def client_update_stochastic(x_t, client, owned, K, eta_local, batch, problem, s
     ``x_t`` and eta_local=0 returns K times that.  Batch indices are drawn
     (uniformly with replacement) from the counter-based stream of (client,
     round, step) (:func:`~fedmoo.core.client_stream`), so re-running with the
-    same seed reproduces the exact sample sequence.  Under ``per_client`` sharing the step-k batch is
-    drawn once and reused by every objective this client owns;
-    ``per_objective`` extends the stream key by the objective index and draws
-    independently.  ``batch=None`` or a batch covering the shard uses the
+    same seed reproduces the exact sample sequence.  Under ``per_client``
+    sharing the step-k batch is drawn once and reused by every objective this
+    client owns; ``per_objective`` extends the stream key by the objective
+    index and draws independently.  ``batch=None`` or a batch covering the shard uses the
     exact shard gradient.
 
     Returns ``(deltas, drift)``: row r is ``owned[r]``'s accumulated update

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import pkgutil
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -140,7 +141,7 @@ class TestClientStream:
         assert philox_state(stream.bit_generator) == \
             v2_state(seed, client, round_index, step, objective)
 
-    def test_draws_agree_on_a_cold_cache_a_warm_cache_and_two_threads(self):
+    def test_draws_agree_on_a_cold_cache_a_warm_cache_and_four_threads(self):
         # 3 and 3 + 2**64 are one seed mod 2**64, so they share a cached key
         calls = [(seed, client, t, k, objective) for seed in (3, 3 + 2**64, 4)
                  for client in (0, 5) for t in (0, 9) for k in (0, 2)
@@ -154,12 +155,18 @@ class TestClientStream:
         cold = draws()
         assert core._philox_key.cache_info().currsize == 2 * 2 * 2
         warm = draws()
-        core._philox_key.cache_clear()
-        with ThreadPoolExecutor(2) as pool:
-            threaded = list(pool.map(draws, range(2)))
-        assert cold == warm == threaded[0] == threaded[1]
         third = len(calls) // 3
-        assert cold[:third] == cold[third:2 * third] != cold[2 * third:]
+        assert cold == warm and cold[:third] == cold[third:2 * third] != cold[2 * third:]
+        # more threads than CPUs, switching often, all starting on an empty cache
+        interval = sys.getswitchinterval()
+        core._philox_key.cache_clear()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                threaded = list(pool.map(draws, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == [cold] * 8
 
     def test_client_stream_cannot_spawn(self):
         with pytest.raises(TypeError, match="spawning"):
