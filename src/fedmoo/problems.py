@@ -39,12 +39,15 @@ __all__ = [
 # |d/dz tanh'(z)| peaks at 4 / (3 sqrt(3)); scales the tanh Hessian bound.
 _TANH_CURV = 4.0 / (3.0 * np.sqrt(3.0))
 
-# Sub-seeds separating the independent generation stages of a suite.
-_TAG_QUAD, _TAG_TANH, _TAG_CLS, _TAG_PART, _TAG_CENTERS = 11, 12, 13, 14, 15
+# Sub-seeds separating the independent generation stages of a suite; stage ``tag``
+# draws from ``default_rng([seed mod 2**64, tag, *key])``:
+#   11 quadratic client-center offsets, then curvatures; 12 tanh; 13 classification;
+#   14 partition; 15 quadratic "auto" centers; 16 quadratic anchors, keyed by objective.
+_TAG_QUAD, _TAG_TANH, _TAG_CLS, _TAG_PART, _TAG_CENTERS, _TAG_ANCHORS = 11, 12, 13, 14, 15, 16
 
 
-def _rng(seed, tag: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed) & (2**64 - 1), tag])
+def _rng(seed, tag: int, *key: int) -> np.random.Generator:
+    return np.random.default_rng([int(seed) & (2**64 - 1), tag, *key])
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -172,8 +175,8 @@ class QuadraticProblem(Problem):
     whose mean is exactly the client center; a minibatch gradient replaces the
     center by the sampled anchors' mean, giving an exactly unbiased estimate.
 
-    ``draw_anchors()`` yields the S (M, n, d) anchor arrays in objective order,
-    the same values on every call.  The constructor draws them one at a time,
+    Objective s's (M, n, d) anchors are a function of ``(seed, s)`` alone
+    (``_draw_anchors``).  The constructor draws them one objective at a time,
     keeps only the closed-form loss constants and frees each one, so exact
     gradients never hold anchors.  ``anchors`` draws them again on first use.
     """
@@ -181,7 +184,7 @@ class QuadraticProblem(Problem):
     name = "quadratic"
 
     def __init__(self, indicator, centers, client_centers, client_curv, n_per_client,
-                 draw_anchors):
+                 data_spread, seed):
         S, M, d = client_centers.shape
         super().__init__(indicator, d)
         self.centers = _read_only(centers)
@@ -189,46 +192,53 @@ class QuadraticProblem(Problem):
         self.client_centers = _read_only(client_centers)
         self.client_curv = _read_only(client_curv)
         self.n_per_client = n_per_client
-        self._draw_anchors = draw_anchors
+        self.data_spread = data_spread
+        self.seed = seed
         self._anchors = None
         self._anchors_lock = threading.Lock()
         # mean_j ||a_j - c||^2 completes the closed-form shard loss, one objective at a time
         self._anchor_const = np.empty((S, M))
-        draws = draw_anchors()
-        for s in range(S):  # not enumerate: its cached tuple would keep the last objective
-            dev = next(draws)
-            dev -= client_centers[s, :, None, :]  # the freshly drawn anchors become deviations
-            self._anchor_const[s] = np.einsum("mjd,mjd->m", dev, dev) / n_per_client
-            del dev  # free it before the next objective is drawn
-        _read_only(self._anchor_const)
-
-        owners = indicator.owner_sets
         # _loss_table[s] = (C, a, h): the owners' center rows, anchor constants and halved
         # curvatures, as views when the owners are consecutive, so that global_loss reads
         # one entry; built before f_min, which global_loss computes
         self._loss_table = []
-        for s in range(S):
-            rows = _as_slice(np.asarray(owners[s], dtype=np.int64))
-            self._loss_table.append((_read_only(client_centers[s, rows]),
+        mean_curv, eff_centers = np.empty(S), np.empty((S, d))
+        for s, owners in enumerate(indicator.owner_sets):
+            dev = self._draw_anchors(s)
+            dev -= client_centers[s, :, None, :]  # the freshly drawn anchors become deviations
+            self._anchor_const[s] = np.einsum("mjd,mjd->m", dev, dev) / n_per_client
+            del dev  # free it before the next objective is drawn
+            rows = _as_slice(np.asarray(owners, dtype=np.int64))
+            curv, rows_centers = client_curv[s, rows], client_centers[s, rows]
+            self._loss_table.append((_read_only(rows_centers),
                                      _read_only(self._anchor_const[s, rows]),
-                                     _read_only(0.5 * client_curv[s, rows])))
-        self.mean_curv = _read_only(np.array([client_curv[s, list(owners[s])].mean()
-                                              for s in range(self.S)]))
-        # curvature-weighted effective center of each global objective
-        self.eff_centers = _read_only(np.vstack([
-            (client_curv[s, list(owners[s]), None] * client_centers[s, list(owners[s])]).sum(0)
-            / client_curv[s, list(owners[s])].sum()
-            for s in range(self.S)
-        ]))
-        self.mu = float(self.mean_curv.min())
-        self.smoothness = float(max(client_curv[s, i] for s in range(self.S)
-                                    for i in owners[s]))
+                                     _read_only(0.5 * curv)))
+            mean_curv[s] = curv.mean()
+            # curvature-weighted effective center of the global objective
+            eff_centers[s] = (curv[:, None] * rows_centers).sum(0) / curv.sum()
+            self.smoothness = max(self.smoothness, float(curv.max()))
+        _read_only(self._anchor_const)
+        self.mean_curv = _read_only(mean_curv)
+        self.eff_centers = _read_only(eff_centers)
+        self.mu = float(mean_curv.min())
         self.f_min = _read_only(np.array([self.global_loss(s, self.eff_centers[s])
                                           for s in range(self.S)]))
         # _operands[s][i] = (q_si, c_si): the shard's curvature (a 0-d view) and center
         # row, so that stoch_grad reads one entry
         self._operands = [[(client_curv[s, i, ...], client_centers[s, i])
                            for i in range(M)] for s in range(S)]
+
+    def _draw_anchors(self, s: int) -> np.ndarray:
+        """Objective s's (M, n, d) anchors, drawn from the generator keyed by ``(seed,
+        s)``: standard normals scaled by ``data_spread`` around the client centers,
+        then shifted so that each shard's mean is exactly its center."""
+        centers = self.client_centers[s, :, None, :]
+        a = _rng(self.seed, _TAG_ANCHORS, s).standard_normal(
+            (self.M, self.n_per_client, self.d))
+        a *= self.data_spread
+        a += centers
+        a -= a.mean(axis=1, keepdims=True) - centers
+        return a
 
     @property
     def anchors(self) -> list:
@@ -240,7 +250,7 @@ class QuadraticProblem(Problem):
         if self._anchors is None:
             with self._anchors_lock:
                 if self._anchors is None:
-                    self._anchors = list(self._draw_anchors())
+                    self._anchors = [self._draw_anchors(s) for s in range(self.S)]
         return self._anchors
 
     def loss(self, s, i, x):
@@ -282,19 +292,18 @@ def quadratic_suite(d, A: IndicatorMatrix, *, centers="auto", curvature=1.0,
     center; ``curvature_spread`` (in [0, 1)) lets per-shard curvatures vary
     around ``curvature``, which makes accumulated local updates genuinely
     biased and so gives the local-step error floor something to show;
-    ``n_per_client`` anchor points per shard lie ``data_spread`` around the
-    client center.  With ``heterogeneity`` and ``curvature_spread`` at zero
-    all shards of an objective are identical.  Each objective's (M,
-    n_per_client, d) anchors are drawn, scaled and shifted in place as their
-    own array, the same draws as one (S, M, n_per_client, d) array.  The
-    anchors are the last draws, so the generator state before them replays
-    them: the build draws each objective only for its loss constants and
-    frees it, and the problem draws all of them again, from the same state,
-    on the first minibatch gradient.  A full-gradient run never holds them.
+    ``n_per_client`` anchor points per shard lie ``data_spread`` (>= 0)
+    around the client center.  With ``heterogeneity`` and ``curvature_spread``
+    at zero all shards of an objective are identical.  Objective s's (M,
+    n_per_client, d) anchors come from a generator keyed by ``(seed, s)``
+    alone, so no other draw (center offsets, curvatures, another objective)
+    moves them.  The build draws each objective only for its loss constants
+    and frees it, and the problem draws them again on the first minibatch
+    gradient.  A full-gradient run never holds them.
     """
     S, M = A.n_objectives, A.n_clients
     _check_at_least(1, n_per_client=n_per_client)
-    _check_at_least(0, heterogeneity=heterogeneity)
+    _check_at_least(0, heterogeneity=heterogeneity, data_spread=data_spread)
     if not curvature > 0:
         raise ValueError(f"curvature must be > 0, got {curvature}")
     if not 0 <= curvature_spread < 1:
@@ -314,21 +323,8 @@ def quadratic_suite(d, A: IndicatorMatrix, *, centers="auto", curvature=1.0,
             offs -= offs.mean(axis=0)
             client_centers[s, list(owners)] += offs
     client_curv = curvature * (1.0 + curvature_spread * rng.uniform(-1.0, 1.0, (S, M)))
-
-    state = rng.bit_generator.state
-
-    def draw_anchors():
-        replay = _rng(seed, _TAG_QUAD)
-        replay.bit_generator.state = state
-        for s in range(S):
-            a = replay.standard_normal((M, n_per_client, d))
-            a *= data_spread
-            a += client_centers[s, :, None, :]
-            a -= a.mean(axis=1, keepdims=True) - client_centers[s, :, None, :]
-            yield a
-            del a  # so that the next draw never keeps two objectives alive
-
-    return QuadraticProblem(A, centers, client_centers, client_curv, n_per_client, draw_anchors)
+    return QuadraticProblem(A, centers, client_centers, client_curv, n_per_client,
+                            data_spread, seed)
 
 
 class TanhRidgeProblem(Problem):
@@ -410,12 +406,13 @@ def toy_nonconvex_suite(d, A: IndicatorMatrix, *, n_terms=6, ridge=0.0, heteroge
     (``ridge >= 0``; a negative one would leave the objective unbounded below);
     ``heterogeneity`` (>= 0) perturbs each client's amplitudes and offsets
     around the objective's; each shard holds ``n_per_client`` samples whose
-    amplitude factors have spread ``amp_noise``; ``seed`` fixes the instance.
+    amplitude factors have spread ``amp_noise`` (>= 0); ``seed`` fixes the
+    instance.
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     _check_at_least(1, n_terms=n_terms, n_per_client=n_per_client)
-    _check_at_least(0, ridge=ridge, heterogeneity=heterogeneity)
+    _check_at_least(0, ridge=ridge, heterogeneity=heterogeneity, amp_noise=amp_noise)
     S, M = A.n_objectives, A.n_clients
     rng = _rng(seed, _TAG_TANH)
 

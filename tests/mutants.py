@@ -87,6 +87,20 @@ MUTANTS = [
            "scale[sel, i][:, None]", "scale[sel, 0][:, None]",
            "tests/test_federation.py::TestServerAggregate"
            "::test_client_weights_give_weighted_average"),
+    Mutant("aggregate-descending-clients", "src/fedmoo/federation.py",
+           "    lo = 0\n"
+           "    for i, objs in enumerate(indicator.client_objectives):\n"
+           "        rows, lo = deltas[lo:lo + len(objs)], lo + len(objs)\n",
+           # the same rows, added from the last client to the first
+           "    lo = n_rows\n"
+           "    for i, objs in reversed(list(enumerate(indicator.client_objectives))):\n"
+           "        rows, lo = deltas[lo - len(objs):lo], lo - len(objs)\n",
+           "tests/test_federation.py::TestServerAggregate"
+           "::test_equals_per_objective_loop_bit_for_bit"),
+    # weighted output: acceptance 11's frequency bound
+    Mutant("output-decay-halved", "src/fedmoo/federation.py",
+           "log_decay = np.log1p(-half)", "log_decay = np.log1p(-half / 2.0)",
+           "tests/test_acceptance.py::test_11_weighted_output_sampler"),
     # metrics
     Mutant("fit-clip-flag-off", "src/fedmoo/metrics.py",
            "clipped = bool((vals < _CLIP_FLOOR).any())", "clipped = False",
@@ -116,6 +130,10 @@ MUTANTS = [
            "(float(client_curv[s, i]), client_centers[s, i])",
            "tests/test_problems.py::TestOperandTables"
            "::test_numeric_operands_are_read_only_float64_arrays"),
+    Mutant("anchor-key-without-objective", "src/fedmoo/problems.py",
+           "_rng(self.seed, _TAG_ANCHORS, s)", "_rng(self.seed, _TAG_ANCHORS)",
+           "tests/test_problems.py::TestQuadraticBuild"
+           "::test_in_place_build_matches_the_out_of_place_expressions"),
 ]
 
 

@@ -757,6 +757,10 @@ def _golden_doc(name, **problem):
      "problem: heterogeneity must be >= 0, got -0.5"),
     ("run", _golden_doc("tanh_stoch", heterogeneity=-0.5),
      "problem: heterogeneity must be >= 0, got -0.5"),
+    ("run", _golden_doc("quad_stoch", data_spread=-0.5),
+     "problem: data_spread must be >= 0, got -0.5"),
+    ("run", _golden_doc("tanh_stoch", amp_noise=-0.5),
+     "problem: amp_noise must be >= 0, got -0.5"),
     ("run", _golden_doc("quad_full", n_per_client=0),
      "problem: n_per_client must be >= 1, got 0"),
     ("run", _golden_doc("tanh_stoch", n_per_client=0),

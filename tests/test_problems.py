@@ -235,20 +235,22 @@ def quad():
 
 def out_of_place_quadratic_build(prob, A, *, heterogeneity, n_per_client, data_spread, seed):
     """``anchors``, ``_anchor_const`` and ``f_min`` of ``prob`` by the out-of-place
-    expressions: ``quadratic_suite``'s draws replayed, the anchors as ``c + spread * z``
-    and one (S, M, n, d) deviation array."""
+    expressions: ``quadratic_suite``'s center draws replayed from ``default_rng([seed,
+    11])``, objective s's anchors as ``c + spread * z`` with z drawn from its own
+    ``default_rng([seed, 16, s])``, and one (S, M, n, d) deviation array."""
     S, M, d = A.n_objectives, A.n_clients, prob.d
-    rng = problems._rng(seed, problems._TAG_QUAD)
+    rng = np.random.default_rng([seed, 11])
     centers = np.broadcast_to(prob.centers[:, None, :], (S, M, d)).copy()
     for s, owners in enumerate(A.owner_sets):
         if len(owners) > 1 and heterogeneity > 0:
             offs = heterogeneity * rng.standard_normal((len(owners), d))
             offs -= offs.mean(axis=0)
             centers[s, list(owners)] += offs
-    rng.uniform(-1.0, 1.0, (S, M))  # the curvature draw
     assert centers.tobytes() == prob.client_centers.tobytes()
 
-    anchors = centers[:, :, None, :] + data_spread * rng.standard_normal((S, M, n_per_client, d))
+    z = np.stack([np.random.default_rng([seed, 16, s]).standard_normal((M, n_per_client, d))
+                  for s in range(S)])
+    anchors = centers[:, :, None, :] + data_spread * z
     anchors -= anchors.mean(axis=2, keepdims=True) - centers[:, :, None, :]
     dev = anchors - centers[:, :, None, :]
     const = np.einsum("smjd,smjd->sm", dev, dev) / n_per_client
@@ -280,6 +282,16 @@ class TestQuadraticBuild:
         assert prob._anchor_const.tobytes() == const.tobytes()
         assert prob.f_min.tobytes() == f_min.tobytes()
 
+    def test_an_objectives_anchors_are_keyed_by_the_seed_and_its_index_alone(self):
+        # a fourth objective grows the curvature draw from (3, M) to (4, M); the first
+        # three objectives' anchors must not move
+        centers = np.random.default_rng(8).standard_normal((4, 3))
+        small, large = (quadratic_suite(3, IndicatorMatrix.all_ones(S, 5), centers=centers[:S],
+                                        curvature_spread=0.3, n_per_client=6, seed=8)
+                        for S in (3, 4))
+        for s in range(3):
+            assert small.anchors[s].tobytes() == large.anchors[s].tobytes()
+
     def test_the_build_holds_one_anchor_sized_array(self):
         # one objective's anchors at a time while building, and none once built
         A = IndicatorMatrix.all_ones(8, 16)
@@ -301,14 +313,14 @@ class TestQuadraticBuild:
         A = IndicatorMatrix.all_ones(2, 3)
         prob = quadratic_suite(3, A, heterogeneity=0.4, n_per_client=8, seed=2)
         draw, draws = prob._draw_anchors, []
-        prob._draw_anchors = lambda: draws.append(1) or draw()
+        prob._draw_anchors = lambda s: draws.append(s) or draw(s)
         config = ExperimentConfig(indicator=A, d=3, K=2, T=5, eta_global=0.2, eta_local=0.05,
                                   seed=1)
         run_experiment(config, prob)
         assert draws == []
         for _ in range(2):  # drawn on the first minibatch gradient, then kept
             run_experiment(dataclasses.replace(config, batch_size=4), prob)
-        assert draws == [1]
+        assert draws == [0, 1]
 
     def test_threads_reading_the_anchors_at_once_share_one_draw(self):
         A = random_indicator(4, S=3, M=4)
@@ -316,10 +328,10 @@ class TestQuadraticBuild:
         prob = quadratic_suite(5, A, curvature_spread=0.3, **keys)
         draw, draws = prob._draw_anchors, []
 
-        def slow_draw():
-            draws.append(1)
+        def slow_draw(s):
+            draws.append(s)
             time.sleep(0.05)  # holds the door open for a second draw
-            yield from draw()
+            return draw(s)
 
         prob._draw_anchors = slow_draw
         start, got = threading.Barrier(4), [None] * 4
@@ -333,7 +345,7 @@ class TestQuadraticBuild:
             th.start()
         for th in threads:
             th.join()
-        assert draws == [1]
+        assert draws == [0, 1, 2]
         assert all(anchors is got[0] for anchors in got)
         anchors, _, _ = out_of_place_quadratic_build(prob, A, **keys)
         assert np.stack(got[0]).tobytes() == anchors.tobytes()
