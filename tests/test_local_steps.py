@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fmgda_reference as reference
@@ -65,8 +65,17 @@ def same_bytes(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+def covering_batch_case():
+    """A stochastic run whose batches cover their 4-sample shards, which must step with
+    the exact gradients; a random draw may not hit a covering batch."""
+    problem = SUITES["quadratic"](A, 4, 0)
+    return ExperimentConfig(indicator=A, d=problem.d, K=2, T=2, eta_global=0.5,
+                            eta_local=0.1, batch_size=4, seed=1), problem
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=configs())
+@example(case=covering_batch_case())
 def test_run_matches_reference_bit_for_bit(case):
     config, problem = case
     traj = run_experiment(config, problem)
