@@ -9,7 +9,11 @@ of its owned pairs as one client-major (P, d) block, one local step at a time,
 and the server averages that block as it lies; a single client's update
 (:func:`client_update_stochastic`) runs the same loop on that client's pairs.
 Each pair's rows are a pure function of the round inputs and counter-based
-streams, so the result does not depend on client order.
+streams, so the result does not depend on client order.  A round's minibatch
+indices are drawn in one pass (:func:`_draw_batches`): each (client, step[,
+objective]) stream gives its raw words, and one vectorized bounded-integer
+transform turns the round's words into exactly the indices
+``Generator.integers`` would draw from each stream.
 
 The rows belong to the round.  The local-step loop allocates its iterate,
 gradient and accumulator blocks per call and hands each pair's gradient row
@@ -129,7 +133,8 @@ def client_update_stochastic(x_t, client, owned, K, eta_local, batch, problem, s
     if sample_sharing not in _SHARING:
         raise ValueError(f"sample_sharing must be one of {_SHARING}, got {sample_sharing!r}")
     pairs = [(s, client) for s in owned]
-    batches = _draw_batches(client, owned, K, batch, problem, seed, round_index, sample_sharing)
+    batches = _draw_batches([(client, owned)], K, batch, problem, seed, round_index,
+                            sample_sharing)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         acc, X = _step_pairs(x_t, pairs, batches, K, eta_local, problem.stoch_grad, round_index)
         # np.linalg.norm(X - x_t, axis=1) without its wrapper: the same reduction
@@ -138,30 +143,95 @@ def client_update_stochastic(x_t, client, owned, K, eta_local, batch, problem, s
     return acc, drift
 
 
-def _draw_batches(client, owned, K, batch, problem, seed, round_index, sample_sharing):
-    """Per owned objective, the K batch index arrays of its local steps.
+def _draw_batches(clients, K, batch, problem, seed, round_index, sample_sharing):
+    """Per owned pair of ``clients``, the K batch index arrays of its local steps.
 
-    ``None`` stands for the exact shard gradient: no batch, or a batch that
-    covers the shard.  This is the one place that rule lives; a suite
-    computes the indices it is given.  Under ``per_client`` sharing every
-    objective gets the same list.
+    ``clients`` lists ``(client, owned)``; the result is client-major, one
+    list per pair in that order.  ``None`` stands for the exact shard
+    gradient: no batch, or a batch that covers the shard.  This is the one
+    place that rule lives; a suite computes the indices it is given.  Under
+    ``per_client`` sharing every objective of a client gets the same list.
+
+    A batch is ``Generator.integers(0, n_shard, batch)`` on the stream of
+    its (client, step[, objective]) (:func:`~fedmoo.core.client_stream`):
+    buffered 32-bit Lemire, each raw Philox word split into two uint32s, low
+    half first.  Each stream's first ``ceil(batch / 2)`` words are read raw
+    and the round's words go through one vectorized transform
+    (:func:`_lemire_rows`), so the indices are that call's, bit for bit.
+    Numpy draws from more than 2**32 values by 64-bit Lemire, which this
+    does not reproduce, so a larger shard raises ``ValueError``.
     """
-    n_shard = problem.shard_size(client)
     if batch is not None and batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    if batch is not None and batch > n_shard:
-        raise ValueError(f"client {client} shard has {n_shard} samples, "
-                         f"smaller than batch {batch}")
-    if batch is None or batch == n_shard:  # exact gradient, no draws
-        return [[None] * K] * len(owned)
+    batches, draws, words, bitgens, sizes = [], [], [], [], []
+    for client, owned in clients:
+        n_shard = problem.shard_size(client)
+        if batch is not None and batch > n_shard:
+            raise ValueError(f"client {client} shard has {n_shard} samples, "
+                             f"smaller than batch {batch}")
+        if batch is None or batch == n_shard:  # exact gradient, no draws
+            batches += [[None] * K] * len(owned)
+            continue
+        if n_shard > _MAX_SHARD:
+            raise ValueError(f"client {client} shard has {n_shard} samples; batches are "
+                             "drawn from at most 2**32")
+        keys = [None] if sample_sharing == "per_client" else owned
+        for objective in keys:
+            for k in range(K):
+                bitgen = client_stream(seed, client, round_index, k,
+                                       objective=objective).bit_generator
+                words.append(bitgen.random_raw((batch + 1) // 2))
+                bitgens.append(bitgen)
+                sizes.append(n_shard)
+        lists = [[] for _ in keys]  # each stream key's K batches, filled in below
+        draws += lists
+        batches += lists * len(owned) if sample_sharing == "per_client" else lists
+    if words:
+        for r, row in enumerate(_lemire_rows(np.array(words), bitgens, sizes, batch)):
+            draws[r // K].append(row)
+    return batches
 
-    def draw(objective=None):
-        return [client_stream(seed, client, round_index, k, objective=objective)
-                .integers(0, n_shard, batch) for k in range(K)]
 
-    if sample_sharing == "per_client":
-        return [draw()] * len(owned)
-    return [draw(s) for s in owned]
+# Generator.integers draws from at most 2**32 values by 32-bit Lemire
+_MAX_SHARD = 2**32
+_LOW = 0xFFFFFFFF
+
+
+def _lemire_rows(words, bitgens, sizes, batch):
+    """Row r of the (R, batch) result is ``Generator.integers(0, sizes[r], batch)``.
+
+    ``words[r]`` are the first raw words of that generator's bit generator
+    ``bitgens[r]``.  This is numpy's buffered 32-bit Lemire (Lemire 2019) on
+    every row at once: with ``u`` the row's uint32s, low half of each word
+    first, and ``m = u * n``, a draw is ``m >> 32`` unless ``m``'s low word
+    falls below ``(2**32 - n) % n``.  A row with such a rejection is redone
+    one draw at a time on the same uint32 sequence, reading ``bitgens[r]``
+    on past the words already taken.
+    """
+    u = np.empty((len(words), 2 * words.shape[1]), np.uint64)
+    u[:, 0::2] = words & _LOW
+    u[:, 1::2] = words >> 32
+    n = np.array(sizes, np.uint64)[:, None]
+    m = u[:, :batch] * n
+    idx = (m >> 32).astype(np.int64)
+    thr = (2**32 - n) % n
+    for r in np.flatnonzero(((m & _LOW) < thr).any(axis=1)):
+        seq, n_r, thr_r = _uint32s(u[r].tolist(), bitgens[r]), sizes[r], int(thr[r, 0])
+        for j in range(batch):
+            m_j = next(seq) * n_r
+            while (m_j & _LOW) < thr_r:
+                m_j = next(seq) * n_r
+            idx[r, j] = m_j >> 32
+    return idx
+
+
+def _uint32s(halves, bitgen):
+    """A stream's uint32s: the halves already read, then ``bitgen``'s next words, low half first."""
+    yield from halves
+    while True:
+        word = bitgen.random_raw()
+        yield word & _LOW
+        yield word >> 32
 
 
 def _step_pairs(x_t, pairs, batches, K, eta_local, stoch_grad, round_index):
@@ -267,11 +337,10 @@ def run_round(round_index, x_t, config, problem):
     order) and that pair's first non-finite step.
     """
     A = config.indicator
-    pairs, batches = [], []  # client-major: ascending client, then owned order
-    for i, owned in enumerate(A.client_objectives):
-        pairs += [(s, i) for s in owned]
-        batches += _draw_batches(i, owned, config.K, config.batch_size, problem, config.seed,
-                                 round_index, config.sample_sharing)
+    clients = list(enumerate(A.client_objectives))
+    pairs = [(s, i) for i, owned in clients for s in owned]  # ascending client, then owned
+    batches = _draw_batches(clients, config.K, config.batch_size, problem, config.seed,
+                            round_index, config.sample_sharing)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         acc, _ = _step_pairs(x_t, pairs, batches, config.K, config.eta_local,
                              problem.stoch_grad, round_index)

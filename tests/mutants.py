@@ -51,15 +51,21 @@ MUTANTS = [
     Mutant("start-at-vertex-0", "src/fedmoo/minnorm.py",
            "first = int(Q.diagonal().argmin())", "first = 0",
            "tests/test_golden.py"),
+    Mutant("zero-tol-accepted", "src/fedmoo/minnorm.py",
+           "if tol <= 0:", "if tol < 0:",
+           "tests/test_minnorm.py::TestHandInstances::test_zero_tolerance_rejected"),
     Mutant("no-stall-exit", "src/fedmoo/minnorm.py",
            "if j in support:", "if False:",  # re-adds the vertex until max_iter
            "tests/test_minnorm.py::TestHandInstances"
            "::test_a_supported_vertex_entering_again_stalls_the_solve"),
     # streams and batches: Monte Carlo and the stream-definition oracles
     Mutant("batch-range-short", "src/fedmoo/federation.py",
-           ".integers(0, n_shard, batch)", ".integers(0, n_shard - 1, batch)",
+           "m = u[:, :batch] * n\n", "m = u[:, :batch] * (n - 1)\n",
            "tests/test_federation.py::TestClientUpdateStochastic"
            "::test_single_step_expectation_matches_gradient"),
+    Mutant("lemire-never-rejects", "src/fedmoo/federation.py",
+           "thr = (2**32 - n) % n", "thr = 0 * n",
+           "tests/test_federation.py::TestDrawBatches::test_batches_are_the_v2_streams_draws"),
     Mutant("output-domain-is-client", "src/fedmoo/core.py",
            "_DOMAIN_OUTPUT = 1", "_DOMAIN_OUTPUT = 0",
            "tests/test_core.py::TestClientStream"),
@@ -105,6 +111,10 @@ MUTANTS = [
     Mutant("fit-clip-flag-off", "src/fedmoo/metrics.py",
            "clipped = bool((vals < _CLIP_FLOOR).any())", "clipped = False",
            "tests/test_metrics.py::TestFitRate::test_zeros_are_clipped_and_flagged"),
+    Mutant("fit-clip-flag-at-floor", "src/fedmoo/metrics.py",
+           "clipped = bool((vals < _CLIP_FLOOR).any())",
+           "clipped = bool((vals <= _CLIP_FLOOR).any())",
+           "tests/test_metrics.py::TestFitRate::test_a_value_at_the_clip_floor_is_not_flagged"),
     Mutant("lambda-drift-linf", "src/fedmoo/metrics.py",
            "float(np.abs(w - ref.weights).sum())", "float(np.abs(w - ref.weights).max())",
            "tests/test_metrics.py::TestLambdaDrift"

@@ -140,19 +140,80 @@ def v2_batches(seed, client, owned, K, batch, n, round_index, sharing):
             for s in owned]
 
 
+class Shards:
+    """A problem with shard sizes only, all that drawing batches reads."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+
+    def shard_size(self, client):
+        return self.sizes[client]
+
+
+# 2**31 + 1 rejects about every other uint32; 2**32 is the largest shard drawn from
+SHARD_SIZES = [1, 2, 3, 12, 64, 200, 2**31 + 1, 2**32 - 5, 2**32]
+
+
+@st.composite
+def draw_calls(draw):
+    """Distinct clients, each with its owned objectives and shard size, and a batch."""
+    clients = draw(st.lists(st.integers(0, 2**33), min_size=1, max_size=3, unique=True))
+    owned = [draw(st.lists(st.integers(0, 2**33), min_size=1, max_size=3, unique=True))
+             for _ in clients]
+    sizes = {i: draw(st.sampled_from(SHARD_SIZES)) for i in clients}
+    batch = draw(st.integers(1, min(11, *sizes.values())))
+    return list(zip(clients, owned)), sizes, batch
+
+
 class TestDrawBatches:
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(-2**70, 2**70), client=st.integers(0, 2**33),
-           round_index=st.integers(0, 2**33), K=st.integers(1, 4),
-           owned=st.lists(st.integers(0, 2**33), min_size=1, max_size=3, unique=True),
-           batch=st.integers(1, 11), sharing=st.sampled_from(["per_client", "per_objective"]))
-    def test_batches_are_the_v2_streams_draws(self, seed, client, round_index, K, owned,
-                                              batch, sharing):
-        _, prob = symmetric_quadratic(n_per_client=12)
-        got = _draw_batches(client, owned, K, batch, prob, seed, round_index, sharing)
-        want = v2_batches(seed, client, owned, K, batch, 12, round_index, sharing)
-        assert [[b.tolist() for b in row] for row in got] == \
-            [[b.tolist() for b in row] for row in want]
+    @given(seed=st.integers(-2**70, 2**70), round_index=st.integers(0, 2**33),
+           K=st.integers(1, 4), call=draw_calls(),
+           sharing=st.sampled_from(["per_client", "per_objective"]))
+    # shard 2**31 + 1 rejects in most batches; an odd batch's rejection redraws from the
+    # high half of its last word, which the batch itself left unused
+    @example(seed=5, round_index=3, K=2, call=([(0, [1, 0])], {0: 2**31 + 1}, 7),
+             sharing="per_objective")
+    # several clients, a covering one among them, in client-major order
+    @example(seed=11, round_index=1, K=3,
+             call=([(4, [0, 2]), (1, [1]), (2, [0, 1]), (0, [2])],
+                   {4: 200, 1: 2**32, 2: 3, 0: 2**32 - 5}, 3), sharing="per_client")
+    @example(seed=11, round_index=1, K=3,
+             call=([(4, [0, 2]), (1, [1]), (2, [0, 1]), (0, [2])],
+                   {4: 200, 1: 2**32, 2: 3, 0: 2**32 - 5}, 3), sharing="per_objective")
+    def test_batches_are_the_v2_streams_draws(self, seed, round_index, K, call, sharing):
+        clients, sizes, batch = call
+        got = _draw_batches(clients, K, batch, Shards(sizes), seed, round_index, sharing)
+        want = []
+        for i, owned in clients:
+            if batch == sizes[i]:  # a covering batch is the exact gradient
+                want += [[None] * K] * len(owned)
+            else:
+                want += v2_batches(seed, i, owned, K, batch, sizes[i], round_index, sharing)
+        assert [[None if b is None else (b.dtype, b.tolist()) for b in row] for row in got] == \
+            [[None if b is None else (b.dtype, b.tolist()) for b in row] for row in want]
+
+    def test_the_rejecting_example_reads_past_its_words(self):
+        # the streams of the first explicit example above: a batch of 7 takes 4 words, 8
+        # uint32s; a stream that uses more took the unused high half and read on
+        taken = []
+        for s in (1, 0):
+            for k in range(2):
+                words = client_stream(5, 0, 3, k, objective=s).bit_generator.random_raw(40)
+                gen = client_stream(5, 0, 3, k, objective=s)
+                gen.integers(0, 2**31 + 1, 7)
+                state = gen.bit_generator.state
+                position = words.tolist().index(gen.bit_generator.random_raw())
+                taken.append(2 * position - state["has_uint32"])
+        assert max(taken) > 8, taken
+
+    def test_a_shard_above_2_to_the_32_is_refused(self):
+        with pytest.raises(ValueError, match=r"client 3 shard has 4294967297 samples"):
+            _draw_batches([(3, (0,))], 1, 2, Shards({3: 2**32 + 1}), 0, 1, "per_client")
+
+    def test_exact_rows_draw_nothing_for_a_shard_above_2_to_the_32(self):
+        assert _draw_batches([(0, (0, 1))], 2, None, Shards({0: 2**40}), 0, 1,
+                             "per_client") == [[None, None]] * 2
 
 
 def client_block(x, clients, owned, K, eta_local, problem):

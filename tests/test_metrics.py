@@ -149,6 +149,11 @@ class TestFitRate:
         fit = fit_rate(series, (1, 6), model="exponential")
         assert fit.clipped
 
+    def test_a_value_at_the_clip_floor_is_not_flagged(self):
+        series = np.array([1.0, 0.5, 1e-300, 0.25, 0.1, 0.05])
+        fit = fit_rate(series, (1, 6), model="exponential")
+        assert not fit.clipped
+
     def test_short_window_rejected(self):
         with pytest.raises(ValueError, match="fewer than 5"):
             fit_rate(np.ones(10), (1, 4))

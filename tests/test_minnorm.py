@@ -42,6 +42,10 @@ class TestHandInstances:
         with pytest.raises(ValueError):
             solve_min_norm(np.array([[np.nan, 1.0]]))
 
+    def test_zero_tolerance_rejected(self):  # the gap never reaches 0 under roundoff
+        with pytest.raises(ValueError, match="tol must be > 0, got 0.0"):
+            solve_min_norm(np.eye(2), tol=0.0)
+
     def test_overflowing_gram_matrix_is_flagged(self):
         G = np.array([[1e200, 1.0], [1.0, 1e200], [1.0, -1e200]])  # finite rows, G G^T is not
         with np.errstate(over="ignore"):
