@@ -61,7 +61,7 @@ def _scalar(value) -> np.ndarray:
     return _read_only(np.array(value, dtype=np.float64))
 
 
-_ONE = _scalar(1.0)
+_ZERO, _ONE, _MINUS_ONE = _scalar(0.0), _scalar(1.0), _scalar(-1.0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -442,6 +442,16 @@ class LogisticTasksProblem(Problem):
     global minimum, solved at build time by damped Newton on the task's own
     columns (its loss is strongly convex there), so the loss-gap series is
     available.
+
+    Each shard keeps one sign-folded block ``Zy = Z * y[:, None]``: its rows of
+    the task's design matrix, each times its label sign.  Every sign is +-1, so
+    the products are exact and rounding is symmetric in sign:
+    ``Zy @ v == y * (Z @ v)`` and ``Zy.T @ c == Z.T @ (y * c)`` bit for bit.  A
+    minibatch gradient gathers one block, and losses, gradients, the smoothness
+    bound and the Newton ``f_min`` read no signs.  ``global_loss`` is closed
+    form: every owner's margins go into one buffer, one ``logaddexp`` covers
+    them all, and each owner's mean is added in ascending owner order, the
+    bytes ``Problem.global_loss`` gives.
     """
 
     name = "logistic_tasks"
@@ -462,9 +472,8 @@ class LogisticTasksProblem(Problem):
         self.shards = plan.assignment
         # ridge acts per task view, so f_s is flat across other tasks' blocks
         self.mu = 0.0
-        # _operands[s][i] = (Z, y, -y): client i's rows of task s's design matrix
-        # (shared block, rotated own core, bias column), their signs and the negated
-        # signs, read-only
+        # _operands[s][i] = Zy: client i's rows of task s's design matrix (shared block,
+        # rotated own core, bias column), each times its sign, read-only
         h = self.n_shared
         ones = np.ones((raw.shape[0], 1))
         self._operands = [
@@ -472,35 +481,41 @@ class LogisticTasksProblem(Problem):
                             task_signs[s], self.shards) for s in range(self.S)]
         # each task's model columns, as a slice when they are contiguous, so x[cols] is a view
         self._cols = [_as_slice(cols) for cols in task_cols]
+        # _loss_table[s] = (blocks, spans, n): the owners' blocks in ascending order, each
+        # one's (start, stop) in a margin buffer of n entries; built before f_min, which
+        # global_loss computes
+        self._loss_table = []
+        for shard_blocks, owners in zip(self._operands, indicator.owner_sets):
+            blocks = tuple(shard_blocks[i] for i in owners)
+            ends = np.cumsum([0] + [len(Zy) for Zy in blocks]).tolist()
+            self._loss_table.append((blocks, tuple(zip(ends[:-1], ends[1:])), ends[-1]))
 
         l_bound = 0.0
         for s in range(self.S):
             for i in indicator.owner_sets[s]:
-                Zi = self._operands[s][i][0]
+                Zi = self._operands[s][i]
                 lam_max = float(np.linalg.eigvalsh(Zi.T @ Zi / len(Zi)).max())
                 l_bound = max(l_bound, 0.25 * lam_max + self.ridge)
         self.smoothness = l_bound
         self.f_min = _read_only(np.array([self._solve_task_min(s) for s in range(self.S)]))
 
     def loss(self, s, i, x):
-        Z, y, _ = self._operands[s][i]
         xv = x[self._cols[s]]
-        m = y * (Z @ xv)
+        m = self._operands[s][i] @ xv  # y * (Z @ xv)
         return float(np.logaddexp(0.0, -m).mean()) + 0.5 * self.ridge * float(xv @ xv)
 
     def stoch_grad(self, s, i, x, indices, out=None):
-        Z, y, neg_y = self._operands[s][i]
+        Zy = self._operands[s][i]
         if indices is not None:
-            Z, y, neg_y = Z.take(indices, axis=0), y.take(indices), neg_y.take(indices)
+            Zy = Zy.take(indices, axis=0)
         cols = self._cols[s]
         xv = x[cols]
-        coef = Z @ xv  # -y / (1 + exp(y Z x)), in place
-        coef *= y
+        coef = Zy @ xv  # -1 / (1 + exp(y Z x)), in place; Zy.T @ coef is Z.T @ (y * coef)
         np.exp(coef, coef)
         coef += _ONE
-        np.divide(neg_y, coef, coef)
-        g = Z.T @ coef
-        g /= _count(len(y))
+        np.divide(_MINUS_ONE, coef, coef)
+        g = Zy.T @ coef
+        g /= _count(len(Zy))
         g += self._ridge * xv
         if out is None:
             out = np.zeros(self.d)
@@ -508,6 +523,22 @@ class LogisticTasksProblem(Problem):
             out.fill(0.0)
         out[cols] = g
         return out
+
+    def global_loss(self, s, x):
+        """Every owner's margins in one buffer and one ``logaddexp`` over it; then each
+        owner's mean plus the ridge term, added in ascending owner order from 0.0."""
+        blocks, spans, n = self._loss_table[s]
+        xv = x[self._cols[s]]
+        m = np.empty(n)
+        for Zy, (lo, hi) in zip(blocks, spans):
+            np.matmul(Zy, xv, m[lo:hi])
+        np.negative(m, m)
+        np.logaddexp(_ZERO, m, m)
+        ridge = 0.5 * self.ridge * float(xv @ xv)
+        acc = 0.0
+        for lo, hi in spans:
+            acc += float(np.add.reduce(m[lo:hi])) / (hi - lo) + ridge
+        return acc / len(spans)
 
     def shard_size(self, i):
         return len(self.shards[i])
@@ -525,7 +556,7 @@ class LogisticTasksProblem(Problem):
             xv = x[cols]
             hess = self.ridge * np.eye(len(cols))
             for i in owners:
-                Z = self._operands[s][i][0]
+                Z = self._operands[s][i]  # sign-folded: the signs cancel in Z.T D Z
                 e = np.exp(-np.abs(Z @ xv))  # p (1 - p) = e / (1 + e)^2 at either sign
                 hess += (Z.T * (e / (1.0 + e) ** 2)) @ Z / (len(Z) * len(owners))
             grad = self.global_grad(s, x)[cols]
@@ -546,10 +577,9 @@ class LogisticTasksProblem(Problem):
 
 
 def _shard_operands(view, signs, shards) -> list:
-    """Each shard's rows of one task's design matrix, its signs and their negation,
-    as read-only copies."""
-    return [(_read_only(view[idx]), _read_only(signs[idx]), _read_only(-signs[idx]))
-            for idx in shards]
+    """Each shard's sign-folded block: its rows of one task's design matrix, each
+    times its +-1 sign (exact), as a read-only copy."""
+    return [_read_only(view[idx] * signs[idx, None]) for idx in shards]
 
 
 def _as_slice(cols):

@@ -123,6 +123,12 @@ MUTANTS = [
            "return max(gap, 0.0)", "return abs(gap)",
            "tests/test_metrics.py::TestDeltaQ"
            "::test_roundoff_below_zero_within_the_bound_reads_zero"),
+    Mutant("delta-q-raises-at-bound", "src/fedmoo/metrics.py",
+           "if gap < -roundoff_bound(", "if gap <= -roundoff_bound(",
+           "tests/test_metrics.py::TestDeltaQ::test_roundoff_exactly_at_the_bound_reads_zero"),
+    Mutant("fit-window-needs-two-rounds", "src/fedmoo/metrics.py",
+           "if not 1 <= t_lo <= t_hi <= y.shape[0]:", "if not 1 <= t_lo < t_hi <= y.shape[0]:",
+           "tests/test_metrics.py::TestFitRate::test_one_point_window_has_too_few_points"),
     Mutant("threshold-strict", "src/fedmoo/metrics.py",
            "np.flatnonzero(y <= epsilon)", "np.flatnonzero(y < epsilon)",
            "tests/test_metrics.py::TestThresholds::test_value_exactly_at_epsilon_counts"),
@@ -140,6 +146,22 @@ MUTANTS = [
            "(float(client_curv[s, i]), client_centers[s, i])",
            "tests/test_problems.py::TestOperandTables"
            "::test_numeric_operands_are_read_only_float64_arrays"),
+    Mutant("logistic-numerator-one", "src/fedmoo/problems.py",
+           "np.divide(_MINUS_ONE, coef, coef)", "np.divide(_ONE, coef, coef)",
+           "tests/test_problems.py::TestOperandTables"
+           "::test_shard_surface_matches_the_public_array_formula"),
+    Mutant("logistic-ridge-once", "src/fedmoo/problems.py",
+           "            acc += float(np.add.reduce(m[lo:hi])) / (hi - lo) + ridge\n"
+           "        return acc / len(spans)\n",
+           # the ridge term joins the sum of the owners' means once, not once per owner
+           "            acc += float(np.add.reduce(m[lo:hi])) / (hi - lo)\n"
+           "        return (acc + ridge) / len(spans)\n",
+           "tests/test_problems.py::TestOperandTables"
+           "::test_logistic_losses_are_the_base_owner_loop"),
+    Mutant("logistic-count-off-by-one", "src/fedmoo/problems.py",
+           "/ (hi - lo) + ridge", "/ (hi - lo + 1) + ridge",
+           "tests/test_problems.py::TestOperandTables"
+           "::test_logistic_losses_are_the_base_owner_loop"),
     Mutant("anchor-key-without-objective", "src/fedmoo/problems.py",
            "_rng(self.seed, _TAG_ANCHORS, s)", "_rng(self.seed, _TAG_ANCHORS)",
            "tests/test_problems.py::TestQuadraticBuild"

@@ -98,6 +98,19 @@ class TestDeltaQ:
         prob = Stub(IndicatorMatrix.all_ones(2, 1), 1)
         assert delta_q(np.array([0.5, 0.5]), np.zeros(1), prob) == 0.0
 
+    def test_roundoff_exactly_at_the_bound_reads_zero(self):
+        # one objective with f(x) = 0 and f(x_*) = 1e-12: the gap is -1e-12, exactly
+        # -roundoff_bound(1e-12), which the clamp still covers
+        class Stub(Problem):
+            def global_loss(self, s, x):
+                return float(x[0])
+
+            def pareto_point(self, weights):
+                return np.array([1e-12])
+
+        prob = Stub(IndicatorMatrix.all_ones(1, 1), 1)
+        assert delta_q(np.array([1.0]), np.zeros(1), prob) == 0.0
+
     def test_requires_pareto_reference(self):
         prob = toy_nonconvex_suite(3, IndicatorMatrix.all_ones(2, 1), seed=1)
         with pytest.raises(ValueError, match="scalarization minimizer"):
@@ -157,6 +170,12 @@ class TestFitRate:
     def test_short_window_rejected(self):
         with pytest.raises(ValueError, match="fewer than 5"):
             fit_rate(np.ones(10), (1, 4))
+
+    def test_one_point_window_has_too_few_points(self):
+        # t_lo == t_hi lies inside the series: the window check passes it on to the
+        # point count, which refuses it
+        with pytest.raises(ValueError, match="fewer than 5 points"):
+            fit_rate(np.ones(10), (3, 3))
 
     def test_window_outside_series_rejected(self):
         with pytest.raises(ValueError, match="window"):

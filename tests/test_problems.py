@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.stats import chisquare
 
@@ -20,7 +22,7 @@ from fedmoo import problems
 from fedmoo.core import ExperimentConfig, IndicatorMatrix
 from fedmoo.federation import run_experiment
 from fedmoo.minnorm import solve_min_norm
-from fedmoo.problems import (SUITES, PartitionPlan, partition, quadratic_suite,
+from fedmoo.problems import (SUITES, PartitionPlan, Problem, partition, quadratic_suite,
                              synthetic_classification_suite, toy_nonconvex_suite)
 from fedmoo.verify import check_gradients, check_unbiasedness
 
@@ -56,11 +58,16 @@ def tanh_reference(prob, s, i, x, indices=None):
     return loss, prob.term_weights[s].T @ (amp * (1.0 - th * th)) + prob.ridge * x
 
 
+def task_view(prob, s):
+    """Task s's full design matrix, rebuilt from raw: shared block, rotated core, bias."""
+    h = prob.n_shared
+    return np.hstack([prob.raw[:, :h], prob.raw[:, h:] @ prob.rotations[s].T,
+                      np.ones((len(prob.raw), 1))])
+
+
 def logistic_reference(prob, s, i, x, indices=None):
     """Loss and gradient gathered from task s's full design matrix, rebuilt from raw."""
-    h = prob.n_shared
-    view = np.hstack([prob.raw[:, :h], prob.raw[:, h:] @ prob.rotations[s].T,
-                      np.ones((len(prob.raw), 1))])
+    view = task_view(prob, s)
     idx = prob.shards[i]
     if indices is not None:
         idx = idx[np.asarray(indices)]
@@ -102,6 +109,26 @@ def written(gradient, s, i, x, *batch):
     out = np.full(x.shape, np.nan)
     assert gradient(s, i, x, *batch, out=out) is out
     return out.tobytes()
+
+
+@st.composite
+def logistic_cases(draw):
+    """A routing with every row and column owned, d, classification builder keywords
+    and a seed: iid or uneven label-skew shards of 5 to 400 samples, with or without
+    a shared block (then task columns past the first are not a slice)."""
+    S, M = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    a = np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=M, max_size=M),
+                               min_size=S, max_size=S)))
+    a[np.arange(M) % S, np.arange(M)] = 1
+    a[np.arange(S), np.arange(S) % M] = 1
+    kw = dict(n_per_client=draw(st.integers(5, 400)),
+              task_overlap=draw(st.sampled_from([0.0, 0.3])))
+    if M > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, 3))
+        kw.update(partition="label_skew", labels_per_client=k,
+                  n_components=draw(st.integers(2, min(10, M * k))))
+    return (tuple(map(tuple, a.tolist())), draw(st.integers(4 * S, 24)), kw,
+            draw(st.integers(0, 2**16)))
 
 
 class TestOperandTables:
@@ -176,12 +203,35 @@ class TestOperandTables:
                     want[-1]).tobytes()
             assert prob.losses(x).tobytes() == np.array(want).tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=logistic_cases())
+    # uneven label-skew shards of 226, 450 and 224 samples (pairwise sums of several
+    # blocks), objective 0 owned by clients 0 and 2, and a shared block
+    @example(case=(((1, 0, 1), (1, 1, 1)), 12,
+                   dict(n_per_client=300, partition="label_skew", labels_per_client=2,
+                        n_components=4, task_overlap=0.3), 5))
+    def test_logistic_losses_are_the_base_owner_loop(self, case):
+        # the closed form must give the bytes of Problem.global_loss: each owner's
+        # loss, added in ascending owner order from 0.0, divided by the owner count
+        rows, d, kw, seed = case
+        A = IndicatorMatrix(np.array(rows))
+        try:
+            prob = synthetic_classification_suite(d, A, seed=seed, **kw)
+        except ValueError:  # a label skew these shard sizes cannot serve
+            assume(False)
+        x = np.random.default_rng(seed).standard_normal(d)
+        want = [Problem.global_loss(prob, s, x) for s in range(prob.S)]
+        for s in range(prob.S):
+            assert np.float64(prob.global_loss(s, x)).tobytes() == np.float64(
+                want[s]).tobytes()
+        assert prob.losses(x).tobytes() == np.array(want).tobytes()
+
     @pytest.mark.parametrize("suite", sorted(ORACLES))
     def test_numeric_operands_are_read_only_float64_arrays(self, suite):
         # NumPy 2 converts a Python float operand on every ufunc call, and a 0-d array it
         # does not: a float back in a table costs each call ~0.4 us and changes no value
         prob = ORACLES[suite][0](random_indicator(0))
-        operands = [problems._ONE]
+        operands = [problems._ZERO, problems._ONE, problems._MINUS_ONE]
         for name in OPERAND_TABLES[suite.split("-")[0]]:
             operands += leaves(getattr(prob, name))
         for a in operands:
@@ -503,15 +553,20 @@ class TestClassificationSuite:
                 assert np.array_equal(prob.stoch_grad(s, i, x, full), whole)
 
     def test_shard_blocks_are_read_only(self):
+        # one sign-folded block per shard: its rows of the task's view, each times its
+        # +-1 sign; the loss table holds the same blocks, in ascending owner order
         prob = self._suite()
         for s in range(2):
+            view = task_view(prob, s)
             for i in range(5):
-                Z, y, neg_y = prob._operands[s][i]
+                Zy, idx = prob._operands[s][i], prob.shards[i]
+                want = view[idx] * prob.task_signs[s, idx, None]
+                assert Zy.shape == want.shape and Zy.tobytes() == want.tobytes()
                 with pytest.raises(ValueError, match="read-only"):
-                    Z[0, 0] = 1.0
-                for signs in (y, neg_y):
-                    with pytest.raises(ValueError, match="read-only"):
-                        signs *= -1.0
+                    Zy[0, 0] = 1.0
+            blocks = prob._loss_table[s][0]
+            assert len(blocks) == 5 and all(b is prob._operands[s][i]
+                                            for i, b in enumerate(blocks))
 
     def test_label_skew_limits_distinct_labels(self):
         prob = self._suite()
