@@ -10,7 +10,7 @@ reproducible from a config mapping and a seed.
 __version__ = "0.1.0"
 
 from .core import (ConfigError, ExperimentConfig, IndicatorMatrix, ProblemConfig,
-                   RoundRecord, client_stream, derive_owner_sets, validate_simplex)
+                   RoundRecord, client_stream, validate_simplex)
 from .minnorm import MinNormSolution, closed_form_two, fw_gap, grid_oracle, solve_min_norm
 from .problems import (PartitionPlan, Problem, build_problem, partition, quadratic_suite,
                        synthetic_classification_suite, toy_nonconvex_suite)
@@ -25,7 +25,7 @@ from .verify import CheckResult, mgd_reference, run_battery
 
 __all__ = [
     "ConfigError", "ExperimentConfig", "IndicatorMatrix", "ProblemConfig",
-    "RoundRecord", "client_stream", "derive_owner_sets", "validate_simplex",
+    "RoundRecord", "client_stream", "validate_simplex",
     "MinNormSolution", "closed_form_two", "fw_gap", "grid_oracle", "solve_min_norm",
     "PartitionPlan", "Problem", "build_problem", "partition", "quadratic_suite",
     "synthetic_classification_suite", "toy_nonconvex_suite",

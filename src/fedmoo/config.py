@@ -21,11 +21,12 @@ Top-level keys::
     eta_global           server step size (> 0)
     eta_local            client step size (>= 0)
     mode                 "full_gradient" (default) | "stochastic"
-    batch_size           int or "full"; stochastic mode only.  With ``mode`` it
-                         becomes the config's one ``batch_size``: an int under
-                         "stochastic" draws minibatches of that size, and
-                         "full_gradient", "full" or no key leave it None, the
-                         exact shard gradients
+    batch_size           int or "full"; required by stochastic mode and refused
+                         by full-gradient mode.  With ``mode`` it becomes the
+                         config's one ``batch_size``: an int draws minibatches
+                         of that size, and "full" (the exact spelling inside a
+                         batch-size sweep) or mode "full_gradient" leave it
+                         None, the exact shard gradients
     seed                 integer in [0, 2**64); so is the problem section's ``seed``
     sample_sharing       "per_client" (default) | "per_objective"; stochastic mode only
     normalize_delta_by_K bool, default true
@@ -184,6 +185,8 @@ def parse_config(mapping: dict) -> ExperimentConfig:
             if key in mapping:
                 raise ConfigError(key, "applies only to mode 'stochastic'")
     batch = mapping.get("batch_size")
+    if mode == "stochastic" and batch is None:  # no key, or null
+        raise ConfigError("batch_size", "required by mode 'stochastic'")
     if batch not in (None, "full"):
         if isinstance(batch, bool) or not isinstance(batch, int):
             raise ConfigError("batch_size", f"expected an integer or 'full', got {batch!r}")

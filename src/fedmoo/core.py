@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "ConfigError",
     "IndicatorMatrix",
-    "derive_owner_sets",
     "client_stream",
     "STREAM_VERSION",
     "as_model_point",
@@ -54,36 +53,15 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-def derive_owner_sets(entries) -> list[tuple[int, ...]]:
-    """Owner sets R_s = {i : a_si = 1} for each objective row, clients ascending.
-
-    Validates the indicator invariants: entries binary, every objective owned
-    by at least one client, every client owning at least one objective.
-    Raises ``ConfigError`` naming the offending row/column otherwise.
-    """
-    a = np.asarray(entries)
-    if a.ndim != 2 or a.size == 0:
-        raise ConfigError("indicator", f"expected a nonempty 2-D matrix, got shape {a.shape}")
-    if not np.isin(a, (0, 1)).all():
-        raise ConfigError("indicator", "entries must be 0 or 1")
-    owners = []
-    for s in range(a.shape[0]):
-        row = np.flatnonzero(a[s])
-        if row.size == 0:
-            raise ConfigError("indicator", f"objective {s} has no owning client (empty row)")
-        owners.append(tuple(int(i) for i in row))
-    for i in range(a.shape[1]):
-        if not a[:, i].any():
-            raise ConfigError("indicator", f"client {i} owns no objective (empty column)")
-    return owners
-
-
 @dataclass(frozen=True)
 class IndicatorMatrix:
     """Binary S x M routing of objectives to clients.
 
-    ``owner_sets[s]`` lists the clients holding objective s;
-    ``client_objectives[i]`` lists the objectives client i works on.
+    ``owner_sets[s]`` lists the clients holding objective s, the owner set
+    R_s = {i : a_si = 1}, and ``client_objectives[i]`` the objectives client
+    i works on, both ascending.  Every objective must be owned by a client
+    and every client must own an objective; otherwise, or for entries other
+    than 0 and 1, raises ``ConfigError`` naming the offending row or column.
     """
 
     entries: np.ndarray
@@ -91,13 +69,23 @@ class IndicatorMatrix:
     client_objectives: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        raw = np.asarray(self.entries)
-        owners = derive_owner_sets(raw)  # checks the entries before the cast truncates them
-        a = raw.astype(np.int64)
+        a = np.asarray(self.entries)
+        if a.ndim != 2 or a.size == 0:
+            raise ConfigError("indicator", f"expected a nonempty 2-D matrix, got shape {a.shape}")
+        if not np.isin(a, (0, 1)).all():  # checked before the cast truncates the entries
+            raise ConfigError("indicator", "entries must be 0 or 1")
+        a = a.astype(np.int64)
+        owners = tuple(tuple(int(i) for i in np.flatnonzero(row)) for row in a)
+        objectives = tuple(tuple(int(s) for s in np.flatnonzero(col)) for col in a.T)
+        for s, clients in enumerate(owners):
+            if not clients:
+                raise ConfigError("indicator", f"objective {s} has no owning client (empty row)")
+        for i, owned in enumerate(objectives):
+            if not owned:
+                raise ConfigError("indicator", f"client {i} owns no objective (empty column)")
         object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "owner_sets", tuple(owners))
-        cols = tuple(tuple(int(s) for s in np.flatnonzero(a[:, i])) for i in range(a.shape[1]))
-        object.__setattr__(self, "client_objectives", cols)
+        object.__setattr__(self, "owner_sets", owners)
+        object.__setattr__(self, "client_objectives", objectives)
         self.entries.setflags(write=False)
 
     @property
@@ -148,8 +136,8 @@ def client_stream(seed: int, client: int, round_index: int, step: int,
 def output_stream(seed: int) -> np.random.Generator:
     """Stream reserved for the weighted-output round sampler: Philox keyed by
     ``SeedSequence(entropy=seed mod 2**64, spawn_key=(1,))``, at counter 0."""
-    ss = np.random.SeedSequence(entropy=int(seed) & (_U64 - 1), spawn_key=(_DOMAIN_OUTPUT,))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_philox_key(int(seed) & (_U64 - 1),
+                                                            (_DOMAIN_OUTPUT,))))
 
 
 @functools.lru_cache(maxsize=_KEYS_CACHED)
@@ -197,29 +185,27 @@ def as_model_point(x, d: int | None = None) -> np.ndarray:
     return v
 
 
-def as_direction_set(rows, n_objectives: int | None = None) -> np.ndarray:
+def as_direction_set(rows) -> np.ndarray:
     """Validate an S x d matrix of per-objective directions."""
     g = np.asarray(rows, dtype=np.float64)
     if g.ndim == 1:
         g = g[None, :]
     if g.ndim != 2 or g.shape[0] == 0:
         raise ValueError(f"direction set must be a nonempty 2-D matrix, got shape {g.shape}")
-    if n_objectives is not None and g.shape[0] != n_objectives:
-        raise ValueError(f"direction set has {g.shape[0]} rows, expected {n_objectives}")
     if not np.isfinite(g).all():
         raise ValueError("direction set contains non-finite entries")
     return g
 
 
-def validate_simplex(weights, atol: float = SIMPLEX_ATOL) -> np.ndarray:
-    """Check nonnegativity and unit sum of a simplex weight vector."""
+def validate_simplex(weights) -> np.ndarray:
+    """Check nonnegativity and unit sum, within ``SIMPLEX_ATOL``, of a simplex weight vector."""
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("simplex weights must be a nonempty 1-D vector")
     if (w < 0).any():
         raise ValueError(f"simplex weights must be nonnegative, min is {w.min()}")
-    if abs(w.sum() - 1.0) > atol:
-        raise ValueError(f"simplex weights sum to {w.sum()!r}, expected 1 within {atol}")
+    if abs(w.sum() - 1.0) > SIMPLEX_ATOL:
+        raise ValueError(f"simplex weights sum to {w.sum()!r}, expected 1 within {SIMPLEX_ATOL}")
     return w
 
 

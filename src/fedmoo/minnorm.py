@@ -27,9 +27,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-# the clamp's 0 as an array: NumPy 2 converts a Python float operand on every call
-_ZERO = np.zeros(())
-_ZERO.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -93,9 +90,10 @@ def _affine_min(Q, support, rows=None) -> np.ndarray:
         return np.concatenate([[1.0 - b.sum()], b])
     if len(support) == 2:
         i, j = support
-        denom = Q[i, i] - 2.0 * Q[i, j] + Q[j, j]
+        # Python floats, so an overflow gives inf or NaN weights and no warning
+        denom = Q.item(i, i) - 2.0 * Q.item(i, j) + Q.item(j, j)
         if denom > 0.0:
-            second = (Q[i, i] - Q[i, j]) / denom
+            second = (Q.item(i, i) - Q.item(i, j)) / denom
             return np.array([1.0 - second, second])
     p = len(support)
     kkt = np.ones((p + 1, p + 1))
@@ -111,8 +109,32 @@ def _affine_min(Q, support, rows=None) -> np.ndarray:
     return sol[:p]
 
 
-def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None,
-                   callback=None) -> MinNormSolution:
+def _affine_step(Q, g, support, rows, entering=False):
+    """:func:`_affine_min` from the Gram matrix until that fails, then from the
+    direction vectors ``g`` for the rest of the run; returns the weights and
+    the rows to pass on.
+
+    The Gram solve fails when its weights are not finite (the closed form or
+    the KKT system overflowed) or, for a vertex ``entering`` the support as
+    its last, when roundoff hides that vertex's weight, which is positive in
+    exact arithmetic.  The weights are None when they are not finite from
+    ``g`` either.
+    """
+    alpha = _affine_min(Q, support, rows)
+    if rows is None and not (np.isfinite(alpha).all() and (alpha[-1] > 0.0 or not entering)):
+        rows = g
+        alpha = _affine_min(Q, support, rows)
+    # weights kept from the Gram matrix passed the finiteness test above
+    return (alpha if rows is None or np.isfinite(alpha).all() else None), rows
+
+
+def _overflow(n, d, iterations) -> MinNormSolution:
+    """The ``overflow`` end of a solve: NaN weights and direction, infinite norm and gap."""
+    return MinNormSolution(np.full(n, np.nan), np.full(d, np.nan), np.inf, np.inf, iterations,
+                           False, "overflow")
+
+
+def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> MinNormSolution:
     """Minimize ||lambda^T G||^2 over the probability simplex.
 
     Wolfe's min-norm-point method (Wolfe 1976) on the S x S Gram matrix
@@ -124,7 +146,9 @@ def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     simplex, the step stops where the first weight reaches zero and that
     vertex is dropped.  In exact arithmetic the objective strictly decreases
     per major cycle and the method ends at the exact optimum after finitely
-    many cycles, where Frank-Wolfe only converges asymptotically.
+    many cycles, where Frank-Wolfe only converges asymptotically.  When the
+    Gram system overflows or its roundoff hides an entering weight, the
+    affine steps are solved from ``G`` itself for the rest of the run.
 
     Terminates when the duality gap drops to ``tol``, when roundoff hides
     the remaining descent (``stalled``: the entering vertex is already
@@ -132,18 +156,18 @@ def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     affine solve (default ``10*S*d + 1000``).  The returned direction, norm
     and gap are computed from ``G`` itself, and ``converged`` certifies that
     gap, so a ``gap_tol`` stop on the Gram matrix's roundoff can be unconverged.
-    An overflowing Gram matrix returns NaN weights and direction (``overflow``).
-
-    ``callback(iteration, weights, objective)`` is invoked once per major
-    cycle before its update, mainly so tests can observe the objective
-    sequence, which does not increase beyond roundoff.
+    An overflowing Gram matrix, or an affine step that overflows from ``G``
+    too, returns NaN weights and direction (``overflow``); no floating-point
+    warning is raised.  The objective does not increase, beyond roundoff,
+    from one update to the next, so neither does ``norm_sq`` as ``max_iter``
+    grows.
     """
     g = as_direction_set(G)
-    n, _ = g.shape
+    n, d = g.shape
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if max_iter is None:
-        max_iter = 10 * n * g.shape[1] + 1000
+        max_iter = 10 * n * d + 1000
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
@@ -152,10 +176,10 @@ def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         u = g[0].copy()
         return MinNormSolution(lam, u, float(u @ u), 0.0, 0, True, "single_objective")
 
-    Q = g @ g.T
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as "overflow" below
+        Q = g @ g.T
     if not np.isfinite(Q).all():  # overflowed inner products cannot rank the vertices
-        return MinNormSolution(np.full(n, np.nan), np.full(g.shape[1], np.nan), np.inf,
-                               np.inf, 0, False, "overflow")
+        return _overflow(n, d, 0)
     first = int(Q.diagonal().argmin())
     lam = np.zeros(n)
     lam[first] = 1.0
@@ -165,8 +189,6 @@ def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     while True:
         scores = Q @ lam
         norm_sq = float(lam @ scores)
-        if callback is not None:
-            callback(iterations, lam.copy(), norm_sq)
         j = int(scores.argmin())
         if 2.0 * (norm_sq - float(scores[j])) <= tol:
             termination = "gap_tol"
@@ -179,15 +201,13 @@ def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None,
             break
         support.append(j)
         iterations += 1
-        alpha = _affine_min(Q, support, rows)
-        if alpha[-1] <= 0.0 and rows is None:
-            # Gram roundoff hid the entering weight: solve from G for the rest of the run
-            rows = g
-            alpha = _affine_min(Q, support, rows)
+        alpha, rows = _affine_step(Q, g, support, rows, entering=True)
+        if alpha is None:
+            return _overflow(n, d, iterations)
         if alpha[-1] <= 0.0:  # in exact arithmetic the entering vertex gets positive weight
             termination = "stalled"
             break
-        while not (alpha > 0.0).all() and iterations < max_iter:
+        while not (positive := (alpha > 0.0).all()) and iterations < max_iter:
             # minor cycle: step toward alpha until the first weight hits zero, drop it
             cur = lam[support]
             leaving = np.flatnonzero(alpha <= 0.0)
@@ -198,11 +218,12 @@ def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None,
             lam[support] = np.where(keep, step, 0.0)
             support = [s for s, k in zip(support, keep) if k]
             iterations += 1
-            alpha = _affine_min(Q, support, rows)
-        if (alpha > 0.0).all():
+            alpha, rows = _affine_step(Q, g, support, rows)
+            if alpha is None:
+                return _overflow(n, d, iterations)
+        if positive:
             lam[support] = alpha
 
-    lam = np.maximum(lam, _ZERO)
     lam /= lam.sum()
     u, norm_sq, final_gap, _ = _duality_gap(g, lam)
     final_gap = max(final_gap, 0.0)  # lam is feasible

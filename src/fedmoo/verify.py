@@ -26,6 +26,7 @@ ORACLE_EXCESS = 1e-6     # solver's norm_sq above the lattice oracle's
 ORACLE_GAP = 1e-8        # Frank-Wolfe gap of a solve that reports converged
 KKT_ATOL = 1e-9          # largest violation of the optimality conditions
 CLOSED_FORM_ATOL = 1e-8  # |norm_sq| of the solver vs the two-objective closed form
+CLOSED_FORM_PAIRS = 100  # random pairs in R^5 checked against the closed form
 FD_POINTS = 50           # finite-difference points per problem
 FD_REL_TOL = 1e-5        # analytic vs finite-difference gradient, relative
 MC_BATCH = 8             # minibatch size of the Monte Carlo draws
@@ -128,21 +129,21 @@ def check_minnorm_kkt(n_instances=200, seed=20246, solver=solve_min_norm) -> Che
                        f"{n_instances} instances (S <= 12) satisfy KKT within {KKT_ATOL}")
 
 
-def check_closed_form(n_pairs=100, seed=20241, solver=solve_min_norm) -> CheckResult:
+def check_closed_form(seed=20241) -> CheckResult:
     """Solver vs the two-objective closed form; the detail carries the worst mismatch."""
     worst = 0.0
-    for case in range(n_pairs):
+    for case in range(CLOSED_FORM_PAIRS):
         rng = np.random.default_rng([seed, case])
         g1, g2 = rng.standard_normal((2, 5))
         direct = closed_form_two(g1, g2)
-        iterative = solver(np.vstack([g1, g2]))
+        iterative = solve_min_norm(np.vstack([g1, g2]))
         if abs(direct.norm_sq - iterative.norm_sq) > CLOSED_FORM_ATOL:
             return CheckResult("closed-form-two", False,
                                f"norm_sq mismatch {direct.norm_sq} vs {iterative.norm_sq}",
                                seed=case)
         worst = max(worst, abs(direct.norm_sq - iterative.norm_sq))
     return CheckResult("closed-form-two", True,
-                       f"{n_pairs} pairs in R^5: worst |norm_sq| mismatch {worst:.2e} "
+                       f"{CLOSED_FORM_PAIRS} pairs in R^5: worst |norm_sq| mismatch {worst:.2e} "
                        f"(<={CLOSED_FORM_ATOL:g})")
 
 
@@ -246,7 +247,7 @@ def check_descent(suites, rounds=100) -> CheckResult:
                        f"increase {worst:.2e} (<={DESCENT_SLACK:g})")
 
 
-def run_battery(level="quick", solver=solve_min_norm) -> list[CheckResult]:
+def run_battery(level="quick") -> list[CheckResult]:
     """Run the verification suite; ``full`` widens the Monte Carlo checks."""
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
@@ -256,9 +257,9 @@ def run_battery(level="quick", solver=solve_min_norm) -> list[CheckResult]:
     descent = [(20245, quadratic_suite(3, A, centers=[[1.0, 0, 0], [0, 1.0, 0]], seed=20245)),
                (20245, toy_nonconvex_suite(3, A, n_terms=5, seed=20245))]
     return [
-        check_minnorm_oracle(solver=solver),
-        check_minnorm_kkt(solver=solver),
-        check_closed_form(solver=solver),
+        check_minnorm_oracle(),
+        check_minnorm_kkt(),
+        check_closed_form(),
         check_gradients(_sample_problems(20242), 20242),
         check_unbiasedness(_sample_problems(20243), 20243, n_samples=mc),
         check_mgd_reduction(mgd, 20244),

@@ -4,13 +4,17 @@
 
 For each mutant, a fresh copy of the checkout's ``src``, ``tests`` and
 ``pyproject.toml`` goes under a temporary directory.  Its named test runs there
-once as it is, and must pass; then the mutant replaces one exact text of one
-file and the test runs again.  Each run is a subprocess under ``TIMEOUT``
-seconds.  It prints one line per mutant:
+as it is under each Hypothesis seed of ``SEEDS``, and must pass; then the
+mutant replaces one exact text of one file and the test runs again under each
+seed.  Each run is a subprocess under ``TIMEOUT`` seconds and starts without
+Hypothesis's example database, so no run replays another's failure.  It
+prints one line per mutant:
 
-- ``killed``: the test failed, so it catches the fault;
-- ``survived``: the test passed, so the fault goes unseen;
-- ``timeout``: the test ran past the limit, which shows nothing about its
+- ``killed``: the test failed under every seed, so it catches the fault
+  whatever examples Hypothesis draws;
+- ``survived``: the test passed under some seed, so the fault can go unseen
+  (a property that finds it only by random search needs an ``@example``);
+- ``timeout``: a run went past the limit, which shows nothing about its
   assertions.
 
 Exits 1 when a mutant survived or timed out.  Standard library only, and not
@@ -32,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 120.0  # seconds per test run
+SEEDS = (0, 1)   # --hypothesis-seed values; a kill must hold under each
 
 
 @dataclass(frozen=True)
@@ -46,8 +51,12 @@ class Mutant:
 MUTANTS = [
     # min-norm solver: the lattice oracle, the KKT conditions and golden bytes
     Mutant("no-rows-resolve", "src/fedmoo/minnorm.py",
-           "            rows = g\n", "            rows = None\n",
+           "        rows = g\n", "        rows = None\n",
            "tests/test_minnorm.py::TestSolverProperties::test_nearly_collinear_vertices_converge"),
+    Mutant("minor-cycle-keeps-gram", "src/fedmoo/minnorm.py",
+           "if rows is None and not (", "if rows is None and entering and not (",
+           "tests/test_minnorm.py::TestHandInstances"
+           "::test_overflowing_minor_cycle_is_solved_from_the_rows"),
     Mutant("start-at-vertex-0", "src/fedmoo/minnorm.py",
            "first = int(Q.diagonal().argmin())", "first = 0",
            "tests/test_golden.py"),
@@ -132,6 +141,10 @@ MUTANTS = [
     Mutant("threshold-strict", "src/fedmoo/metrics.py",
            "np.flatnonzero(y <= epsilon)", "np.flatnonzero(y < epsilon)",
            "tests/test_metrics.py::TestThresholds::test_value_exactly_at_epsilon_counts"),
+    # config schema
+    Mutant("stochastic-without-batch", "src/fedmoo/config.py",
+           'if mode == "stochastic" and batch is None:', "if False:",
+           "tests/test_config_cli.py::test_config_error_exits_2_naming_the_field"),
     # problem suites: finite differences in verify and the public-array oracles
     Mutant("tanh-ridge-dropped", "src/fedmoo/problems.py",
            "        return np.add(out, self._ridge * x, out)\n", "        return out\n",
@@ -169,10 +182,13 @@ MUTANTS = [
 ]
 
 
-def _pytest(work: Path, test: str) -> tuple[str, float]:
-    """Run one pytest node id in ``work``: ``passed``, ``failed`` or ``timeout``."""
+def _pytest(work: Path, test: str, seed: int) -> tuple[str, float]:
+    """Run one pytest node id in ``work`` under one Hypothesis seed: ``passed``,
+    ``failed`` or ``timeout``."""
     env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           f"--hypothesis-seed={seed}", test]
+    shutil.rmtree(work / ".hypothesis", ignore_errors=True)
     start = time.perf_counter()
     try:
         proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True, timeout=TIMEOUT)
@@ -184,6 +200,12 @@ def _pytest(work: Path, test: str) -> tuple[str, float]:
     tail = proc.stdout.decode(errors="replace").strip().splitlines()[-1:]
     raise SystemExit(f"{test}: pytest exited {proc.returncode} "
                      f"(not a test failure): {' '.join(tail)}")
+
+
+def _runs(work: Path, test: str) -> tuple[set, float]:
+    """The outcomes of ``test`` under each of ``SEEDS``, and their total time."""
+    runs = [_pytest(work, test, seed) for seed in SEEDS]
+    return {status for status, _ in runs}, sum(elapsed for _, elapsed in runs)
 
 
 def run(mutant: Mutant) -> tuple[str, float]:
@@ -199,12 +221,15 @@ def run(mutant: Mutant) -> tuple[str, float]:
         if text.count(mutant.old) != 1:
             raise SystemExit(f"{mutant.name}: old text occurs {text.count(mutant.old)} "
                              f"times in {mutant.path}")
-        status, _ = _pytest(work, mutant.test)
-        if status != "passed":  # a kill must come from the mutant, not from the copy
-            raise SystemExit(f"{mutant.name}: {mutant.test} {status} before mutation")
+        statuses, _ = _runs(work, mutant.test)
+        if statuses != {"passed"}:  # a kill must come from the mutant, not from the copy
+            raise SystemExit(f"{mutant.name}: {mutant.test} {'/'.join(sorted(statuses))} "
+                             f"before mutation")
         target.write_text(text.replace(mutant.old, mutant.new))
-        status, elapsed = _pytest(work, mutant.test)
-        return {"passed": "survived", "failed": "killed"}.get(status, status), elapsed
+        statuses, elapsed = _runs(work, mutant.test)
+        if statuses == {"failed"}:
+            return "killed", elapsed
+        return ("timeout" if "timeout" in statuses else "survived"), elapsed
 
 
 def main() -> int:

@@ -75,8 +75,7 @@ class TestConfigSchema:
         ({"mode": "full_gradient"}, None, "full_gradient"),
         ({"mode": "stochastic", "batch_size": 4}, 4, "stochastic"),
         ({"mode": "stochastic", "batch_size": "full"}, None, "full_gradient"),
-        ({"mode": "stochastic"}, None, "full_gradient"),
-    ], ids=["full_gradient", "stochastic-int", "stochastic-full", "stochastic-no-key"])
+    ], ids=["full_gradient", "stochastic-int", "stochastic-full"])
     def test_mode_and_batch_size_become_one_batch_size(self, keys, batch_size, mode):
         cfg = parse_config(quad_config(**keys))
         assert (cfg.batch_size, cfg.mode) == (batch_size, mode)
@@ -253,6 +252,24 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["termination"] == "diverged: non-finite min-norm solve at round 1"
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("centers", [
+        [[1.0e154, 0.0], [-1.0e154, 0.0]],
+        [[1.0e154, 1.0], [-1.0e154, 2.0], [3.0e153, -1.0e153]],
+    ], ids=["closed-form", "minor-cycle"])
+    def test_finite_gram_matrix_with_an_overflowing_affine_step_completes(
+            self, tmp_path, capsys, centers):
+        # G G^T is finite, but its closed form or KKT system overflows: the solver
+        # takes those steps from the rows, and the run ends without a traceback
+        cfg = quad_config(M=1, S=len(centers), d=2, K=1, T=3, eta_local=0.0)
+        cfg["problem"]["centers"] = centers
+        out = tmp_path / "big"
+        assert main(["run", "--config", self._write(tmp_path, cfg), "--out", str(out)]) == 0
+        assert (out / "rounds.csv").read_text().count("\n") == 1 + 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["termination"] == "completed"
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("curvature", [100.0, 1.0])
     def test_overflowing_server_step_exits_3_with_json_summaries(self, tmp_path, capsys,
@@ -560,7 +577,7 @@ class TestVerifyCommand:
     def test_quick_battery_passes_within_budget(self, capsys, monkeypatch, minnorm_oracle):
         # the lattice pass is the session's one run of it; every other check runs here
         oracle, oracle_s = minnorm_oracle
-        monkeypatch.setattr(verify, "check_minnorm_oracle", lambda solver: oracle)
+        monkeypatch.setattr(verify, "check_minnorm_oracle", lambda: oracle)
         start = time.perf_counter()
         assert main(["verify", "--level", "quick"]) == 0
         assert time.perf_counter() - start + oracle_s < 60.0
@@ -577,7 +594,7 @@ class TestVerifyCommand:
             "0/1 checks passed"]
 
     def test_corrupted_solver_tolerance_fails_named_check(self):
-        def sloppy(G, tol=1e-10, max_iter=None, callback=None):
+        def sloppy(G, tol=1e-10, max_iter=None):
             return solve_min_norm(G, tol=1e6, max_iter=1)
 
         result = check_minnorm_oracle(n_instances=40, solver=sloppy)
@@ -585,7 +602,7 @@ class TestVerifyCommand:
         assert result.seed is not None  # failing instance is replayable
 
     def test_truncated_solver_fails_kkt_check(self):
-        def truncated(G, tol=1e-10, max_iter=None, callback=None):
+        def truncated(G, tol=1e-10, max_iter=None):
             return solve_min_norm(G, max_iter=1)
 
         result = check_minnorm_kkt(n_instances=40, solver=truncated)
@@ -788,6 +805,9 @@ def _golden_doc(name, **problem):
     ("sweep", _sweep_doc(axis=None), "axis: required key is missing"),
     ("sweep", _sweep_doc(base=3), "base: expected an inline config mapping or a path"),
     ("sweep", _sweep_doc(values=[]), "values: expected a nonempty list"),
+    ("run", quad_config(mode="stochastic"), "batch_size: required by mode 'stochastic'"),
+    ("run", quad_config(mode="stochastic", batch_size=None),
+     "batch_size: required by mode 'stochastic'"),
 ])
 def test_config_error_exits_2_naming_the_field(tmp_path, capsys, command, document, message):
     path = tmp_path / "config.yaml"

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import fedmoo
 from fedmoo import core
 from fedmoo.core import (ConfigError, ExperimentConfig, IndicatorMatrix, RoundRecord,
-                         client_stream, derive_owner_sets, output_stream, validate_simplex)
+                         client_stream, output_stream, validate_simplex)
 
 # 0, one-word and two-word seeds mod 2**64, and seeds that wrap (negative or >= 2**64)
 SEEDS = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1),
@@ -44,28 +44,31 @@ def v2_state(seed, client, round_index, step, objective):
 
 class TestOwnerSets:
     def test_identity_routes_one_objective_per_client(self):
-        owners = derive_owner_sets(np.eye(3))
-        assert owners == [(0,), (1,), (2,)]
+        owners = IndicatorMatrix(np.eye(3)).owner_sets
+        assert owners == ((0,), (1,), (2,))
 
     def test_all_ones_routes_every_client_to_every_objective(self):
-        owners = derive_owner_sets(np.ones((2, 3)))
-        assert owners == [(0, 1, 2), (0, 1, 2)]
+        owners = IndicatorMatrix(np.ones((2, 3))).owner_sets
+        assert owners == ((0, 1, 2), (0, 1, 2))
 
     def test_overlapping_matrix_reads_off_rows(self):
-        owners = derive_owner_sets([[1, 1, 0], [0, 1, 1]])
-        assert owners == [(0, 1), (1, 2)]
+        a = IndicatorMatrix([[1, 1, 0], [0, 1, 1]])
+        assert a.owner_sets == ((0, 1), (1, 2))
+        assert a.client_objectives == ((0,), (0, 1), (1,))
 
     def test_empty_row_names_objective(self):
-        with pytest.raises(ConfigError, match="objective 1"):
-            derive_owner_sets([[1, 0], [0, 0]])
+        with pytest.raises(ConfigError,
+                           match=r"^indicator: objective 1 has no owning client \(empty row\)$"):
+            IndicatorMatrix([[1, 0], [0, 0]])
 
     def test_empty_column_names_client(self):
-        with pytest.raises(ConfigError, match="client 2"):
-            derive_owner_sets([[1, 0, 0], [0, 1, 0]])
+        with pytest.raises(ConfigError,
+                           match=r"^indicator: client 2 owns no objective \(empty column\)$"):
+            IndicatorMatrix([[1, 0, 0], [0, 1, 0]])
 
     def test_non_binary_entries_rejected(self):
         with pytest.raises(ConfigError, match="0 or 1"):
-            derive_owner_sets([[1, 2], [1, 0]])
+            IndicatorMatrix([[1, 2], [1, 0]])
 
     @pytest.mark.parametrize("entries", [[[0.5, 1], [1, 1.7]], [[np.nan, 1], [1, 1]]])
     def test_fractional_or_nan_entries_rejected_not_truncated(self, entries):

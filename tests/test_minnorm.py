@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fedmoo import minnorm
 from fedmoo.minnorm import closed_form_two, fw_gap, grid_oracle, solve_min_norm
 from fedmoo.verify import _kkt_instance, check_closed_form, check_minnorm_oracle
 
@@ -46,11 +47,41 @@ class TestHandInstances:
         with pytest.raises(ValueError, match="tol must be > 0, got 0.0"):
             solve_min_norm(np.eye(2), tol=0.0)
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_gram_matrix_is_flagged(self):
         G = np.array([[1e200, 1.0], [1.0, 1e200], [1.0, -1e200]])  # finite rows, G G^T is not
-        with np.errstate(over="ignore"):
-            sol = solve_min_norm(G)
+        sol = solve_min_norm(G)
         assert (sol.termination, sol.converged, sol.norm_sq) == ("overflow", False, np.inf)
+        assert np.isnan(sol.weights).all() and np.isnan(sol.direction).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_closed_form_is_solved_from_the_rows(self):
+        # G G^T is finite (entries +-1e308), but the segment's denominator
+        # Q_00 - 2 Q_01 + Q_11 overflows; the rows themselves give the midpoint
+        sol = solve_min_norm(np.array([[1e154, 0.0], [-1e154, 0.0]]))
+        assert (sol.termination, sol.converged) == ("gap_tol", True)
+        assert sol.weights.tolist() == [0.5, 0.5] and sol.norm_sq == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_minor_cycle_is_solved_from_the_rows(self):
+        # the minor cycle's Gram solve on the support [1, 0] overflows too; at this
+        # scale the Gram gap's roundoff stops the solve, and the gap from G says so
+        G = np.array([[1e154, 1.0], [-1e154, 2.0], [3e153, -1e153]])
+        sol = solve_min_norm(G)
+        w = sol.weights
+        assert sol.termination == "gap_tol" and (w >= 0.0).all() and abs(w.sum() - 1.0) <= 1e-12
+        assert np.isfinite(sol.direction).all() and sol.norm_sq <= (G * G).sum(axis=1).min()
+        assert sol.converged == (fw_gap(G, w) <= 1e-10)
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_affine_step_overflowing_from_the_rows_too_ends_as_overflow(self, monkeypatch):
+        # no finite input is known to reach this (least squares on finite rows stays
+        # finite), so a stand-in for the solve from the rows overflows instead
+        gram_only = minnorm._affine_min
+        monkeypatch.setattr(minnorm, "_affine_min", lambda Q, support, rows=None: (
+            gram_only(Q, support) if rows is None else np.full(len(support), np.nan)))
+        sol = solve_min_norm(np.array([[1e154, 0.0], [-1e154, 0.0]]))
+        assert (sol.termination, sol.converged, sol.iterations) == ("overflow", False, 1)
         assert np.isnan(sol.weights).all() and np.isnan(sol.direction).all()
 
     def test_max_iter_exhaustion_is_flagged(self):
@@ -87,19 +118,23 @@ class TestSolverProperties:
         assert result.passed, result.line()
 
     def test_objective_sequence_non_increasing(self):
+        # a budget of k updates stops the solve after its k-th affine step
         rng = np.random.default_rng(17)
         for _ in range(20):
-            objs = []
-            solve_min_norm(rng.uniform(-1, 1, (4, 3)),
-                           callback=lambda it, lam, obj: objs.append(obj))
-            diffs = np.diff(objs)
-            assert (diffs <= 1e-12).all()
+            G = rng.uniform(-1, 1, (4, 3))
+            objs = [solve_min_norm(G, max_iter=k).norm_sq for k in range(1, 12)]
+            assert (np.diff(objs) <= 1e-12).all()
 
     def test_feasibility_is_exact(self):
+        # unit-scale instances, then rank-deficient ones with duplicate rows at
+        # scales 1e-6 to 1e6, where the Gram matrix's roundoff is largest
         rng = np.random.default_rng(23)
-        for _ in range(50):
-            sol = solve_min_norm(rng.standard_normal((3, 5)))
-            assert (sol.weights >= 0).all()
+        cases = [rng.standard_normal((3, 5)) for _ in range(50)]
+        cases += [10.0 ** rng.uniform(-6.0, 6.0) * _kkt_instance(np.random.default_rng([23, c]))
+                  for c in range(200)]
+        for G in cases:
+            sol = solve_min_norm(G)
+            assert (sol.weights >= 0).all() and not np.signbit(sol.weights).any()
             assert abs(sol.weights.sum() - 1.0) <= 1e-12
             assert sol.norm_sq == pytest.approx(float(sol.direction @ sol.direction),
                                                 rel=1e-12, abs=1e-300)
