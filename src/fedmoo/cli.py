@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .config import load_config, load_sweep, member_dir
 from .core import ConfigError
@@ -74,7 +73,7 @@ def _execute_run(config, raw, out_dir: str) -> tuple[int, dict]:
     summary = build_summary(traj, raw, problem)
     write_summary_json(os.path.join(out_dir, "summary.json"), summary)
     if traj.termination != "completed":
-        # one write per line, so concurrent sweep members cannot interleave within it
+        # one write per line, so another writer to stderr cannot split it
         sys.stderr.write(f"{config.name}: {traj.termination} "
                          f"(partial log written to {out_dir})\n")
         return EXIT_DIVERGED, summary
@@ -121,11 +120,7 @@ def cmd_sweep(args) -> int:
         run_dir = os.path.join(out_dir, member_dir(spec.axis, value))
         return value, run_dir, *_run_member(config, raw, run_dir, args.force)
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(one, members))
-    else:
-        results = [one(member) for member in members]
+    results = [one(member) for member in members]  # --jobs is accepted and has no effect
 
     entries = []
     worst = EXIT_OK
@@ -252,7 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True, help="path to the sweep file")
     p_sweep.add_argument("--out", help="sweep output root")
     p_sweep.add_argument("--force", action="store_true", help="overwrite existing outputs")
-    p_sweep.add_argument("--jobs", type=_positive_int, default=1, help="parallel sweep members")
+    p_sweep.add_argument("--jobs", type=_positive_int, default=1,
+                         help="accepted for compatibility and has no effect: "
+                              "members run one after another")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the built-in verification battery")

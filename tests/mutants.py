@@ -17,10 +17,12 @@ prints one line per mutant:
 - ``timeout``: a run went past the limit, which shows nothing about its
   assertions.
 
-Exits 1 when a mutant survived or timed out.  Standard library only, and not
-part of tier-1 (pytest collects ``test_*.py`` files only); ``tests/test_mutants.py``
-checks that every mutant's old text still occurs exactly once in its file and
-that its named test exists.
+Exits 1 when a mutant survived or timed out.  ``EQUIVALENT`` lists the changes
+that no test can catch, each with the reason no result moves; they are not run.
+Standard library only, and not part of tier-1 (pytest collects ``test_*.py``
+files only); ``tests/test_mutants.py`` checks that every mutant's and every
+equivalent's old text still occurs exactly once in its file and that each
+mutant's named test exists.
 """
 
 from __future__ import annotations
@@ -48,6 +50,15 @@ class Mutant:
     test: str   # pytest node id (relative to the checkout root) that must fail
 
 
+@dataclass(frozen=True)
+class Equivalent:
+    """A one-line change that no test can catch, because no result moves."""
+    path: str
+    old: str    # occurs exactly once in the file
+    new: str
+    reason: str
+
+
 MUTANTS = [
     # min-norm solver: the lattice oracle, the KKT conditions and golden bytes
     Mutant("no-rows-resolve", "src/fedmoo/minnorm.py",
@@ -67,6 +78,19 @@ MUTANTS = [
            "if j in support:", "if False:",  # re-adds the vertex until max_iter
            "tests/test_minnorm.py::TestHandInstances"
            "::test_a_supported_vertex_entering_again_stalls_the_solve"),
+    # the lattice oracle's argument checks, each with a value on its boundary
+    Mutant("oracle-rejects-four-objectives", "src/fedmoo/minnorm.py",
+           "if n > 4:", "if n >= 4:",
+           "tests/test_minnorm.py::TestGridOracle::test_four_objectives_accepted"),
+    Mutant("oracle-rejects-step-one-half", "src/fedmoo/minnorm.py",
+           "if not 0 < step <= 0.5:", "if not 0 < step < 0.5:",
+           "tests/test_minnorm.py::TestGridOracle::test_step_one_half_accepted"),
+    Mutant("oracle-accepts-zero-step", "src/fedmoo/minnorm.py",
+           "if not 0 < step <= 0.5:", "if not 0 <= step <= 0.5:",
+           "tests/test_minnorm.py::TestGridOracle::test_zero_step_rejected"),
+    Mutant("oracle-refines-one-objective", "src/fedmoo/minnorm.py",
+           "refine_to < 1.0 / cells and n > 1:", "refine_to < 1.0 / cells and n >= 1:",
+           "tests/test_minnorm.py::TestGridOracle::test_one_objective_is_not_refined"),
     # streams and batches: Monte Carlo and the stream-definition oracles
     Mutant("batch-range-short", "src/fedmoo/federation.py",
            "m = u[:, :batch] * n\n", "m = u[:, :batch] * (n - 1)\n",
@@ -179,6 +203,13 @@ MUTANTS = [
            "_rng(self.seed, _TAG_ANCHORS, s)", "_rng(self.seed, _TAG_ANCHORS)",
            "tests/test_problems.py::TestQuadraticBuild"
            "::test_in_place_build_matches_the_out_of_place_expressions"),
+]
+
+EQUIVALENT = [
+    Equivalent("src/fedmoo/minnorm.py",
+               "refine_to < 1.0 / cells and n > 1:", "refine_to <= 1.0 / cells and n > 1:",
+               "a re-scan at the coarse resolution visits only coarse lattice points, so it "
+               "cannot strictly beat the coarse minimum"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -430,14 +431,11 @@ class TestSweepCommand:
         assert all(h is not None for h in hits)
         assert hits[0] > hits[1] > hits[2]  # more local steps, fewer rounds
 
-    def test_concurrent_members_write_the_serial_bytes(self, tmp_path):
+    def test_members_run_in_order_on_the_calling_thread_whatever_jobs_says(
+            self, tmp_path, monkeypatch):
         # stochastic per-objective minibatches on a label-skewed split, swept over K: the
-        # benchmark's classification sweep at a few rounds.  Members that shared any
-        # state across threads would move some output byte on some of the repeats.  Their
-        # rounds take milliseconds beside their set-up, so the threads are switched every
-        # microsecond instead of every 5 ms to make the rounds interleave.  At 1 us a
-        # local-step block shared by the members moved bytes in about half the repeats;
-        # at 5 ms it moved none.
+        # benchmark's classification sweep at a few rounds.  --jobs is accepted and has
+        # no effect: no thread is started and every output byte is the --jobs 1 byte.
         base = {"name": "cls", "M": 10, "S": 2, "d": 24, "indicator": "all_ones", "K": 1,
                 "T": 6, "eta_global": 0.5, "eta_local": 0.05, "mode": "stochastic",
                 "batch_size": 16, "sample_sharing": "per_objective",
@@ -447,11 +445,24 @@ class TestSweepCommand:
                             "n_components": 10, "ridge": 0.05}}
         spath = tmp_path / "sweep.yaml"
         spath.write_text(yaml.safe_dump({"base": base, "axis": "K", "values": [1, 5, 10]}))
+        calls = []
+        run_member = cli._run_member
+
+        def recording(config, *args):
+            calls.append((threading.get_ident(), config.K, threading.active_count()))
+            return run_member(config, *args)
+
+        monkeypatch.setattr(cli, "_run_member", recording)
 
         def outputs(name, jobs):
+            calls.clear()
+            threads = threading.active_count()
             out = tmp_path / name
             assert main(["sweep", "--config", str(spath), "--out", str(out),
                          "--jobs", jobs]) == 0
+            caller = threading.get_ident()
+            assert calls == [(caller, K, threads) for K in (1, 5, 10)]
+            assert threading.active_count() == threads
             return {str(p.relative_to(out)): p.read_bytes()
                     for p in sorted(out.rglob("*")) if p.is_file()}
 
@@ -459,13 +470,7 @@ class TestSweepCommand:
         assert sorted(serial) == ["K=1/rounds.csv", "K=1/summary.json", "K=10/rounds.csv",
                                   "K=10/summary.json", "K=5/rounds.csv", "K=5/summary.json",
                                   "sweep_summary.json"]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for repeat in range(5):
-                assert outputs(f"parallel{repeat}", "2") == serial
-        finally:
-            sys.setswitchinterval(interval)
+        assert outputs("jobs2", "2") == serial
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):

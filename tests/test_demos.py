@@ -46,8 +46,9 @@ def test_demo_config_runs(config, tmp_path):
 
 
 def test_parallel_classification_sweep_in_a_fresh_process(tmp_path):
-    """A fresh ``sweep --jobs 2`` writes the serial tree.  No run loads scipy, so this
-    guards no import race inside the member threads."""
+    """``python -m fedmoo.cli sweep`` runs in a fresh process, and ``--jobs 2`` (accepted,
+    with no effect) writes the ``--jobs 1`` tree.  No other test starts the module's
+    ``__main__`` entry point."""
     trees = []
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}"

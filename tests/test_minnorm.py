@@ -284,6 +284,22 @@ class TestGridOracle:
         with pytest.raises(ValueError, match="step"):
             grid_oracle(np.ones((2, 2)), 0.7)
 
+    def test_four_objectives_accepted(self):
+        weights, nsq = grid_oracle(np.eye(4), 0.25)
+        assert weights.tolist() == [0.25] * 4 and nsq == 0.25
+
+    def test_step_one_half_accepted(self):
+        weights, nsq = grid_oracle(np.array([[1.0, 0.0], [0.0, 1.0]]), 0.5)
+        assert weights.tolist() == [0.5, 0.5] and nsq == 0.5
+
+    def test_zero_step_rejected(self):
+        with pytest.raises(ValueError, match="step"):
+            grid_oracle(np.ones((2, 2)), 0.0)
+
+    def test_one_objective_is_not_refined(self):
+        weights, nsq = grid_oracle([[1.0, 2.0]], 0.1, refine_to=0.01)
+        assert weights.tolist() == [1.0] and nsq == 5.0
+
     def test_lattice_within_two_steps_of_the_solver(self):
         for case in range(40):
             G = np.random.default_rng([81, case]).uniform(-1, 1, (3, 4))

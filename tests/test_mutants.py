@@ -2,7 +2,8 @@
 
 Running the mutants takes minutes and lives outside tier-1; this only checks
 that each one still names text that occurs exactly once and a test that exists
-(its file, and each class or function of its node id), so that a refactor cannot
+(its file, and each class or function of its node id), and that each recorded
+equivalent still names text that occurs exactly once, so that a refactor cannot
 silently leave a mutant pointing at nothing.
 """
 
@@ -10,7 +11,7 @@ import re
 
 import pytest
 
-from mutants import MUTANTS, ROOT
+from mutants import EQUIVALENT, MUTANTS, ROOT
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
@@ -26,3 +27,9 @@ def test_mutant_old_text_occurs_exactly_once(mutant):
 
 def test_mutant_names_are_distinct():
     assert len({m.name for m in MUTANTS}) == len(MUTANTS)
+
+
+@pytest.mark.parametrize("equivalent", EQUIVALENT, ids=lambda e: e.new)
+def test_equivalent_old_text_occurs_exactly_once(equivalent):
+    assert (ROOT / equivalent.path).read_text().count(equivalent.old) == 1
+    assert equivalent.new != equivalent.old and equivalent.reason
