@@ -115,17 +115,12 @@ def cmd_sweep(args) -> int:
         return _fail(err, EXIT_USAGE)
     os.makedirs(out_dir, exist_ok=True)
 
-    def one(member):
-        value, config, raw = member
-        run_dir = os.path.join(out_dir, member_dir(spec.axis, value))
-        return value, run_dir, *_run_member(config, raw, run_dir, args.force)
-
-    results = [one(member) for member in members]  # --jobs is accepted and has no effect
-
     entries = []
     worst = EXIT_OK
-    for value, run_dir, code, err_msg, summary in results:
-        entry = {"value": value, "dir": os.path.basename(run_dir),
+    for value, config, raw in members:  # in order on this thread; --jobs has no effect
+        name = member_dir(spec.axis, value)
+        code, err_msg, summary = _run_member(config, raw, os.path.join(out_dir, name), args.force)
+        entry = {"value": value, "dir": name,
                  "status": "ok" if code == EXIT_OK else f"error({code})"}
         if err_msg:
             entry["error"] = err_msg

@@ -137,10 +137,7 @@ def client_update_stochastic(x_t, client, owned, K, eta_local, batch, problem, s
                             sample_sharing)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         acc, X = _step_pairs(x_t, pairs, batches, K, eta_local, problem.stoch_grad, round_index)
-        # np.linalg.norm(X - x_t, axis=1) without its wrapper: the same reduction
-        X -= x_t
-        drift = np.sqrt(np.add.reduce(X * X, axis=1))
-    return acc, drift
+        return acc, np.linalg.norm(X - x_t, axis=1)
 
 
 def _draw_batches(clients, K, batch, problem, seed, round_index, sample_sharing):
@@ -408,19 +405,17 @@ def run_experiment(config: ExperimentConfig, problem) -> TrajectoryLog:
     traj = TrajectoryLog(config=config)
     for t in range(1, config.T + 1):
         try:
-            x_next, record = run_round(t, x, config, problem)
+            x, record = run_round(t, x, config, problem)
         except DivergenceError as exc:
             traj.termination = f"diverged: {exc}"
             break
         traj.records.append(record)
         with np.errstate(over="ignore"):  # a finite point's norm may overflow to inf
-            beyond = not np.isfinite(x_next).all() or np.linalg.norm(x_next) > DIVERGENCE_NORM
+            beyond = not np.isfinite(x).all() or np.linalg.norm(x) > DIVERGENCE_NORM
         if beyond:
             traj.termination = (f"diverged: global point norm exceeded "
                                 f"{DIVERGENCE_NORM:g} at round {t}")
-            x = x_next
             break
-        x = x_next
     traj.final_point = x
     if traj.records and 0.0 < problem.mu * config.eta_global / 2.0 < 1.0:
         traj.weighted_output = pick_weighted_output(traj, problem.mu, config.eta_global,

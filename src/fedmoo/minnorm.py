@@ -70,24 +70,15 @@ def _duality_gap(g, lam):
     return u, norm_sq, 2.0 * (norm_sq - low), 2.0 * (norm_sq + abs(low))
 
 
-def _affine_min(Q, support, rows=None) -> np.ndarray:
+def _affine_min(Q, support) -> np.ndarray:
     """Weights of the min-norm point in the affine hull of the supported vertices.
 
     Solves the KKT system of min a^T Q_P a subject to sum(a) = 1; two
     vertices use the segment closed form.  A singular system (duplicate or
-    affinely dependent vertices) falls back to least squares, which still
-    returns a minimizer because the system is consistent.
-
-    Given the direction vectors ``rows``, solves instead the least-squares
-    problem min ||G_0 + b^T (G_P - G_0)|| on the vertices themselves, whose
-    conditioning is that of the vertex set rather than its square, for
-    nearly affinely dependent vertices whose Gram entries lose the descent
-    to roundoff.
+    affinely dependent vertices) gives NaN weights: least squares on it drops
+    the constraint once ``Q`` is large, so :func:`_affine_step` solves it
+    from the rows instead.
     """
-    if rows is not None:
-        base = rows[support[0]]
-        b = np.linalg.lstsq((rows[support[1:]] - base).T, -base, rcond=None)[0]
-        return np.concatenate([[1.0 - b.sum()], b])
     if len(support) == 2:
         i, j = support
         # Python floats, so an overflow gives inf or NaN weights and no warning
@@ -103,35 +94,39 @@ def _affine_min(Q, support, rows=None) -> np.ndarray:
     rhs = np.zeros(p + 1)
     rhs[p] = 1.0
     try:
-        sol = np.linalg.solve(kkt, rhs)
+        return np.linalg.solve(kkt, rhs)[:p]
     except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    return sol[:p]
+        return np.full(p, np.nan)
 
 
-def _affine_step(Q, g, support, rows, entering=False):
-    """:func:`_affine_min` from the Gram matrix until that fails, then from the
-    direction vectors ``g`` for the rest of the run; returns the weights and
-    the rows to pass on.
+def _affine_step(Q, g, support, from_rows, entering=False):
+    """Weights of the min-norm point in the affine hull of the supported
+    vertices, and whether they came from the direction vectors ``g``.
 
-    The Gram solve fails when its weights are not finite (the closed form or
-    the KKT system overflowed) or, for a vertex ``entering`` the support as
-    its last, when roundoff hides that vertex's weight, which is positive in
-    exact arithmetic.  The weights are None when they are not finite from
-    ``g`` either.
+    Solves from the Gram matrix (:func:`_affine_min`) until that fails, then
+    from ``g`` for the rest of the run: the least-squares problem
+    min ||G_0 + b^T (G_P - G_0)||, whose conditioning is that of the vertex
+    set rather than its square.  The Gram solve fails when its weights are
+    not finite (the closed form or the KKT system overflowed, or the KKT
+    system is singular) or, for a vertex ``entering`` the support as its
+    last, when roundoff hides that vertex's weight, which is positive in
+    exact arithmetic.  The weights from ``g`` are finite: a finite ``Q``
+    bounds every entry of ``g`` by ~1.34e154, so ``G_P - G_0`` is finite, and
+    least squares on a finite matrix returns finite weights.
     """
-    alpha = _affine_min(Q, support, rows)
-    if rows is None and not (np.isfinite(alpha).all() and (alpha[-1] > 0.0 or not entering)):
-        rows = g
-        alpha = _affine_min(Q, support, rows)
-    # weights kept from the Gram matrix passed the finiteness test above
-    return (alpha if rows is None or np.isfinite(alpha).all() else None), rows
+    if not from_rows:
+        alpha = _affine_min(Q, support)
+        if np.isfinite(alpha).all() and (alpha[-1] > 0.0 or not entering):
+            return alpha, False
+    base = g[support[0]]
+    b = np.linalg.lstsq((g[support[1:]] - base).T, -base, rcond=None)[0]
+    return np.concatenate([[1.0 - b.sum()], b]), True
 
 
-def _overflow(n, d, iterations) -> MinNormSolution:
+def _overflow(n, d) -> MinNormSolution:
     """The ``overflow`` end of a solve: NaN weights and direction, infinite norm and gap."""
-    return MinNormSolution(np.full(n, np.nan), np.full(d, np.nan), np.inf, np.inf, iterations,
-                           False, "overflow")
+    return MinNormSolution(np.full(n, np.nan), np.full(d, np.nan), np.inf, np.inf, 0, False,
+                           "overflow")
 
 
 def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> MinNormSolution:
@@ -147,8 +142,9 @@ def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> 
     vertex is dropped.  In exact arithmetic the objective strictly decreases
     per major cycle and the method ends at the exact optimum after finitely
     many cycles, where Frank-Wolfe only converges asymptotically.  When the
-    Gram system overflows or its roundoff hides an entering weight, the
-    affine steps are solved from ``G`` itself for the rest of the run.
+    Gram system overflows, is singular or its roundoff hides an entering
+    weight, the affine steps are solved from ``G`` itself for the rest of
+    the run.
 
     Terminates when the duality gap drops to ``tol``, when roundoff hides
     the remaining descent (``stalled``: the entering vertex is already
@@ -156,11 +152,11 @@ def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> 
     affine solve (default ``10*S*d + 1000``).  The returned direction, norm
     and gap are computed from ``G`` itself, and ``converged`` certifies that
     gap, so a ``gap_tol`` stop on the Gram matrix's roundoff can be unconverged.
-    An overflowing Gram matrix, or an affine step that overflows from ``G``
-    too, returns NaN weights and direction (``overflow``); no floating-point
-    warning is raised.  The objective does not increase, beyond roundoff,
-    from one update to the next, so neither does ``norm_sq`` as ``max_iter``
-    grows.
+    Only an overflowing Gram matrix ends a solve as ``overflow``, with NaN
+    weights and direction and no floating-point warning: once ``Q`` is
+    finite, so is every affine step from ``G`` (see :func:`_affine_step`).
+    The objective does not increase, beyond roundoff, from one update to the
+    next, so neither does ``norm_sq`` as ``max_iter`` grows.
     """
     g = as_direction_set(G)
     n, d = g.shape
@@ -179,12 +175,12 @@ def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> 
     with np.errstate(over="ignore", invalid="ignore"):  # reported as "overflow" below
         Q = g @ g.T
     if not np.isfinite(Q).all():  # overflowed inner products cannot rank the vertices
-        return _overflow(n, d, 0)
+        return _overflow(n, d)
     first = int(Q.diagonal().argmin())
     lam = np.zeros(n)
     lam[first] = 1.0
     support = [first]
-    rows = None
+    from_rows = False
     iterations = 0
     while True:
         scores = Q @ lam
@@ -201,9 +197,7 @@ def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> 
             break
         support.append(j)
         iterations += 1
-        alpha, rows = _affine_step(Q, g, support, rows, entering=True)
-        if alpha is None:
-            return _overflow(n, d, iterations)
+        alpha, from_rows = _affine_step(Q, g, support, from_rows, entering=True)
         if alpha[-1] <= 0.0:  # in exact arithmetic the entering vertex gets positive weight
             termination = "stalled"
             break
@@ -218,9 +212,7 @@ def solve_min_norm(G, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> 
             lam[support] = np.where(keep, step, 0.0)
             support = [s for s, k in zip(support, keep) if k]
             iterations += 1
-            alpha, rows = _affine_step(Q, g, support, rows)
-            if alpha is None:
-                return _overflow(n, d, iterations)
+            alpha, from_rows = _affine_step(Q, g, support, from_rows)
         if positive:
             lam[support] = alpha
 
@@ -302,7 +294,7 @@ def grid_oracle(G, step: float, refine_to: float | None = None):
         offsets = np.stack([o.ravel() for o in grids], axis=1)
         head = center[:-1] + offsets
         tail = fine - head.sum(axis=1)
-        ok = (head >= 0).all(axis=1) & (tail >= 0) & (tail <= fine)
+        ok = (head >= 0).all(axis=1) & (tail >= 0)  # head >= 0 also gives tail <= fine
         if ok.any():
             fine_lattice = np.hstack([head[ok], tail[ok, None]]) / fine
             lam2, nsq2 = _lattice_min(g, fine_lattice)

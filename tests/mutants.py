@@ -62,12 +62,18 @@ class Equivalent:
 MUTANTS = [
     # min-norm solver: the lattice oracle, the KKT conditions and golden bytes
     Mutant("no-rows-resolve", "src/fedmoo/minnorm.py",
-           "        rows = g\n", "        rows = None\n",
+           "if np.isfinite(alpha).all() and (alpha[-1] > 0.0 or not entering):", "if True:",
            "tests/test_minnorm.py::TestSolverProperties::test_nearly_collinear_vertices_converge"),
     Mutant("minor-cycle-keeps-gram", "src/fedmoo/minnorm.py",
-           "if rows is None and not (", "if rows is None and entering and not (",
+           "if np.isfinite(alpha).all() and (alpha[-1] > 0.0 or not entering):",
+           "if not entering or np.isfinite(alpha).all() and alpha[-1] > 0.0:",
            "tests/test_minnorm.py::TestHandInstances"
            "::test_overflowing_minor_cycle_is_solved_from_the_rows"),
+    Mutant("singular-kkt-least-squares", "src/fedmoo/minnorm.py",
+           "        return np.full(p, np.nan)\n",
+           "        return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:p]\n",
+           "tests/test_minnorm.py::TestFiniteGramMatrix"
+           "::test_a_finite_gram_matrix_gives_finite_weights_on_the_simplex"),
     Mutant("start-at-vertex-0", "src/fedmoo/minnorm.py",
            "first = int(Q.diagonal().argmin())", "first = 0",
            "tests/test_golden.py"),
@@ -91,6 +97,13 @@ MUTANTS = [
     Mutant("oracle-refines-one-objective", "src/fedmoo/minnorm.py",
            "refine_to < 1.0 / cells and n > 1:", "refine_to < 1.0 / cells and n >= 1:",
            "tests/test_minnorm.py::TestGridOracle::test_one_objective_is_not_refined"),
+    Mutant("oracle-refine-skips-last-face", "src/fedmoo/minnorm.py",
+           "& (tail >= 0)", "& (tail > 0)",
+           "tests/test_minnorm.py::TestGridOracle"
+           "::test_refinement_reaches_the_face_without_the_last_vertex"),
+    Mutant("oracle-refine-takes-ties", "src/fedmoo/minnorm.py",
+           "if nsq2 < best_nsq:", "if nsq2 <= best_nsq:",
+           "tests/test_minnorm.py::TestGridOracle::test_a_refined_tie_keeps_the_coarse_minimizer"),
     # streams and batches: Monte Carlo and the stream-definition oracles
     Mutant("batch-range-short", "src/fedmoo/federation.py",
            "m = u[:, :batch] * n\n", "m = u[:, :batch] * (n - 1)\n",

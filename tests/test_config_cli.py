@@ -424,7 +424,7 @@ class TestSweepCommand:
         spath = tmp_path / "sweep.yaml"
         spath.write_text(yaml.safe_dump(sweep))
         out = tmp_path / "sw"
-        assert main(["sweep", "--config", str(spath), "--out", str(out), "--jobs", "2"]) == 0
+        assert main(["sweep", "--config", str(spath), "--out", str(out)]) == 0
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert [m["value"] for m in summary["members"]] == [1, 3, 9]
         hits = [m["thresholds"]["delta_Q"]["0.001"] for m in summary["members"]]
@@ -495,19 +495,19 @@ class TestSweepCommand:
         statuses = [m["status"] for m in summary["members"]]
         assert statuses[0] == "ok" and statuses[1] == "error(3)"
 
-    def test_parallel_members_with_overflowing_aggregates_are_recorded(self, tmp_path):
+    def test_members_with_overflowing_aggregates_are_recorded(self, tmp_path):
         spath = tmp_path / "sweep.yaml"
         spath.write_text(yaml.safe_dump({"base": aggregate_overflow_config(), "axis": "M",
                                          "values": [2, 3]}))
         out = tmp_path / "sw"
-        assert main(["sweep", "--config", str(spath), "--out", str(out), "--jobs", "2"]) == 3
+        assert main(["sweep", "--config", str(spath), "--out", str(out)]) == 3
         members = json.loads((out / "sweep_summary.json").read_text())["members"]
         assert [m["status"] for m in members] == ["error(3)", "error(3)"]
         for member in members:
             summary = json.loads((out / member["dir"] / "summary.json").read_text())
             assert summary["termination"].endswith("aggregate at round 1, objective 0")
 
-    def test_diverging_parallel_members_write_whole_stderr_lines(self, tmp_path, monkeypatch):
+    def test_diverging_members_write_whole_stderr_lines(self, tmp_path, monkeypatch):
         writes = []
 
         class Recorder:
@@ -522,8 +522,7 @@ class TestSweepCommand:
         spath.write_text(yaml.safe_dump({"base": aggregate_overflow_config(), "axis": "M",
                                          "values": [2, 3]}))
         monkeypatch.setattr(sys, "stderr", Recorder())
-        assert main(["sweep", "--config", str(spath), "--out", str(tmp_path / "sw"),
-                     "--jobs", "2"]) == 3
+        assert main(["sweep", "--config", str(spath), "--out", str(tmp_path / "sw")]) == 3
         assert len(writes) == 2
         assert all(text.endswith("\n") and text.count("\n") == 1 for text in writes)
 
@@ -572,7 +571,7 @@ class TestSweepCommand:
         path.write_text(yaml.safe_dump({"base": quad_config(), "axis": axis})
                         + f"values: {values}\n")
         out = tmp_path / "sw"
-        code = main(["sweep", "--config", str(path), "--out", str(out), "--jobs", "2"])
+        code = main(["sweep", "--config", str(path), "--out", str(out)])
         assert code == 2
         assert "values: two values share the member directory" in capsys.readouterr().err
         assert not out.exists()

@@ -2,11 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fedmoo import minnorm
 from fedmoo.minnorm import closed_form_two, fw_gap, grid_oracle, solve_min_norm
 from fedmoo.verify import _kkt_instance, check_closed_form, check_minnorm_oracle
 
@@ -72,17 +71,6 @@ class TestHandInstances:
         assert sol.termination == "gap_tol" and (w >= 0.0).all() and abs(w.sum() - 1.0) <= 1e-12
         assert np.isfinite(sol.direction).all() and sol.norm_sq <= (G * G).sum(axis=1).min()
         assert sol.converged == (fw_gap(G, w) <= 1e-10)
-
-    @pytest.mark.filterwarnings("error")
-    def test_an_affine_step_overflowing_from_the_rows_too_ends_as_overflow(self, monkeypatch):
-        # no finite input is known to reach this (least squares on finite rows stays
-        # finite), so a stand-in for the solve from the rows overflows instead
-        gram_only = minnorm._affine_min
-        monkeypatch.setattr(minnorm, "_affine_min", lambda Q, support, rows=None: (
-            gram_only(Q, support) if rows is None else np.full(len(support), np.nan)))
-        sol = solve_min_norm(np.array([[1e154, 0.0], [-1e154, 0.0]]))
-        assert (sol.termination, sol.converged, sol.iterations) == ("overflow", False, 1)
-        assert np.isnan(sol.weights).all() and np.isnan(sol.direction).all()
 
     def test_max_iter_exhaustion_is_flagged(self):
         G = np.array([[1.0, 0.2, 0.0], [-0.4, 1.0, 0.1], [0.1, -0.9, 1.0]])
@@ -214,6 +202,46 @@ class TestKKTProperty:
         assert scores.min() >= nsq - 1e-9
 
 
+@st.composite
+def scaled_direction_sets(draw):
+    """:func:`direction_sets` with rows at mixed power-of-two scales, some of
+    them a few ulps from another row, then scaled by 2**j so that every row
+    norm is below 2**511: every entry is too, and ``G G^T`` is finite.  Part
+    of the draws of j fall in the top band, where Gram solves overflow."""
+    G = draw(direction_sets())
+    S = G.shape[0]
+    for src, dst, ulps in draw(st.lists(st.tuples(st.integers(0, S - 1), st.integers(0, S - 1),
+                                                  st.integers(-4, 4)), max_size=3)):
+        G[dst] = G[src] + ulps * np.spacing(G[src])
+    G = np.ldexp(G, np.array(draw(st.lists(st.integers(-60, 0), min_size=S, max_size=S)))[:, None])
+    top = np.sqrt((G * G).sum(axis=1)).max()
+    if top > 0.0:
+        G = np.ldexp(G, -int(np.frexp(top)[1]))  # a power of two: row norms now below 1
+    return np.ldexp(G, draw(st.integers(-1070, 511) | st.integers(500, 511)))
+
+
+class TestFiniteGramMatrix:
+    @pytest.mark.filterwarnings("error")
+    @seed(35)
+    @settings(max_examples=400, deadline=None)
+    @given(G=scaled_direction_sets())
+    @example(G=np.array([[1e154, 0.0], [-1e154, 0.0]]))  # the closed form overflows
+    @example(G=np.array([[1e154, 1.0], [-1e154, 2.0], [3e153, -1e153]]))  # the minor cycle's too
+    # a singular KKT system at |Q| ~ 1e93: least squares on it gave weights summing to
+    # -7e-166, and the minor cycle then dropped every vertex (an IndexError)
+    @example(G=np.array([[3.3045539975334695e+46], [-1.2055701880252397e+46],
+                         [5.511178002401095e+46], [-161958965.22944883],
+                         [1.377794500600274e+46]]))
+    def test_a_finite_gram_matrix_gives_finite_weights_on_the_simplex(self, G):
+        # with G G^T finite, every affine step is finite from G if not from the Gram
+        # matrix, so no solve ends as overflow
+        sol = solve_min_norm(G)
+        w = sol.weights
+        assert sol.termination != "overflow"
+        assert np.isfinite(w).all() and (w >= 0.0).all() and abs(w.sum() - 1.0) <= 1e-12
+        assert np.isfinite(sol.direction).all()
+
+
 class TestClosedFormTwo:
     def test_symmetric_pair(self):
         sol = closed_form_two(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -299,6 +327,18 @@ class TestGridOracle:
     def test_one_objective_is_not_refined(self):
         weights, nsq = grid_oracle([[1.0, 2.0]], 0.1, refine_to=0.01)
         assert weights.tolist() == [1.0] and nsq == 5.0
+
+    def test_refinement_reaches_the_face_without_the_last_vertex(self):
+        # the optimum (0.8, 0.2, 0) puts no weight on the last vertex; the coarse
+        # lattice's best is the vertex (1, 0, 0) at norm_sq 1
+        weights, nsq = grid_oracle([[1.0, 0.0], [0.0, 2.0], [5.0, 5.0]], 0.5, refine_to=0.1)
+        assert weights.tolist() == [0.8, 0.2, 0.0] and nsq == pytest.approx(0.8)
+
+    def test_a_refined_tie_keeps_the_coarse_minimizer(self):
+        # 2 w0 + 3 w1 = 1 zeroes the norm: at the coarse point (1/2, 0, 1/2) and at the
+        # finer (0, 1/3, 2/3), which the re-scan reaches first; only a strict gain replaces
+        weights, nsq = grid_oracle([[1.0], [2.0], [-1.0]], 0.5, refine_to=1.0 / 6.0)
+        assert weights.tolist() == [0.5, 0.0, 0.5] and nsq == 0.0
 
     def test_lattice_within_two_steps_of_the_solver(self):
         for case in range(40):
