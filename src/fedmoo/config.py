@@ -4,11 +4,17 @@ Unknown keys anywhere in the tree are a hard error, reported with the dotted
 field path, so a typo cannot silently fall back to a default; so is a value of
 the wrong type.  Files are read with the YAML 1.1 safe loader plus the YAML
 1.2 floats with an exponent that PyYAML leaves as strings (``1e-3``,
-``1.0e3``), so every number is a number once loaded; the parser only checks
-types, and a quoted number is a string.  Summaries echo the mapping as
-loaded.  Defaults live on :class:`~fedmoo.core.ExperimentConfig`.  An
-experiment is fully replayable from its config file plus nothing else: all
-randomness derives from the ``seed`` field.
+``1.0e3``), so every number is a number once loaded, and a quoted number
+is a string.  Each key's type and range are one entry of a rule table:
+:data:`~fedmoo.core.CONFIG_FIELDS` for the config fields, ``_FILE_KEYS``
+below for M, S, mode and name, and :data:`fedmoo.problems.SUITES` for the
+problem section.  The parser checks the types;
+:class:`~fedmoo.core.ExperimentConfig` and the suite builders check the
+ranges (:func:`~fedmoo.core.check_values`), so a range error names its
+field path, ``problem.ridge: must be > 0, got 0.0``.  Summaries echo the mapping as loaded.  Defaults live on
+:class:`~fedmoo.core.ExperimentConfig`.  An experiment is fully replayable
+from its config file plus nothing else: all randomness derives from the
+``seed`` field.
 
 Top-level keys::
 
@@ -34,10 +40,11 @@ Top-level keys::
     client_weights       optional M positive weights for imbalanced averaging
     problem              problem section, see below
 
-The problem section names the suite by ``kind``; its other keys and their
-types are :data:`fedmoo.problems.SUITES`, and the suite builders' docstrings
-document them.  Each key is a keyword argument of the builder, which holds
-its default, and ``seed`` defaults to the top-level seed.
+The problem section names the suite by ``kind``; its other keys, their
+types and their ranges are :data:`fedmoo.problems.SUITES`, and the suite
+builders' docstrings document them.  Each key is a keyword argument of the
+builder, which holds its default, and ``seed`` defaults to the top-level
+seed.
 
 Sweep files hold ``base`` (inline config map or path to one), ``axis`` (one
 of K, batch_size, eta_local, M, heterogeneity) and ``values``.
@@ -54,7 +61,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 import yaml
 
-from .core import ConfigError, ExperimentConfig, IndicatorMatrix, ProblemConfig
+from .core import (CONFIG_FIELDS, ConfigError, ExperimentConfig, IndicatorMatrix, ProblemConfig,
+                   at_least, check_values, one_of)
 from .problems import SUITES
 
 __all__ = ["parse_config", "load_config", "SweepSpec", "load_sweep", "apply_axis"]
@@ -79,16 +87,20 @@ def _load_yaml(path):
 # Required in files, though ExperimentConfig has defaults for seed and problem.
 _REQUIRED = {"M", "S", "d", "indicator", "K", "T", "eta_global", "eta_local", "seed", "problem"}
 
-# File keys that are not config fields: the indicator's shape and the oracle,
-# which the config reads off its indicator and batch_size.
-_DERIVED = {"M", "S", "mode"}
-
 _MODES = ("full_gradient", "stochastic")
 
-# Top-level keys checked by type alone; the others have their own parsing.
-_SCALARS = {"name": str, "M": int, "S": int, "d": int, "K": int, "T": int,
-            "eta_global": float, "eta_local": float, "mode": str, "seed": int,
-            "sample_sharing": str, "normalize_delta_by_K": bool}
+
+def _one_component(name: str) -> bool:
+    """A run name is one path component, so its run directory stays under the output root."""
+    return name not in ("", ".", "..") and not any(
+        sep and sep in name for sep in ("/", os.sep, os.altsep))
+
+
+# Top-level scalar keys beyond CONFIG_FIELDS -> (type, rule): M, S and mode are
+# not config fields (the config reads them off its indicator and batch_size).
+_FILE_KEYS = {"M": (int, at_least(1)), "S": (int, at_least(1)), "mode": (str, one_of(*_MODES)),
+              "name": (str, ("one path component", _one_component)),
+              "normalize_delta_by_K": (bool, None)}
 
 SWEEP_AXES = ("K", "batch_size", "eta_local", "M", "heterogeneity")
 
@@ -152,34 +164,23 @@ def _parse_indicator(value, S, M):
     raise ConfigError("indicator", f"expected 'identity', 'all_ones' or a matrix, got {value!r}")
 
 
-def _check_name(name):
-    """A run name is one path component, so its run directory stays under the output root."""
-    if name in ("", ".", "..") or any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
-        raise ConfigError("name", f"must be one path component, got {name!r}")
-
-
 def parse_config(mapping: dict) -> ExperimentConfig:
     """Validate a loaded key-value tree and build the experiment config.
 
     Only the keys present are passed on; absent optional keys take the
     defaults of :class:`~fedmoo.core.ExperimentConfig`.
     """
-    _check_keys(mapping, {f.name for f in fields(ExperimentConfig)} | _DERIVED, "")
+    _check_keys(mapping, {f.name for f in fields(ExperimentConfig)} | set(_FILE_KEYS), "")
     for key in _REQUIRED:
         if key not in mapping:
             raise ConfigError(key, "required key is missing")
 
-    kwargs = {key: _check_type(mapping[key], kind, key)
-              for key, kind in _SCALARS.items() if key in mapping}
+    kwargs = {key: _check_type(mapping[key], kind, key)  # batch_size may be "full"
+              for key, (kind, _) in {**CONFIG_FIELDS, **_FILE_KEYS}.items()
+              if key in mapping and key != "batch_size"}
+    check_values(_FILE_KEYS, kwargs)
     S, M, mode = kwargs.pop("S"), kwargs.pop("M"), kwargs.pop("mode", _MODES[0])
-    for key, count in (("S", S), ("M", M)):
-        if count < 1:
-            raise ConfigError(key, f"must be >= 1, got {count}")
     kwargs["indicator"] = _parse_indicator(mapping["indicator"], S, M)
-    if "name" in kwargs:
-        _check_name(kwargs["name"])
-    if mode not in _MODES:
-        raise ConfigError("mode", f"must be one of {_MODES}, got {mode!r}")
     if mode == "full_gradient":
         for key in ("batch_size", "sample_sharing"):
             if key in mapping:
@@ -205,14 +206,11 @@ def parse_config(mapping: dict) -> ExperimentConfig:
     if kind not in SUITES:
         raise ConfigError("problem.kind",
                           f"unknown problem kind {kind!r}; expected one of {sorted(SUITES)}")
-    types = SUITES[kind][1]
+    keys = SUITES[kind][1]
     params = {k: v for k, v in prob_raw.items() if k != "kind"}
-    _check_keys(params, types, "problem")
+    _check_keys(params, keys, "problem")
     kwargs["problem"] = ProblemConfig(
-        kind, {k: _check_type(v, types[k], f"problem.{k}") for k, v in params.items()})
-    for key, seed in (("seed", kwargs["seed"]), ("problem.seed", params.get("seed", 0))):
-        if not 0 <= seed < 2**64:
-            raise ConfigError(key, f"must be in [0, 2**64), got {seed}")
+        kind, {k: _check_type(v, keys[k][0], f"problem.{k}") for k, v in params.items()})
 
     try:
         return ExperimentConfig(**kwargs)

@@ -26,6 +26,8 @@ __all__ = [
     "roundoff_bound",
     "ProblemConfig",
     "ExperimentConfig",
+    "CONFIG_FIELDS",
+    "check_values",
     "RoundRecord",
 ]
 
@@ -224,7 +226,56 @@ class ProblemConfig:
     params: dict
 
 
+def at_least(bound):
+    """The rule ``value >= bound``; a rule is a (text, test) pair, and its text
+    reads after "must be"."""
+    return f">= {bound}", lambda v: v >= bound
+
+
+def above(bound):
+    """The rule ``value > bound``."""
+    return f"> {bound}", lambda v: v > bound
+
+
+def in_range(lo, hi, text=None):
+    """The rule ``lo <= value < hi``, read as ``in [lo, hi)`` unless ``text`` is given."""
+    return text or f"in [{lo}, {hi})", lambda v: lo <= v < hi
+
+
+def one_of(*choices):
+    """The rule ``value in choices``."""
+    return f"one of {choices}", lambda v: v in choices
+
+
+SEED_RANGE = in_range(0, _U64, "in [0, 2**64)")
+
 _SHARING = ("per_client", "per_objective")
+
+# ExperimentConfig field -> (type in a config file, rule on its value); the
+# other fields have their own parsing.
+CONFIG_FIELDS = {
+    "d": (int, at_least(1)),
+    "K": (int, at_least(1)),
+    "T": (int, at_least(1)),
+    "eta_global": (float, ("finite and > 0", lambda v: 0 < v < np.inf)),
+    "eta_local": (float, in_range(0, np.inf, "finite and >= 0")),
+    "batch_size": (int, at_least(1)),
+    "seed": (int, SEED_RANGE),
+    "sample_sharing": (str, one_of(*_SHARING)),
+}
+
+
+def check_values(rules: dict, values: dict, prefix: str = "") -> None:
+    """Check each ``values[key]`` against the rule of ``rules[key] = (type, rule)``.
+
+    A missing or None value (an optional key left unset) and a None rule
+    pass; the first value its rule refuses raises ``ConfigError`` at the
+    field path ``prefix + key``: "must be <rule>, got <value>".
+    """
+    for key, (_, rule) in rules.items():
+        value = values.get(key)
+        if rule is not None and value is not None and not rule[1](value):
+            raise ConfigError(prefix + key, f"must be {rule[0]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -259,21 +310,7 @@ class ExperimentConfig:
     name: str = "run"
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ConfigError("d", f"must be >= 1, got {self.d}")
-        if self.K < 1:
-            raise ConfigError("K", f"must be >= 1, got {self.K}")
-        if self.T < 1:
-            raise ConfigError("T", f"must be >= 1, got {self.T}")
-        if not 0 < self.eta_global < np.inf:
-            raise ConfigError("eta_global", f"must be finite and > 0, got {self.eta_global}")
-        if not 0 <= self.eta_local < np.inf:
-            raise ConfigError("eta_local", f"must be finite and >= 0, got {self.eta_local}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError("batch_size", f"must be >= 1, got {self.batch_size}")
-        if self.sample_sharing not in _SHARING:
-            raise ConfigError("sample_sharing",
-                              f"must be one of {_SHARING}, got {self.sample_sharing!r}")
+        check_values(CONFIG_FIELDS, vars(self))
         if self.init is not None:
             try:
                 object.__setattr__(self, "init", as_model_point(self.init, self.d))

@@ -24,6 +24,7 @@ share none.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,7 @@ from .minnorm import solve_min_norm
 __all__ = [
     "TrajectoryLog",
     "DivergenceError",
+    "MetricDivergenceError",
     "client_update_full",
     "client_update_stochastic",
     "server_aggregate",
@@ -58,7 +60,9 @@ class DivergenceError(RuntimeError):
     are None) the clients' updates are finite but the averaged block is not,
     and ``objective`` is its first non-finite row.  In the solve phase (all
     three None) the averaged block is finite but the min-norm solve's norm or
-    direction is not, because the block's Gram matrix overflowed.
+    direction is not, because the block's Gram matrix overflowed.  In the
+    metrics phase (:class:`MetricDivergenceError`) the round's step is finite
+    but a metric at its start point is not.
     """
 
     def __init__(self, round_index, client, objective, step):
@@ -73,6 +77,28 @@ class DivergenceError(RuntimeError):
         else:
             super().__init__(f"non-finite local update at round {round_index}, client {client}, "
                              f"objective {objective}, local step {step}")
+
+
+class MetricDivergenceError(DivergenceError):
+    """The metrics phase: ``quantity`` ("dbar_norm_sq", "loss", "delta_Q" or
+    "lambda_drift") at the round's start point is not finite, and ``objective``
+    is the first non-finite loss's objective (None for the other quantities)."""
+
+    def __init__(self, round_index, quantity, objective=None):
+        super().__init__(round_index, None, objective, None)
+        self.quantity = quantity
+        at = "" if objective is None else f", objective {objective}"
+        self.args = (f"non-finite {quantity} at round {round_index}{at}",)
+
+
+def _finite(value, round_index, quantity):
+    """``value``, a round metric (a float, or the loss vector), if it is finite;
+    else the metrics phase's :class:`MetricDivergenceError`."""
+    # math.isfinite: far cheaper than np.isfinite on a Python float
+    if isinstance(value, float) and math.isfinite(value) or np.isfinite(value).all():
+        return value
+    objective = None if np.ndim(value) == 0 else int(np.argmin(np.isfinite(value)))
+    raise MetricDivergenceError(round_index, quantity, objective)
 
 
 @dataclass
@@ -331,7 +357,10 @@ def run_round(round_index, x_t, config, problem):
     non-finite client update, averaged block or min-norm solve raises
     :class:`DivergenceError` before any metric is computed; a local one
     names the lowest failing client's first failing objective (in owned
-    order) and that pair's first non-finite step.
+    order) and that pair's first non-finite step.  The metrics are computed
+    under the same ``errstate``, and the first non-finite one (in the order
+    dbar, losses, delta_Q, lambda_drift) raises :class:`MetricDivergenceError`,
+    so a recorded round holds finite metrics only.
     """
     A = config.indicator
     clients = list(enumerate(A.client_objectives))
@@ -348,13 +377,15 @@ def run_round(round_index, x_t, config, problem):
             raise DivergenceError(round_index, None, int(np.argmin(finite)), None)
         sol = solve_min_norm(delta)
         x_next = x_t - config.eta_global * sol.direction  # may overflow: the guard checks it
-    if not np.isfinite(sol.norm_sq):  # ||direction||^2: finite only with the direction
-        raise DivergenceError(round_index, None, None, None)
-
-    dbar = metrics.dbar_norm_sq(sol.weights, x_t, problem)
-    losses = problem.losses(x_t)
-    dq = metrics.delta_q(sol.weights, x_t, problem) if problem.has_pareto_reference else np.nan
-    drift = metrics.lambda_drift(sol.weights, x_t, problem)
+        if not np.isfinite(sol.norm_sq):  # ||direction||^2: finite only with the direction
+            raise DivergenceError(round_index, None, None, None)
+        w = sol.weights
+        # a finite dbar means finite gradients, which lambda_drift's solve requires
+        dbar = _finite(metrics.dbar_norm_sq(w, x_t, problem), round_index, "dbar_norm_sq")
+        losses = _finite(problem.losses(x_t), round_index, "loss")
+        dq = (_finite(metrics.delta_q(w, x_t, problem), round_index, "delta_Q")
+              if problem.has_pareto_reference else np.nan)
+        drift = _finite(metrics.lambda_drift(w, x_t, problem), round_index, "lambda_drift")
     record = RoundRecord(t=round_index, weights=sol.weights, d_norm_sq=sol.norm_sq,
                          dbar_norm_sq=dbar, losses=losses, delta_q=dq,
                          fw_gap=sol.fw_gap, lambda_drift=drift, x_snapshot=x_t.copy())

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, ExperimentConfig, IndicatorMatrix
+from .core import (SEED_RANGE, ConfigError, ExperimentConfig, IndicatorMatrix, above, at_least,
+                   check_values, in_range, one_of)
 
 __all__ = [
     "Problem",
@@ -68,12 +69,6 @@ _ZERO, _ONE, _MINUS_ONE = _scalar(0.0), _scalar(1.0), _scalar(-1.0)
 def _count(n: int) -> np.ndarray:
     """The sample count ``n`` as a read-only 0-d float64, for dividing by it."""
     return _scalar(n)
-
-
-def _check_at_least(bound, **values):
-    for key, value in values.items():
-        if not value >= bound:
-            raise ValueError(f"{key} must be >= {bound}, got {value}")
 
 
 class Problem:
@@ -281,6 +276,14 @@ class QuadraticProblem(Problem):
         return (w @ self.eff_centers) / w.sum()
 
 
+# Each suite's section keys -> (type in a config file, rule on the value); the
+# keys are the builder's keyword-only parameters, and ``list`` is "auto" or rows.
+_QUADRATIC = {"centers": (list, None), "curvature": (float, above(0)),
+              "heterogeneity": (float, at_least(0)), "curvature_spread": (float, in_range(0, 1)),
+              "n_per_client": (int, at_least(1)), "data_spread": (float, at_least(0)),
+              "seed": (int, SEED_RANGE)}
+
+
 def quadratic_suite(d, A: IndicatorMatrix, *, centers="auto", curvature=1.0,
                     heterogeneity=0.0, curvature_spread=0.0, n_per_client=32,
                     data_spread=1.0, seed=0) -> QuadraticProblem:
@@ -301,13 +304,8 @@ def quadratic_suite(d, A: IndicatorMatrix, *, centers="auto", curvature=1.0,
     and frees it, and the problem draws them again on the first minibatch
     gradient.  A full-gradient run never holds them.
     """
+    check_values(_QUADRATIC, locals(), "problem.")
     S, M = A.n_objectives, A.n_clients
-    _check_at_least(1, n_per_client=n_per_client)
-    _check_at_least(0, heterogeneity=heterogeneity, data_spread=data_spread)
-    if not curvature > 0:
-        raise ValueError(f"curvature must be > 0, got {curvature}")
-    if not 0 <= curvature_spread < 1:
-        raise ValueError(f"curvature_spread must be in [0, 1), got {curvature_spread}")
     if isinstance(centers, str) and centers == "auto":
         centers = _rng(seed, _TAG_CENTERS).standard_normal((S, d))
         centers /= np.linalg.norm(centers, axis=1, keepdims=True)
@@ -398,6 +396,11 @@ class TanhRidgeProblem(Problem):
         return self.n_per_client
 
 
+_NONCONVEX = {"n_terms": (int, at_least(1)), "ridge": (float, at_least(0)),
+              "heterogeneity": (float, at_least(0)), "amp_noise": (float, at_least(0)),
+              "n_per_client": (int, at_least(1)), "seed": (int, SEED_RANGE)}
+
+
 def toy_nonconvex_suite(d, A: IndicatorMatrix, *, n_terms=6, ridge=0.0, heterogeneity=0.2,
                         amp_noise=0.3, n_per_client=64, seed=0) -> TanhRidgeProblem:
     """Build the non-convex tanh-mixture suite with reported G and L constants.
@@ -409,10 +412,9 @@ def toy_nonconvex_suite(d, A: IndicatorMatrix, *, n_terms=6, ridge=0.0, heteroge
     amplitude factors have spread ``amp_noise`` (>= 0); ``seed`` fixes the
     instance.
     """
+    check_values(_NONCONVEX, locals(), "problem.")
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    _check_at_least(1, n_terms=n_terms, n_per_client=n_per_client)
-    _check_at_least(0, ridge=ridge, heterogeneity=heterogeneity, amp_noise=amp_noise)
     S, M = A.n_objectives, A.n_clients
     rng = _rng(seed, _TAG_TANH)
 
@@ -594,6 +596,13 @@ def _haar_rotation(dim, rng) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+_CLASSIFICATION = {
+    "n_per_client": (int, at_least(1)), "partition": (str, one_of("iid", "label_skew")),
+    "labels_per_client": (int, at_least(1)), "task_overlap": (float, in_range(0, 1)),
+    "independent_labels": (bool, None), "n_components": (int, at_least(2)),
+    "ridge": (float, above(0)), "seed": (int, SEED_RANGE)}
+
+
 def synthetic_classification_suite(d, A: IndicatorMatrix, *, n_per_client=64, partition="iid",
                                    labels_per_client=None, task_overlap=0.0,
                                    independent_labels=False, n_components=10,
@@ -601,10 +610,10 @@ def synthetic_classification_suite(d, A: IndicatorMatrix, *, n_per_client=64, pa
     """Build the multi-task logistic suite on Gaussian-mixture samples.
 
     Keys: each client holds ``n_per_client`` samples of a mixture of
-    ``n_components >= 2`` unit-variance Gaussians with means of scale 3;
-    ``ridge > 0`` regularizes each task, so each task has a unique minimum.
-    The d model coordinates split into a shared block of ``round(task_overlap *
-    d)`` coordinates plus one equal block per task (each ending in that
+    ``n_components`` (>= 2) unit-variance Gaussians with means of scale 3;
+    ``ridge`` (> 0) regularizes each task, so each task has a unique minimum.
+    The d model coordinates split into a shared block of round(``task_overlap``
+    * d) coordinates plus one equal block per task (each ending in that
     task's bias); task s reads the shared block and its own orthogonal
     rotation of the sample's own-view core.  ``task_overlap=0`` decouples the
     tasks so the joint optimum reaches every task's individual minimum;
@@ -615,22 +624,14 @@ def synthetic_classification_suite(d, A: IndicatorMatrix, *, n_per_client=64, pa
     task, giving tasks of unequal difficulty.  ``partition`` is ``"iid"`` or
     ``"label_skew"``, where the mixture component plays the role of the
     label and each client sees at most ``labels_per_client`` (default 2;
-    label skew only) of them.
+    label skew only) of them.  ``seed`` fixes the instance and the partition.
     """
+    check_values(_CLASSIFICATION, locals(), "problem.")
     S, M = A.n_objectives, A.n_clients
-    _check_at_least(1, n_per_client=n_per_client, n_components=n_components)
-    if n_components < 2:
-        raise ValueError(f"n_components must be >= 2, got {n_components}")
-    if not ridge > 0:
-        raise ValueError(f"ridge must be > 0, got {ridge}")
     if partition == "label_skew":
         labels_per_client = 2 if labels_per_client is None else labels_per_client
-    elif partition != "iid":
-        raise ValueError(f"partition must be 'iid' or 'label_skew', got {partition!r}")
     elif labels_per_client is not None:
         raise ValueError("labels_per_client applies to partition 'label_skew', not 'iid'")
-    if not 0 <= task_overlap < 1:
-        raise ValueError(f"task_overlap must be in [0, 1), got {task_overlap}")
     n_shared = round(task_overlap * d)
     block = (d - n_shared) // S
     if block < 2:
@@ -703,8 +704,6 @@ def partition(labels, n_clients, labels_per_client=None, seed=0) -> PartitionPla
         perm = rng.permutation(n)
         return PartitionPlan(tuple(np.sort(part) for part in np.array_split(perm, n_clients)))
 
-    if labels_per_client < 1:
-        raise ValueError(f"labels_per_client must be >= 1, got {labels_per_client}")
     uniq = np.unique(labels)
     C = len(uniq)
     k_eff = min(labels_per_client, C)
@@ -732,20 +731,11 @@ def partition(labels, n_clients, labels_per_client=None, seed=0) -> PartitionPla
 # the classification builder's ``partition`` key shadows the function's name
 _partition = partition
 
-# Problem kind -> (suite builder, {section key: type}); each key is a keyword-only
-# parameter of the builder, which holds its default; ``list`` is "auto" or rows.
-SUITES = {
-    "quadratic": (quadratic_suite, {
-        "centers": list, "curvature": float, "heterogeneity": float,
-        "curvature_spread": float, "n_per_client": int, "data_spread": float, "seed": int}),
-    "nonconvex": (toy_nonconvex_suite, {
-        "n_terms": int, "ridge": float, "heterogeneity": float, "amp_noise": float,
-        "n_per_client": int, "seed": int}),
-    "classification": (synthetic_classification_suite, {
-        "n_per_client": int, "partition": str, "labels_per_client": int,
-        "task_overlap": float, "independent_labels": bool, "n_components": int,
-        "ridge": float, "seed": int}),
-}
+# Problem kind -> (suite builder, {section key: (type, rule)}); the builder
+# holds each key's default and checks the rules.
+SUITES = {"quadratic": (quadratic_suite, _QUADRATIC),
+          "nonconvex": (toy_nonconvex_suite, _NONCONVEX),
+          "classification": (synthetic_classification_suite, _CLASSIFICATION)}
 
 
 def build_problem(config: ExperimentConfig) -> Problem:
@@ -759,7 +749,9 @@ def build_problem(config: ExperimentConfig) -> Problem:
     try:
         problem = builder(config.d, config.indicator,
                           **{"seed": config.seed, **config.problem.params})
-    except ValueError as exc:  # a value of the right type but out of range
+    except ConfigError:  # a key's own rule, at its field path
+        raise
+    except ValueError as exc:  # a rule that ties keys together
         raise ConfigError("problem", str(exc)) from exc
     if config.batch_size is not None:
         smallest = min(problem.shard_size(i) for i in range(config.M))

@@ -182,6 +182,18 @@ MUTANTS = [
     Mutant("stochastic-without-batch", "src/fedmoo/config.py",
            'if mode == "stochastic" and batch is None:', "if False:",
            "tests/test_config_cli.py::test_config_error_exits_2_naming_the_field"),
+    # the rule-table walker: each table's edge values, through files and direct calls
+    Mutant("walker-skips-first-rule", "src/fedmoo/core.py",
+           "for key, (_, rule) in rules.items():",
+           "for key, (_, rule) in list(rules.items())[1:]:",
+           "tests/test_config_cli.py::test_rule_edges_hold_for_files_and_direct_calls"),
+    Mutant("walker-checks-none", "src/fedmoo/core.py",
+           "if rule is not None and value is not None and not rule[1](value):",
+           "if rule is not None and not rule[1](value):",
+           "tests/test_config_cli.py::test_rule_edges_hold_for_files_and_direct_calls"),
+    Mutant("at-least-strict", "src/fedmoo/core.py",
+           "lambda v: v >= bound", "lambda v: v > bound",
+           "tests/test_config_cli.py::test_rule_edges_hold_for_files_and_direct_calls"),
     # problem suites: finite differences in verify and the public-array oracles
     Mutant("tanh-ridge-dropped", "src/fedmoo/problems.py",
            "        return np.add(out, self._ridge * x, out)\n", "        return out\n",

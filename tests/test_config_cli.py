@@ -1,6 +1,10 @@
 """Config schema enforcement and the run/sweep/verify/report driver."""
 
+import ast
+import copy
+import dataclasses
 import json
+import re
 import sys
 import threading
 import time
@@ -12,12 +16,12 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmoo import cli, verify
+from fedmoo import cli, config, verify
 from fedmoo.cli import main
-from fedmoo.config import _Loader, apply_axis, load_sweep, parse_config
-from fedmoo.core import ConfigError
+from fedmoo.config import _FILE_KEYS, _Loader, apply_axis, load_sweep, parse_config
+from fedmoo.core import CONFIG_FIELDS, ConfigError, ExperimentConfig, IndicatorMatrix
 from fedmoo.minnorm import solve_min_norm
-from fedmoo.problems import build_problem
+from fedmoo.problems import SUITES, build_problem
 from fedmoo.reporting import read_rounds_csv, summarize_columns
 from fedmoo.verify import CheckResult, check_minnorm_kkt, check_minnorm_oracle, run_battery
 
@@ -271,6 +275,22 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["termination"] == "completed"
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_loss_at_a_finite_point_exits_3_naming_round_and_objective(
+            self, tmp_path, capsys):
+        # the gradients (~4e152), the solve and the step are finite, but loss_1 at
+        # x_1 = 0 overflows: the run stops in the metrics phase, not "completed"
+        cfg = quad_config(M=2, S=2, d=2, K=1, T=1, eta_local=0.0, indicator="identity")
+        cfg["problem"].update(curvature=3.25e-7, centers=[[-1.36e159, 0.0], [0.0, 1.0]])
+        out = tmp_path / "loss"
+        assert main(["run", "--config", self._write(tmp_path, cfg), "--out", str(out)]) == 3
+        assert (out / "rounds.csv").read_text().count("\n") == 1  # the header alone
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["termination"] == "diverged: non-finite loss at round 1, objective 0"
+        assert capsys.readouterr().err == (
+            f"quad-mini: diverged: non-finite loss at round 1, objective 0 "
+            f"(partial log written to {out})\n")
 
     @pytest.mark.parametrize("curvature", [100.0, 1.0])
     def test_overflowing_server_step_exits_3_with_json_summaries(self, tmp_path, capsys,
@@ -768,34 +788,34 @@ def _golden_doc(name, **problem):
     ("run", quad_config(problem={**quad_config()["problem"], "curvature": "steep"}),
      "problem.curvature: expected a finite number, got 'steep'"),
     ("run", quad_config(problem={**quad_config()["problem"], "curvature_spread": 2.0}),
-     "problem: curvature_spread must be in [0, 1), got 2.0"),
-    ("run", _golden_doc("cls_full", ridge=0.0), "problem: ridge must be > 0, got 0.0"),
-    ("run", _golden_doc("cls_full", ridge=-0.5), "problem: ridge must be > 0, got -0.5"),
-    ("run", _golden_doc("tanh_stoch", ridge=-0.5), "problem: ridge must be >= 0, got -0.5"),
+     "problem.curvature_spread: must be in [0, 1), got 2.0"),
+    ("run", _golden_doc("cls_full", ridge=0.0), "problem.ridge: must be > 0, got 0.0"),
+    ("run", _golden_doc("cls_full", ridge=-0.5), "problem.ridge: must be > 0, got -0.5"),
+    ("run", _golden_doc("tanh_stoch", ridge=-0.5), "problem.ridge: must be >= 0, got -0.5"),
     ("run", _golden_doc("cls_full", n_components=1),
-     "problem: n_components must be >= 2, got 1"),
+     "problem.n_components: must be >= 2, got 1"),
     ("run", _golden_doc("quad_stoch", heterogeneity=-0.5),
-     "problem: heterogeneity must be >= 0, got -0.5"),
+     "problem.heterogeneity: must be >= 0, got -0.5"),
     ("run", _golden_doc("tanh_stoch", heterogeneity=-0.5),
-     "problem: heterogeneity must be >= 0, got -0.5"),
+     "problem.heterogeneity: must be >= 0, got -0.5"),
     ("run", _golden_doc("quad_stoch", data_spread=-0.5),
-     "problem: data_spread must be >= 0, got -0.5"),
+     "problem.data_spread: must be >= 0, got -0.5"),
     ("run", _golden_doc("tanh_stoch", amp_noise=-0.5),
-     "problem: amp_noise must be >= 0, got -0.5"),
+     "problem.amp_noise: must be >= 0, got -0.5"),
     ("run", _golden_doc("quad_full", n_per_client=0),
-     "problem: n_per_client must be >= 1, got 0"),
+     "problem.n_per_client: must be >= 1, got 0"),
     ("run", _golden_doc("tanh_stoch", n_per_client=0),
-     "problem: n_per_client must be >= 1, got 0"),
+     "problem.n_per_client: must be >= 1, got 0"),
     ("run", _golden_doc("cls_full", n_per_client=0),
-     "problem: n_per_client must be >= 1, got 0"),
+     "problem.n_per_client: must be >= 1, got 0"),
     ("run", _golden_doc("cls_full", n_components=0),
-     "problem: n_components must be >= 1, got 0"),
-    ("run", _golden_doc("tanh_stoch", n_terms=0), "problem: n_terms must be >= 1, got 0"),
-    ("run", _golden_doc("tanh_stoch", n_terms=-1), "problem: n_terms must be >= 1, got -1"),
+     "problem.n_components: must be >= 2, got 0"),
+    ("run", _golden_doc("tanh_stoch", n_terms=0), "problem.n_terms: must be >= 1, got 0"),
+    ("run", _golden_doc("tanh_stoch", n_terms=-1), "problem.n_terms: must be >= 1, got -1"),
     ("run", _golden_doc("cls_full", partition="iid"),  # labels_per_client: 2 stays
      "problem: labels_per_client applies to partition 'label_skew', not 'iid'"),
     ("run", _golden_doc("cls_full", partition="dirichlet"),
-     "problem: partition must be 'iid' or 'label_skew', got 'dirichlet'"),
+     "problem.partition: must be one of ('iid', 'label_skew'), got 'dirichlet'"),
     ("run", _golden_doc("cls_full", feature_scale=3.0), "problem.feature_scale: unknown key"),
     ("run", _golden_doc("cls_full", noise=1.0), "problem.noise: unknown key"),
     ("run", quad_config(seed=2**64 + 7),
@@ -839,3 +859,114 @@ def test_out_through_a_file_exits_2_naming_it(tmp_path, capsys, command, out):
     err = capsys.readouterr().err
     assert f"error: {tmp_path / out}: {tmp_path / 'taken'} is not a directory" in err
     assert (tmp_path / "taken").read_text() == "a file"
+
+
+def _step(value, up: bool):
+    """The nearest value of ``value``'s type above (``up``) or below it."""
+    if isinstance(value, int):
+        return value + (1 if up else -1)
+    return float(np.nextafter(value, np.inf if up else -np.inf))
+
+
+def _bound(kind, text: str):
+    base, _, power = text.partition("**")
+    return kind(int(base) ** int(power)) if power else kind(text)
+
+
+def rule_edges(kind, text: str) -> tuple[list, list]:
+    """(admitted, refused) values at the edges of the rule that reads ``text``."""
+    if text.startswith("one of "):
+        choices = ast.literal_eval(text[len("one of "):])
+        return list(choices), [choices[0][:-1]]
+    if text == "one path component":
+        return ["..."], [".."]
+    at = re.fullmatch(r"(?:finite and )?(>=?) (\S+)", text)
+    if at:
+        bound = _bound(kind, at[2])
+        if at[1] == ">=":
+            return [bound], [_step(bound, up=False)]
+        return [_step(bound, up=True)], [bound]
+    lo, hi = (_bound(kind, b) for b in re.fullmatch(r"in \[(\S+), (\S+)\)", text).groups())
+    # a float just below hi can break a rule that ties keys together (task_overlap)
+    return [lo] + ([hi - 1] if kind is int else []), [_step(lo, up=False), hi]
+
+
+# Stochastic with batch size 1, so batch_size and sample_sharing apply and a
+# one-sample shard still holds a batch; a problem key's suite replaces the section.
+RULE_BASE = {"M": 2, "S": 2, "d": 4, "indicator": "all_ones", "K": 1, "T": 1,
+             "eta_global": 0.1, "eta_local": 0.05, "mode": "stochastic", "batch_size": 1,
+             "sample_sharing": "per_client", "seed": 0, "problem": {"kind": "quadratic"}}
+RULE_SECTIONS = {"quadratic": {}, "nonconvex": {}, "classification": {"n_components": 2}}
+
+
+def _rule_cases():
+    tables = [("", CONFIG_FIELDS), ("", _FILE_KEYS)] + [
+        (f"problem.{kind}", keys) for kind, (_, keys) in SUITES.items()]
+    for scope, table in tables:
+        for key, (kind, rule) in table.items():
+            if rule is not None:
+                admitted, refused = rule_edges(kind, rule[0])
+                for value, ok in [(v, True) for v in admitted] + [(v, False) for v in refused]:
+                    yield pytest.param(scope, key, value, ok, rule[0],
+                                       id=f"{scope or 'top'}.{key}={value!r}")
+
+
+def _with_key(scope, key, value):
+    """The base config with ``key`` set to ``value``, plus what that value needs to apply."""
+    doc = copy.deepcopy(RULE_BASE)
+    section = doc
+    if scope:
+        kind = scope.split(".")[1]
+        section = doc["problem"] = {"kind": kind, **RULE_SECTIONS[kind]}
+    section[key] = value
+    if key == "labels_per_client":
+        section["partition"] = "label_skew"
+    if value == "full_gradient":
+        del doc["batch_size"], doc["sample_sharing"]
+    return doc
+
+
+def _direct(scope, doc):
+    """Build from ``doc`` without the file parser: the suite builder for a
+    problem key, else ExperimentConfig; file-only keys (M, S, mode) have none."""
+    A = IndicatorMatrix.all_ones(doc["S"], doc["M"])
+    if scope:
+        params = {k: v for k, v in doc["problem"].items() if k != "kind"}
+        SUITES[doc["problem"]["kind"]][0](doc["d"], A, **params)
+    else:
+        ExperimentConfig(indicator=A, **{k: v for k, v in doc.items() if k in CONFIG_FIELDS})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scope, key, value, admitted, rule", _rule_cases())
+def test_rule_edges_hold_for_files_and_direct_calls(tmp_path, capsys, scope, key, value,
+                                                    admitted, rule):
+    # every rule of every table: its edge value parses and builds, and the
+    # nearest value it refuses exits 2 naming the key's field path
+    doc = _with_key(scope, key, value)
+    path = f"problem.{key}" if scope else key
+    direct = scope or key in CONFIG_FIELDS
+    if admitted:
+        build_problem(parse_config(doc))
+        if direct:
+            _direct(scope, doc)
+        return
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_text(yaml.safe_dump(doc))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: must be {rule}, got {value!r}\n"
+    if direct:
+        with pytest.raises(ConfigError) as exc:
+            _direct(scope, doc)
+        assert exc.value.path == path
+
+
+def test_every_config_key_is_documented():
+    # each suite key in its builder's docstring, and the file keys in the
+    # key list of the config module's docstring, no more and no fewer
+    for builder, keys in SUITES.values():
+        assert [k for k in keys if f"``{k}``" not in builder.__doc__] == []
+    key_list = config.__doc__.split("Top-level keys::\n\n")[1].split("\n\n")[0]
+    listed = {k for names in re.findall(r"^    (\w+(?:, \w+)*)", key_list, re.M)
+              for k in names.split(", ")}
+    assert listed == {f.name for f in dataclasses.fields(ExperimentConfig)} | set(_FILE_KEYS)

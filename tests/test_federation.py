@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fmgda_reference as reference
+from fedmoo import metrics
 from fedmoo.core import ExperimentConfig, IndicatorMatrix, RoundRecord
 from fedmoo.federation import (DivergenceError, TrajectoryLog, _draw_batches,
                                client_update_full, client_update_stochastic,
@@ -377,6 +378,24 @@ class TestRunExperiment:
     def test_matches_centralized_mgd_bit_for_bit(self):
         result = check_mgd_reduction(symmetric_quadratic()[1], 0, rounds=30)
         assert result.passed, result.line()
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("metric, quantity", [
+        ("dbar_norm_sq", "dbar_norm_sq"), ("delta_q", "delta_Q"),
+        ("lambda_drift", "lambda_drift")])
+    def test_non_finite_metric_ends_the_run_naming_round_and_quantity(
+            self, monkeypatch, metric, quantity, value):
+        A, prob = symmetric_quadratic()
+        real, calls = getattr(metrics, metric), []
+
+        def from_round_3(w, x, problem):  # rounds 1 and 2 keep the real value
+            calls.append(None)
+            return real(w, x, problem) if len(calls) < 3 else float(value)
+
+        monkeypatch.setattr(metrics, metric, from_round_3)
+        traj = run_experiment(base_config(prob, A, T=5, eta_global=0.5), prob)
+        assert traj.termination == f"diverged: non-finite {quantity} at round 3"
+        assert [r.t for r in traj.records] == [1, 2]
 
     def test_divergence_preserves_partial_log(self):
         A, prob = symmetric_quadratic()
