@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 usage or configuration error, 3 runtime divergence
 (a non-finite local update, averaged block or min-norm solve, or a
 non-finite metric at a round's start point (dbar, a loss, delta_Q or
 lambda_drift), named by round and phase, or a global point beyond the norm
-guard; the partial log is written), 4 verification failure.  Output directories are immutable run
-artifacts: ``rounds.csv`` plus ``summary.json`` per run, and
+guard; the partial log is written), 4 verification failure.  Output
+directories are immutable run artifacts: ``rounds.csv`` plus
+``summary.json`` per run, and
 ``sweep_summary.json`` at the sweep root.  Nothing is overwritten without
 ``--force``.  The default output root is ``$FEDMOO_OUT`` (falling back to
 ``./runs``).
